@@ -1,21 +1,16 @@
-//! Mapped-size × hot-set-size sweep for the hierarchical subtree-skipping
-//! A-bit scan and the sparse page-descriptor table.
+//! Mapped-size × hot-set-size sweep for the subtree-skipping A-bit scan
+//! and the sparse page-descriptor table.
 //!
 //! Each cell maps a region, heats a small random subset, and times one
-//! full budgeted cursor cycle of the scanner. Cell names are stable across
-//! the seed and the reworked tree so the interleaved A/B harness
-//! (EXPERIMENTS.md) can compare them directly:
+//! full budgeted cursor cycle of the scanner:
 //!
-//! * `sparse_scan/flat_*` — the word-packed leaf scan: cost grows with
-//!   *mapped* size because every leaf's candidate words are loaded even
-//!   when the whole subtree is idle.
-//! * `sparse_scan/hier_*` — the hierarchical scan: interior A-summary
-//!   words prune cold subtrees, so cost tracks *hot-set* size. Simulated
-//!   cost (PTEs charged, observations, cursors) is identical by design —
-//!   the equivalence proptests in `scan_props` enforce it; the win is
-//!   host wall-clock.
-//! * `sparse_scan/*_100m_pages_*` — a 10⁸-page (≈0.4 TB of 4 KiB pages)
-//!   huge-backed footprint. Building this machine is only possible with
+//! * `sparse_scan/scan_{256k,4m}_mapped_*` — interior A-summary words
+//!   prune cold subtrees, so host cost tracks *hot-set* size rather than
+//!   mapped size. Simulated cost (PTEs charged, observations, cursors)
+//!   equals the per-PTE reference walk's by design — the equivalence
+//!   proptests in `scan_props` enforce it.
+//! * `sparse_scan/scan_100m_pages_64_hot` — a 10⁸-page (≈0.4 TB of 4 KiB
+//!   pages) huge-backed footprint. Building this machine is only possible with
 //!   the lazy frame allocator and the chunked descriptor table: both are
 //!   O(touched), not O(capacity).
 //!
@@ -70,14 +65,14 @@ fn huge_machine(pages: u64, hot: u64) -> (Machine, Vec<Vpn>) {
 
 /// Re-set the A bit on every hot page through the summary-maintaining
 /// `entry_mut` path, then run one full budgeted cursor cycle.
-fn reheat_and_cycle(m: &mut Machine, hot_vpns: &[Vpn], walk_units: u64, hier: bool) -> u64 {
+fn reheat_and_cycle(m: &mut Machine, hot_vpns: &[Vpn], walk_units: u64) -> u64 {
     {
         let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
         for &vpn in hot_vpns {
             pt.entry_mut(vpn).expect("hot page is mapped").set(bits::A);
         }
     }
-    let mut sc = ABitScanner::new(ABitConfig::default().with_budget(BUDGET)).with_hier(hier);
+    let mut sc = ABitScanner::new(ABitConfig::default().with_budget(BUDGET));
     for _ in 0..walk_units.div_ceil(BUDGET) {
         sc.scan_process(m, 1);
     }
@@ -93,12 +88,9 @@ fn bench_sparse_scan(c: &mut Criterion) {
         for hot in [64u64, 4096] {
             let (mut m, hot_vpns) = base_machine(mapped, hot);
             let mapped_label = if mapped == 1 << 18 { "256k" } else { "4m" };
-            for hier in [false, true] {
-                let mode = if hier { "hier" } else { "flat" };
-                group.bench_function(format!("{mode}_{mapped_label}_mapped_{hot}_hot"), |b| {
-                    b.iter(|| black_box(reheat_and_cycle(&mut m, &hot_vpns, mapped, hier)));
-                });
-            }
+            group.bench_function(format!("scan_{mapped_label}_mapped_{hot}_hot"), |b| {
+                b.iter(|| black_box(reheat_and_cycle(&mut m, &hot_vpns, mapped)));
+            });
         }
     }
 
@@ -106,12 +98,9 @@ fn bench_sparse_scan(c: &mut Criterion) {
     let pages = 100_000_000u64;
     let walk_units = pages.div_ceil(HUGE_SPAN);
     let (mut m, hot_vpns) = huge_machine(pages, 64);
-    for hier in [false, true] {
-        let mode = if hier { "hier" } else { "flat" };
-        group.bench_function(format!("{mode}_100m_pages_64_hot"), |b| {
-            b.iter(|| black_box(reheat_and_cycle(&mut m, &hot_vpns, walk_units, hier)));
-        });
-    }
+    group.bench_function("scan_100m_pages_64_hot", |b| {
+        b.iter(|| black_box(reheat_and_cycle(&mut m, &hot_vpns, walk_units)));
+    });
 
     group.finish();
 }

@@ -6,9 +6,6 @@
 //! piecemeal configurations (A-bit only, IBS only, different rates, gating
 //! on/off) that the production profiler deliberately fuses.
 
-use std::sync::{Arc, Mutex};
-
-use tmprof_core::daemon::EpochPipeline;
 use tmprof_core::rank::EpochProfile;
 use tmprof_core::report::DetectionStats;
 use tmprof_policy::hitrate::{ReplayEpoch, ReplayLog};
@@ -16,6 +13,7 @@ use tmprof_profilers::abit::{ABitConfig, ABitScanner, ABitStats};
 use tmprof_profilers::trace::{TraceConfig, TraceProfiler, TraceStats};
 use tmprof_sim::addr::Pfn;
 use tmprof_sim::counters::EventCounts;
+use tmprof_sim::keymap::PageSet;
 use tmprof_sim::machine::{Machine, MachineConfig};
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tlb::Pid;
@@ -55,9 +53,6 @@ pub struct RunOptions {
     pub base_period: Option<u64>,
     /// Back every process with transparent huge pages (2 MiB mappings).
     pub thp: bool,
-    /// Epoch-close pipeline mode: `Some(true)` forces the overlap worker,
-    /// `Some(false)` forces inline close, `None` follows `TMPROF_PIPELINE`.
-    pub pipeline: Option<bool>,
 }
 
 impl RunOptions {
@@ -72,14 +67,7 @@ impl RunOptions {
             record_heat: false,
             base_period: None,
             thp: false,
-            pipeline: None,
         }
-    }
-
-    /// Pin the epoch-close pipeline mode (overrides `TMPROF_PIPELINE`).
-    pub fn with_pipeline(mut self, threaded: bool) -> Self {
-        self.pipeline = Some(threaded);
-        self
     }
 
     /// Enable transparent huge pages for every process.
@@ -226,13 +214,8 @@ pub fn run_workload(kind: WorkloadKind, opts: &RunOptions) -> WorkloadRun {
         _ => None,
     };
 
-    // Epoch close work that the next epoch never reads back (detection-set
-    // accounting and replay-log recording) runs through the pipeline: pure
-    // data ops on the shared accumulators below, inline or overlapped with
-    // the next quantum depending on mode — identical results either way.
-    let mut pipeline = EpochPipeline::from_env_or(opts.pipeline);
-    let log = Arc::new(Mutex::new(ReplayLog::default()));
-    let both_seen = Arc::new(Mutex::new(tmprof_sim::keymap::PageSet::new()));
+    let mut log = ReplayLog::default();
+    let mut both_seen = PageSet::new();
 
     for _epoch in 0..opts.scale.epochs {
         {
@@ -250,41 +233,22 @@ pub fn run_workload(kind: WorkloadKind, opts: &RunOptions) -> WorkloadRun {
             a.scan(&mut machine, &pids);
         }
         let profile = EpochProfile::capture(machine.descs());
-        let abit_raw = abit
+        let abit_set = abit
             .as_mut()
-            .map(|a| a.take_epoch_pages_raw())
+            .map(|a| a.take_epoch_pages())
             .unwrap_or_default();
-        let trace_raw = trace
+        let trace_set = trace
             .as_mut()
-            .map(|t| t.take_epoch_pages_raw())
+            .map(|t| t.take_epoch_pages())
             .unwrap_or_default();
+        both_seen.merge_unsorted(abit_set.intersection(&trace_set).collect());
         machine.descs_mut().reset_epoch();
         let truth = machine.advance_epoch();
-
-        let both = Arc::clone(&both_seen);
-        let log = Arc::clone(&log);
-        pipeline.submit(Box::new(move || {
-            let abit_set = tmprof_sim::keymap::PageSet::from_unsorted(abit_raw);
-            let trace_set = tmprof_sim::keymap::PageSet::from_unsorted(trace_raw);
-            both.lock()
-                .expect("both_seen poisoned")
-                .merge_unsorted(abit_set.intersection(&trace_set).collect());
-            log.lock()
-                .expect("replay log poisoned")
-                .epochs
-                .push(ReplayEpoch {
-                    profile,
-                    truth_mem: truth.mem_accesses,
-                });
-        }));
+        log.epochs.push(ReplayEpoch {
+            profile,
+            truth_mem: truth.mem_accesses,
+        });
     }
-    pipeline.flush();
-    let both_seen = Arc::try_unwrap(both_seen)
-        .map(|m| m.into_inner().expect("both_seen poisoned"))
-        .unwrap_or_else(|arc| arc.lock().expect("both_seen poisoned").clone());
-    let mut log = Arc::try_unwrap(log)
-        .map(|m| m.into_inner().expect("replay log poisoned"))
-        .unwrap_or_else(|arc| arc.lock().expect("replay log poisoned").clone());
     log.first_touch_order = machine.first_touch_order().to_vec();
 
     // Per-page cumulative counts for the CDFs.
@@ -378,24 +342,6 @@ mod tests {
         let run = run_workload(WorkloadKind::Gups, &quick().recording());
         assert!(!run.heat_trace.is_empty());
         assert!(!run.heat_abit.is_empty());
-    }
-
-    #[test]
-    fn pipelined_run_matches_serial_bit_for_bit() {
-        let serial = run_workload(WorkloadKind::Gups, &quick().with_pipeline(false));
-        let piped = run_workload(WorkloadKind::Gups, &quick().with_pipeline(true));
-        assert_eq!(serial.detection, piped.detection);
-        assert_eq!(serial.both_cumulative, piped.both_cumulative);
-        assert_eq!(serial.counts, piped.counts);
-        assert_eq!(serial.log.first_touch_order, piped.log.first_touch_order);
-        assert_eq!(serial.log.epochs.len(), piped.log.epochs.len());
-        for (a, b) in serial.log.epochs.iter().zip(&piped.log.epochs) {
-            assert_eq!(a.profile.abit, b.profile.abit);
-            assert_eq!(a.profile.trace, b.profile.trace);
-            assert_eq!(a.truth_mem, b.truth_mem);
-        }
-        assert_eq!(serial.abit_page_counts, piped.abit_page_counts);
-        assert_eq!(serial.trace_page_counts, piped.trace_page_counts);
     }
 
     #[test]

@@ -143,154 +143,6 @@ impl ProcessFilter {
     }
 }
 
-/// A deferred epoch-close job: pure data work (set building, log
-/// recording) with no access to the machine.
-pub type PipelineJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// The overlapped epoch-close pipeline (`TMPROF_PIPELINE`).
-///
-/// The paper keeps profiling overhead sub-1% partly by not letting epoch
-/// bookkeeping stall execution; this models that by double-buffering the
-/// closed epoch's analysis. Work that only reads data already snapshotted
-/// out of the machine — sorting detection sets, intersecting them,
-/// cloning profiles into the replay log — is wrapped in a [`PipelineJob`]
-/// and submitted here. Disabled (the default), every job runs inline at
-/// the submission point; enabled, jobs run on a single FIFO worker thread
-/// while `Machine::exec_batch` executes the next quantum.
-///
-/// Determinism: both modes run the *same* closures in the *same* order —
-/// one at a time, FIFO — so results are bit-identical by construction
-/// (and enforced by the pipeline-identity suite). Jobs must not touch
-/// tmprof-obs metrics or the event journal: both are thread-local, and a
-/// worker-thread bump would silently diverge from serial mode.
-///
-/// [`EpochPipeline::flush`] blocks until every submitted job has run;
-/// call it before reading any accumulator a job writes. Dropping the
-/// pipeline drains outstanding jobs and joins the worker.
-pub struct EpochPipeline {
-    worker: Option<PipelineWorker>,
-    submitted: u64,
-}
-
-struct PipelineWorker {
-    tx: Option<std::sync::mpsc::Sender<PipelineJob>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Jobs completed by the worker, paired with a condvar for `flush`.
-    done: std::sync::Arc<(std::sync::Mutex<u64>, std::sync::Condvar)>,
-}
-
-impl EpochPipeline {
-    /// Serial mode: `submit` executes each job immediately, inline.
-    pub fn inline() -> Self {
-        Self {
-            worker: None,
-            submitted: 0,
-        }
-    }
-
-    /// Overlapped mode: jobs run FIFO on a dedicated worker thread.
-    pub fn threaded() -> Self {
-        let (tx, rx) = std::sync::mpsc::channel::<PipelineJob>();
-        let done = std::sync::Arc::new((std::sync::Mutex::new(0u64), std::sync::Condvar::new()));
-        let worker_done = std::sync::Arc::clone(&done);
-        let handle = std::thread::Builder::new()
-            .name("tmprof-epoch-close".into())
-            .spawn(move || {
-                for job in rx {
-                    job();
-                    let (count, cv) = &*worker_done;
-                    let mut finished = count.lock().expect("pipeline counter poisoned");
-                    *finished += 1;
-                    cv.notify_all();
-                }
-            })
-            .expect("failed to spawn epoch-close worker");
-        Self {
-            worker: Some(PipelineWorker {
-                tx: Some(tx),
-                handle: Some(handle),
-                done,
-            }),
-            submitted: 0,
-        }
-    }
-
-    /// Threaded when `threaded` is true, inline otherwise.
-    pub fn new(threaded: bool) -> Self {
-        if threaded {
-            Self::threaded()
-        } else {
-            Self::inline()
-        }
-    }
-
-    /// Mode from the [`crate::knobs::PIPELINE`] knob (`TMPROF_PIPELINE=1`).
-    pub fn from_env() -> Self {
-        Self::new(crate::knobs::PIPELINE.get_u64().is_some())
-    }
-
-    /// Explicit override when `Some`, otherwise the knob decides. The
-    /// programmatic path exists so tests can pin a mode without racing on
-    /// process-global environment variables.
-    pub fn from_env_or(mode: Option<bool>) -> Self {
-        match mode {
-            Some(threaded) => Self::new(threaded),
-            None => Self::from_env(),
-        }
-    }
-
-    /// Whether jobs run on the worker thread.
-    pub fn is_threaded(&self) -> bool {
-        self.worker.is_some()
-    }
-
-    /// Jobs submitted so far (either mode).
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Run `job` — inline right now, or enqueued FIFO on the worker.
-    pub fn submit(&mut self, job: PipelineJob) {
-        tmprof_obs::metrics::inc(tmprof_obs::metrics::Metric::CorePipelineJobs);
-        self.submitted += 1;
-        match &self.worker {
-            Some(w) => {
-                tmprof_obs::metrics::inc(tmprof_obs::metrics::Metric::CorePipelineDeferred);
-                w.tx.as_ref()
-                    .and_then(|tx| tx.send(job).ok())
-                    // tmprof-lint: allow(panic-reachability) — a hung epoch-close worker is an unrecoverable harness fault; the send only fails if the worker thread exited
-                    .expect("epoch-close worker hung up");
-            }
-            None => job(),
-        }
-    }
-
-    /// Block until every submitted job has completed. A no-op in inline
-    /// mode. Callers must flush before reading accumulators that jobs
-    /// write (replay logs, cumulative detection sets).
-    pub fn flush(&mut self) {
-        if let Some(w) = &self.worker {
-            let (count, cv) = &*w.done;
-            let mut finished = count.lock().expect("pipeline counter poisoned");
-            while *finished < self.submitted {
-                finished = cv.wait(finished).expect("pipeline counter poisoned");
-            }
-        }
-    }
-}
-
-impl Drop for PipelineWorker {
-    fn drop(&mut self) {
-        // Closing the channel lets the worker drain outstanding jobs and
-        // exit; joining guarantees every job ran before the accumulators
-        // it writes are read or dropped.
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,76 +238,5 @@ mod tests {
         let tracked = f.tracked_pids(&m);
         assert!(tracked.is_empty());
         assert_eq!(f.evaluations(), 1);
-    }
-
-    /// Run `n` append-jobs through a pipeline and return the order they
-    /// executed in.
-    fn pipeline_order(mut p: EpochPipeline, n: u64) -> Vec<u64> {
-        use std::sync::{Arc, Mutex};
-        let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..n {
-            let order = Arc::clone(&order);
-            p.submit(Box::new(move || order.lock().unwrap().push(i)));
-        }
-        p.flush();
-        let got = order.lock().unwrap().clone();
-        drop(p);
-        got
-    }
-
-    #[test]
-    fn inline_pipeline_runs_jobs_immediately_in_order() {
-        let p = EpochPipeline::inline();
-        assert!(!p.is_threaded());
-        assert_eq!(pipeline_order(p, 16), (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn threaded_pipeline_preserves_fifo_order() {
-        let p = EpochPipeline::threaded();
-        assert!(p.is_threaded());
-        assert_eq!(pipeline_order(p, 64), (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn flush_waits_for_outstanding_jobs() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let mut p = EpochPipeline::threaded();
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..32 {
-            let hits = Arc::clone(&hits);
-            p.submit(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                hits.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        p.flush();
-        assert_eq!(hits.load(Ordering::SeqCst), 32);
-        assert_eq!(p.submitted(), 32);
-    }
-
-    #[test]
-    fn drop_drains_outstanding_jobs() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let hits = Arc::new(AtomicU64::new(0));
-        {
-            let mut p = EpochPipeline::threaded();
-            for _ in 0..8 {
-                let hits = Arc::clone(&hits);
-                p.submit(Box::new(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            // No flush: Drop must drain.
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn from_env_or_override_wins() {
-        assert!(EpochPipeline::from_env_or(Some(true)).is_threaded());
-        assert!(!EpochPipeline::from_env_or(Some(false)).is_threaded());
     }
 }

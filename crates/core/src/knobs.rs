@@ -96,43 +96,6 @@ pub const REPLAY_WORKERS: Knob = Knob {
            evaluation for debugging.",
 };
 
-/// Overlapped epoch close: defer pure post-close analysis to a worker.
-pub const PIPELINE: Knob = Knob {
-    name: "TMPROF_PIPELINE",
-    default: "0",
-    accepts: "0 | 1",
-    help: "1 overlaps epoch close with execution: detection-set building \
-           and replay-log recording run on a single FIFO worker thread \
-           while the next quantum executes. Results are bit-identical to \
-           serial mode (the pipeline-identity suite enforces it); only \
-           wall-clock time changes.",
-};
-
-/// Hierarchical subtree-skipping A-bit scan.
-pub const HIER_SCAN: Knob = Knob {
-    name: "TMPROF_HIER_SCAN",
-    default: "0",
-    accepts: "0 | 1",
-    help: "1 makes ABitScanner prune cold page-table subtrees via the \
-           interior A-summary words before touching leaf bitmaps \
-           (Telescope-style tree profiling; read in \
-           tmprof_profilers::abit). Observations, cleared bits, cursors, \
-           and charged cycles are bit-identical to the flat packed scan \
-           (the scan_props equivalence suite enforces it); only traversal \
-           work shrinks.",
-};
-
-/// Frames per lazily materialized page-descriptor chunk.
-pub const DESC_CHUNK: Knob = Knob {
-    name: "TMPROF_DESC_CHUNK",
-    default: "4096",
-    accepts: "positive power-of-two frame count",
-    help: "Chunk granularity of the sparse page-descriptor table (read in \
-           tmprof_sim::pagedesc; see the layering note above). Chunks \
-           materialize on first write, so descriptor memory scales with \
-           touched frames rather than tier capacity.",
-};
-
 /// Physical memory layout: ordered comma-separated tier names.
 pub const TOPOLOGY: Knob = Knob {
     name: "TMPROF_TOPOLOGY",
@@ -215,11 +178,8 @@ pub const ALL: &[Knob] = &[
     REPLAY_WORKERS,
     SIM_BATCH,
     GATE_DECAY,
-    PIPELINE,
-    HIER_SCAN,
     TOPOLOGY,
     DEVSKETCH_K,
-    DESC_CHUNK,
     FLEET_WORKERS,
     ADMIT_PROMO,
     ADMIT_DEMO,
@@ -270,9 +230,6 @@ mod tests {
             OBS_JOURNAL.default,
             tmprof_obs::journal::DEFAULT_CAPACITY.to_string()
         );
-        // The hierarchical-scan switch is read by the profilers crate and
-        // the descriptor chunk size by sim; pin both names and defaults.
-        assert_eq!(HIER_SCAN.name, tmprof_profilers::abit::HIER_ENV);
         // The topology layout is read by sim's scaled constructors.
         assert_eq!(TOPOLOGY.name, tmprof_sim::tier::TOPOLOGY_ENV);
         // The device-sketch size is read by the profilers crate.
@@ -280,11 +237,6 @@ mod tests {
         assert_eq!(
             DEVSKETCH_K.default,
             tmprof_profilers::devsketch::DEFAULT_K.to_string()
-        );
-        assert_eq!(DESC_CHUNK.name, tmprof_sim::pagedesc::CHUNK_ENV);
-        assert_eq!(
-            DESC_CHUNK.default,
-            tmprof_sim::pagedesc::DEFAULT_CHUNK.to_string()
         );
     }
 

@@ -8,8 +8,6 @@
 //! profile snapshot (per-page observations + ranked hotness) to whatever
 //! policy sits above it.
 
-use std::sync::{Arc, Mutex};
-
 use tmprof_profilers::abit::{ABitConfig, ABitScanner, ABitStats};
 use tmprof_profilers::devsketch::{DevSketch, DevSketchConfig};
 use tmprof_profilers::trace::{TraceConfig, TraceProfiler, TraceStats};
@@ -17,7 +15,7 @@ use tmprof_sim::keymap::{KeyMap, PageSet};
 use tmprof_sim::machine::Machine;
 use tmprof_sim::stats::EpochTruth;
 
-use crate::daemon::{EpochPipeline, FilterConfig, ProcessFilter};
+use crate::daemon::{FilterConfig, ProcessFilter};
 use crate::gating::{GateDecision, Gating, GatingConfig};
 use crate::rank::EpochProfile;
 
@@ -32,7 +30,7 @@ pub struct TmpConfig {
     pub record_profiles: bool,
     /// Device-side hot-page sketch over the slow-tier access stream
     /// (`RankSource::DevSketch`). `None` — the paper's baseline — leaves
-    /// the machine's device stream off, so the default pipeline is
+    /// the machine's device stream off, so the default profiler is
     /// bit-identical to a build without the sketch.
     pub devsketch: Option<DevSketchConfig>,
 }
@@ -93,33 +91,13 @@ pub struct Tmp {
     filter: ProcessFilter,
     gating: Gating,
     /// Union over epochs of per-epoch both-detected sets (Table IV "Both";
-    /// see DESIGN.md §7 on the interpretation). Shared with the epoch
-    /// pipeline's worker: [`Tmp::end_epoch_overlapped`] defers the merge,
-    /// so readers must flush the pipeline first; the serial
-    /// [`Tmp::end_epoch`] locks inline (uncontended).
-    both_seen: Arc<Mutex<PageSet>>,
+    /// see DESIGN.md §7 on the interpretation).
+    both_seen: PageSet,
     /// Device-side hot-page tracker; present iff `cfg.devsketch` is set,
     /// in which case the machine's device stream is armed.
     sketch: Option<DevSketch>,
     profiles: Vec<EpochProfile>,
     epochs_closed: u32,
-}
-
-/// What [`Tmp::end_epoch_overlapped`] hands back at the horizon: the parts
-/// a policy needs synchronously. Detection-set accounting (the
-/// `abit_pages`/`trace_pages`/`both_pages` fields of [`TmpEpochReport`])
-/// is deferred to the pipeline worker and only visible through the
-/// cumulative accessors after a flush.
-#[derive(Debug)]
-pub struct TmpEpochHandle {
-    /// Epoch index that just closed.
-    pub epoch: u32,
-    /// Per-page profiler observations, shareable with a deferred consumer.
-    pub profile: Arc<EpochProfile>,
-    /// Ground truth for the epoch (evaluation only).
-    pub truth: EpochTruth,
-    /// The gate decision applied for the *next* epoch.
-    pub gate: GateDecision,
 }
 
 impl Tmp {
@@ -136,7 +114,7 @@ impl Tmp {
             abit,
             filter: ProcessFilter::new(cfg.filter),
             gating,
-            both_seen: Arc::new(Mutex::new(PageSet::new())),
+            both_seen: PageSet::new(),
             sketch,
             profiles: Vec::new(),
             epochs_closed: 0,
@@ -244,15 +222,7 @@ impl Tmp {
         let trace_set = self.trace.take_epoch_pages();
         let both: Vec<u64> = abit_set.intersection(&trace_set).collect();
         let both_pages = both.len();
-        {
-            // Scoped so the guard drops before the machine-touching epoch
-            // advance below; nothing else contends during the merge.
-            self.both_seen
-                .lock()
-                // tmprof-lint: allow(panic-reachability) — a poisoned lock means a scan thread already panicked; propagating is the only sane response
-                .expect("both_seen poisoned")
-                .merge_unsorted(both);
-        }
+        self.both_seen.merge_unsorted(both);
 
         // 5. Gate the expensive mechanisms for the next epoch.
         let gate = self.gating.evaluate(machine);
@@ -277,74 +247,6 @@ impl Tmp {
         }
     }
 
-    /// Close the current epoch with the detection-set accounting deferred
-    /// to `pipeline`.
-    ///
-    /// The machine-touching sequence — trace poll, A-bit scan, profile
-    /// capture, gate evaluation, counter reset, epoch advance — is
-    /// identical to [`Tmp::end_epoch`] and stays synchronous; only the
-    /// pure post-close analysis (sorting the per-epoch detection sets,
-    /// intersecting them, merging into the cumulative "Both" set) moves
-    /// into a [`PipelineJob`](crate::daemon::PipelineJob). With an inline
-    /// pipeline this runs the same work at the same point, making serial
-    /// and overlapped runs bit-identical by construction.
-    ///
-    /// Flush the pipeline before reading [`Tmp::both_pages_total`] or
-    /// [`Tmp::both_pages_cumulative_intersection`].
-    pub fn end_epoch_overlapped(
-        &mut self,
-        machine: &mut Machine,
-        pipeline: &mut EpochPipeline,
-    ) -> TmpEpochHandle {
-        let epoch = machine.epoch();
-
-        // 1–3. Same synchronous sequence as `end_epoch`.
-        self.trace.poll(machine);
-        let pids = self.filter.tracked_pids(machine);
-        self.abit.scan(machine, &pids);
-        let profile = {
-            let mut p = EpochProfile::capture(machine.descs());
-            p.devsketch = self.drain_device_sketch(machine);
-            Arc::new(p)
-        };
-        if self.cfg.record_profiles {
-            self.profiles.push((*profile).clone());
-        }
-
-        // 4 (deferred). Hand the raw observation buffers to the pipeline;
-        // sort/dedup/intersect/merge run off the critical path. No metric
-        // or journal writes inside the job — those stores are thread-local.
-        let abit_raw = self.abit.take_epoch_pages_raw();
-        let trace_raw = self.trace.take_epoch_pages_raw();
-        let both_seen = Arc::clone(&self.both_seen);
-        pipeline.submit(Box::new(move || {
-            let abit_set = PageSet::from_unsorted(abit_raw);
-            let trace_set = PageSet::from_unsorted(trace_raw);
-            let both: Vec<u64> = abit_set.intersection(&trace_set).collect();
-            both_seen
-                .lock()
-                // tmprof-lint: allow(panic-reachability) — a poisoned lock means a scan thread already panicked; propagating is the only sane response
-                .expect("both_seen poisoned")
-                .merge_unsorted(both);
-        }));
-
-        // 5–6. Same synchronous sequence as `end_epoch`.
-        let gate = self.gating.evaluate(machine);
-        self.trace.set_enabled(machine, gate.trace_active);
-        self.abit.set_enabled(gate.abit_active);
-        machine.descs_mut().reset_epoch();
-        let truth = machine.advance_epoch();
-        self.epochs_closed += 1;
-        tmprof_obs::metrics::inc(tmprof_obs::metrics::Metric::CoreEpochsClosed);
-
-        TmpEpochHandle {
-            epoch,
-            profile,
-            truth,
-            gate,
-        }
-    }
-
     /// Cumulative pages detected by the A-bit driver (Table IV column).
     pub fn abit_pages_total(&self) -> usize {
         self.abit.seen_pages().len()
@@ -355,10 +257,9 @@ impl Tmp {
         self.trace.seen_pages().len()
     }
 
-    /// Cumulative same-epoch both-detected pages (Table IV "Both"). After
-    /// [`Tmp::end_epoch_overlapped`], flush the pipeline first.
+    /// Cumulative same-epoch both-detected pages (Table IV "Both").
     pub fn both_pages_total(&self) -> usize {
-        self.both_seen.lock().expect("both_seen poisoned").len()
+        self.both_seen.len()
     }
 
     /// Naive intersection of the cumulative sets (the alternative "Both"
@@ -502,54 +403,6 @@ mod tests {
         let r3 = tmp.end_epoch(&mut m);
         assert_eq!(r3.trace_pages, 0);
         assert_eq!(r3.abit_pages, 0);
-    }
-
-    #[test]
-    fn overlapped_end_epoch_matches_serial_bit_for_bit() {
-        // Drive two identical machines for several epochs: one through the
-        // serial close, one through the overlapped close (both pipeline
-        // modes). Profiles, truth, gates, and cumulative detection totals
-        // must be identical.
-        for threaded in [false, true] {
-            let mut m_ser = machine();
-            let mut m_ovl = machine();
-            // Devsketch on, so the overlapped close must also drain the
-            // device stream at the same point as the serial close.
-            let cfg = TmpConfig::paper_defaults(64)
-                .with_devsketch(tmprof_profilers::devsketch::DevSketchConfig::default());
-            let mut tmp_ser = Tmp::new(cfg, &mut m_ser);
-            let mut tmp_ovl = Tmp::new(cfg, &mut m_ovl);
-            let mut pipeline = crate::daemon::EpochPipeline::new(threaded);
-            for round in 0..4u64 {
-                strided(&mut m_ser, 64 + round * 32, 15_000);
-                strided(&mut m_ovl, 64 + round * 32, 15_000);
-                let report = tmp_ser.end_epoch(&mut m_ser);
-                let handle = tmp_ovl.end_epoch_overlapped(&mut m_ovl, &mut pipeline);
-                assert_eq!(report.epoch, handle.epoch);
-                assert_eq!(
-                    report.profile.abit, handle.profile.abit,
-                    "threaded={threaded}"
-                );
-                assert_eq!(report.profile.trace, handle.profile.trace);
-                assert_eq!(report.profile.devsketch, handle.profile.devsketch);
-                assert_eq!(report.truth.mem_accesses, handle.truth.mem_accesses);
-                assert_eq!(report.gate.trace_active, handle.gate.trace_active);
-                assert_eq!(report.gate.abit_active, handle.gate.abit_active);
-            }
-            pipeline.flush();
-            assert_eq!(tmp_ser.abit_pages_total(), tmp_ovl.abit_pages_total());
-            assert_eq!(tmp_ser.trace_pages_total(), tmp_ovl.trace_pages_total());
-            assert_eq!(
-                tmp_ser.both_pages_total(),
-                tmp_ovl.both_pages_total(),
-                "deferred Both accounting diverged (threaded={threaded})"
-            );
-            assert_eq!(
-                tmp_ser.both_pages_cumulative_intersection(),
-                tmp_ovl.both_pages_cumulative_intersection()
-            );
-            assert_eq!(tmp_ser.epochs_closed(), tmp_ovl.epochs_closed());
-        }
     }
 
     #[test]

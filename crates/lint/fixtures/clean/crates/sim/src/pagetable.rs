@@ -15,6 +15,6 @@ pub fn truncate_word(live: u64, budget: u64) -> (u64, u32) {
     (live & ((1u64 << resume) - 1), resume)
 }
 
-pub fn hier_scan_words(live: u64) -> (u64, u32) {
+pub fn scan_accessed_bounded(live: u64) -> (u64, u32) {
     truncate_word(live, 1)
 }

@@ -1,7 +1,7 @@
 //! Fixture: `panic-reachability` in the packed word-scan loop — the
 //! budget truncation unwraps mid-word and the resume lookup panics bare,
 //! with no invariant annotation on either; both are reachable from the
-//! `hier_scan_*` hot entry below.
+//! `scan_accessed_bounded` hot entry below.
 pub fn truncate_word(live: u64, budget: u64) -> (u64, u32) {
     let mut rest = live;
     for _ in 0..budget {
@@ -13,7 +13,7 @@ pub fn truncate_word(live: u64, budget: u64) -> (u64, u32) {
     (live & ((1u64 << rest.trailing_zeros()) - 1), rest.trailing_zeros())
 }
 
-pub fn hier_scan_words(live: u64) -> (u64, u32) {
+pub fn scan_accessed_bounded(live: u64) -> (u64, u32) {
     truncate_word(live, 1)
 }
 

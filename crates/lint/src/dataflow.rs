@@ -35,17 +35,16 @@ use crate::rules::Violation;
 use crate::symbols::{FnId, Workspace};
 
 /// Registered hot entry points, as (workspace-relative file, fn name)
-/// pairs; a trailing `*` makes the name a prefix match. These are the
-/// paper's "must stay cheap and predictable" paths: batched execution,
-/// the A-bit scans (flat, scalar, and hierarchical), epoch close, and
-/// the hotness ranking.
+/// pairs. These are the paper's "must stay cheap and predictable" paths:
+/// batched execution, the A-bit scans (the page-table scan and the
+/// scanner's scan and scalar reference), epoch close, and the hotness
+/// ranking.
 pub const HOT_ENTRIES: &[(&str, &str)] = &[
     ("crates/sim/src/batch.rs", "exec_batch"),
     ("crates/profilers/src/abit.rs", "scan_process"),
     ("crates/profilers/src/abit.rs", "scan_process_scalar"),
-    ("crates/sim/src/pagetable.rs", "hier_scan_*"),
+    ("crates/sim/src/pagetable.rs", "scan_accessed_bounded"),
     ("crates/core/src/profiler.rs", "end_epoch"),
-    ("crates/core/src/profiler.rs", "end_epoch_overlapped"),
     ("crates/core/src/rank.rs", "ranked"),
     ("crates/core/src/rank.rs", "top_k"),
     ("crates/core/src/rank.rs", "ranked_pages"),
@@ -84,11 +83,7 @@ pub fn hot_entry_fns(ws: &Workspace) -> Vec<FnId> {
         }
         let rel = ws.fn_file(id).rel.as_str();
         for &(file, name) in HOT_ENTRIES {
-            let name_match = match name.strip_suffix('*') {
-                Some(prefix) => item.name.starts_with(prefix),
-                None => item.name == name,
-            };
-            if name_match && rel == file {
+            if item.name == name && rel == file {
                 roots.push(id);
                 break;
             }
@@ -536,17 +531,6 @@ mod tests {
         assert_eq!(v[0].line, 1, "anchors at the fn line");
         assert!(v[0].message.contains("2 unmasked"), "{}", v[0].message);
         assert!(v[0].message.contains("line 3, 4"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn hier_scan_prefix_matches_as_entry() {
-        let (ws, g) = build(&[(
-            "crates/sim/src/pagetable.rs",
-            "impl PageTable { pub fn hier_scan_accessed_bounded(&mut self) { helper(); } }\n\
-             fn helper() { q.unwrap(); }",
-        )]);
-        let v = panic_reachability(&ws, &g);
-        assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]

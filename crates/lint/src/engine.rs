@@ -49,15 +49,20 @@ impl Report {
         format!("{}\t{}\t{}", v.rule, v.file, v.message)
     }
 
-    /// Move violations matched by `baseline` into `self.baselined`.
-    pub fn apply_baseline(&mut self, baseline: &BTreeSet<String>) {
+    /// Move violations matched by `baseline` into `self.baselined`, and
+    /// return the baseline entries that matched no violation. A stale
+    /// entry must be deleted: left in place, it would silently mask a
+    /// later finding that happens to carry the same text.
+    pub fn apply_baseline(&mut self, baseline: &BTreeSet<String>) -> Vec<String> {
         let (kept, masked): (Vec<_>, Vec<_>) = std::mem::take(&mut self.violations)
             .into_iter()
             .partition(|v| !baseline.contains(&Self::baseline_key(v)));
+        let matched: BTreeSet<String> = masked.iter().map(Self::baseline_key).collect();
         self.violations = kept;
         self.baselined.extend(masked);
         self.baselined
             .sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+        baseline.difference(&matched).cloned().collect()
     }
 
     /// Baseline file contents for the current violations (write mode).
@@ -454,6 +459,25 @@ mod tests {
         // The write-mode text reproduces both findings, sorted.
         let text = report.baseline_text();
         assert!(text.contains("old finding") && text.contains("new finding"));
+    }
+
+    #[test]
+    fn baseline_entry_matching_no_finding_is_reported_stale() {
+        let mut report = Report {
+            violations: vec![Violation {
+                rule: "lock-order",
+                file: "a.rs".into(),
+                line: 7,
+                message: "live finding".into(),
+            }],
+            ..Report::default()
+        };
+        let live = Report::baseline_key(&report.violations[0]);
+        let fixed = "lock-order\tb.rs\tfinding fixed long ago".to_string();
+        let baseline: BTreeSet<String> = [live, fixed.clone()].into_iter().collect();
+        assert_eq!(report.apply_baseline(&baseline), vec![fixed]);
+        assert!(report.violations.is_empty());
+        assert_eq!(report.baselined.len(), 1);
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //!
 //! * `panic-reachability` — `unwrap`/`expect`/`panic!`/unmasked indexing
 //!   in any fn transitively reachable from a hot entry point
-//!   (`exec_batch`, the A-bit scan loops, `hier_scan_*`, epoch close,
-//!   ranking). Replaces the old file-scoped `panic-hot-path` rule.
+//!   (`exec_batch`, the A-bit scans, epoch close, ranking). Replaces the
+//!   old file-scoped `panic-hot-path` rule.
 //! * `determinism-taint` — nondeterminism sources (wall clock, ambient
 //!   RNG, std hash iteration, thread IDs) must not flow, via the call
 //!   graph, into determinism sinks (result CSVs, hotness rankings, the

@@ -4,8 +4,9 @@
 //!                     [--baseline <file>] [--write-baseline <file>]`
 //!
 //! Exit status: 0 when the tree is clean (baselined findings do not
-//! count), 1 when violations were found, 2 on usage or I/O errors — so
-//! `cargo run -p tmprof-lint` gates CI.
+//! count), 1 when violations were found or a `--baseline` entry matches
+//! no finding, 2 on usage or I/O errors — so `cargo run -p tmprof-lint`
+//! gates CI.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -92,6 +93,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    let mut stale = Vec::new();
     if let Some(path) = &baseline {
         let keys = match engine::load_baseline(path) {
             Ok(k) => k,
@@ -100,7 +102,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        report.apply_baseline(&keys);
+        stale = report.apply_baseline(&keys);
     }
 
     if let Some(path) = &write_baseline {
@@ -146,7 +148,11 @@ fn main() -> ExitCode {
         );
     }
 
-    if report.is_clean() {
+    for entry in &stale {
+        eprintln!("tmprof-lint: stale baseline entry matches no finding (delete it): {entry}");
+    }
+
+    if report.is_clean() && stale.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -166,7 +172,8 @@ fn print_help() {
     println!(
         "  --graph                 dump the resolved call graph (caller -> callee @ site) and exit"
     );
-    println!("  --baseline <file>       park findings listed in <file>: reported, but exit 0");
+    println!("  --baseline <file>       park findings listed in <file>: reported, but exit 0;");
+    println!("                          an entry matching no finding fails the run");
     println!("  --write-baseline <file> write the current findings as a baseline and exit");
     println!();
     println!("rules:");

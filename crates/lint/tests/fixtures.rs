@@ -6,8 +6,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use tmprof_lint::engine;
 use tmprof_lint::rules::Violation;
+use tmprof_lint::{dataflow, engine};
 
 fn fixture_root(which: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -195,7 +195,8 @@ fn workspace_self_check_is_clean_modulo_baseline() {
     let root = workspace_root();
     let mut report = engine::run(&root).expect("workspace lints");
     let baseline = engine::load_baseline(&root.join("lint-baseline.txt")).expect("baseline reads");
-    report.apply_baseline(&baseline);
+    let stale = report.apply_baseline(&baseline);
+    assert!(stale.is_empty(), "stale baseline entries: {stale:#?}");
     assert!(
         report.violations.is_empty(),
         "the workspace must stay lint-clean modulo the committed baseline: {:#?}",
@@ -212,6 +213,34 @@ fn workspace_self_check_is_clean_modulo_baseline() {
     }
     // Sanity: the walk actually covered the tree, not an empty dir.
     assert!(report.files_checked > 50, "{}", report.files_checked);
+}
+
+#[test]
+fn every_registered_hot_entry_and_sink_names_a_real_fn() {
+    // A renamed or deleted fn would leave a registry entry that matches
+    // nothing, silently dropping its root from panic-reachability or
+    // determinism-taint.
+    let ws = engine::analyze(&workspace_root())
+        .expect("workspace analyzes")
+        .ws;
+    let defined = |file: &str, name: &str| {
+        (0..ws.fns.len()).any(|id| {
+            let item = ws.fn_item(id);
+            !item.is_test && item.name == name && ws.fn_file(id).rel == file
+        })
+    };
+    for &(file, name) in dataflow::HOT_ENTRIES {
+        assert!(
+            defined(file, name),
+            "HOT_ENTRIES ({file}, {name}) matches no fn"
+        );
+    }
+    for &(file, name, _) in dataflow::TAINT_SINKS {
+        assert!(
+            defined(file, name),
+            "TAINT_SINKS ({file}, {name}) matches no fn"
+        );
+    }
 }
 
 #[test]

@@ -63,9 +63,9 @@ metrics! {
     SimBandwidthSurcharged => "sim.bandwidth_surcharged",
         "memory accesses surcharged by a saturated tier's per-epoch bandwidth budget";
     SimHierSubtreesSkipped => "sim.hier_subtrees_skipped",
-        "page-table subtrees pruned by the hierarchical A/D scan";
+        "page-table subtrees pruned by the A-bit scan";
     SimHierSubtreesDescended => "sim.hier_subtrees_descended",
-        "page-table children the hierarchical A/D scan had to descend into";
+        "page-table children the A-bit scan had to descend into";
     SimDescChunksResident => "sim.desc_chunks_resident",
         "page-descriptor chunks materialized by first touch (gauge)";
     // -- profilers ------------------------------------------------------
@@ -98,10 +98,6 @@ metrics! {
         "processes currently selected by the filter (gauge)";
     CoreEpochsClosed => "core.epochs_closed",
         "epochs closed by the TMP engine";
-    CorePipelineJobs => "core.pipeline_jobs",
-        "epoch-close jobs submitted to the pipeline (inline or deferred)";
-    CorePipelineDeferred => "core.pipeline_deferred",
-        "epoch-close jobs handed to the overlap worker thread";
     // -- policy ---------------------------------------------------------
     PolicyPagesPromoted => "policy.pages_promoted",
         "pages promoted into tier 1 by the mover";

@@ -7,9 +7,6 @@
 //! [`PageMover`]. It also records a [`ReplayLog`] so the same run can feed
 //! the offline Fig. 6 evaluator.
 
-use std::sync::{Arc, Mutex};
-
-use tmprof_core::daemon::EpochPipeline;
 use tmprof_core::profiler::Tmp;
 use tmprof_sim::machine::Machine;
 use tmprof_sim::runner::{OpStream, Runner};
@@ -36,42 +33,23 @@ pub struct EpochMetrics {
 }
 
 /// Drives epochs over one machine.
-///
-/// Epoch close is routed through [`EpochPipeline`] (`TMPROF_PIPELINE`):
-/// detection-set accounting and replay-log recording are submitted as
-/// jobs, so with the pipeline threaded they overlap the next quantum's
-/// execution; serial mode runs the same jobs inline at the same points,
-/// keeping the two modes bit-identical. The profile hand-off to the
-/// policy, the nomination, and the page moves all stay synchronous — they
-/// mutate the machine the next quantum runs on.
 pub struct EpochRunner {
     /// Tier-1 capacity handed to the policy each epoch, in pages.
     capacity: usize,
     mover: PageMover,
-    /// Shared with pipeline jobs that append [`ReplayEpoch`]s.
-    log: Arc<Mutex<ReplayLog>>,
+    log: ReplayLog,
     metrics: Vec<EpochMetrics>,
-    pipeline: EpochPipeline,
 }
 
 impl EpochRunner {
-    /// Runner with an explicit tier-1 page budget for the policy. The
-    /// epoch pipeline mode comes from the `TMPROF_PIPELINE` knob.
+    /// Runner with an explicit tier-1 page budget for the policy.
     pub fn new(capacity: usize, mover: PageMover) -> Self {
         Self {
             capacity,
             mover,
-            log: Arc::new(Mutex::new(ReplayLog::default())),
+            log: ReplayLog::default(),
             metrics: Vec::new(),
-            pipeline: EpochPipeline::from_env(),
         }
-    }
-
-    /// Pin the epoch-pipeline mode, overriding the knob (tests A/B the
-    /// two modes without racing on process-global environment).
-    pub fn with_pipeline(mut self, threaded: bool) -> Self {
-        self.pipeline = EpochPipeline::new(threaded);
-        self
     }
 
     /// Runner whose budget is the machine's whole tier-1 size.
@@ -100,34 +78,24 @@ impl EpochRunner {
             Runner::new(borrowed).run(machine, ops_per_stream);
         }
 
-        let handle = tmp.end_epoch_overlapped(machine, &mut self.pipeline);
+        let report = tmp.end_epoch(machine);
         let after = machine.aggregate_counts();
         let delta = after.delta_since(&before);
-
-        // Record for offline replay. The push is a pure data op on state
-        // the next quantum never reads, so it rides the pipeline; the
-        // ground-truth total is taken before the map moves into the job.
-        let mem_accesses = handle.truth.total_mem_accesses();
-        let profile = Arc::clone(&handle.profile);
-        let truth_mem = handle.truth.mem_accesses;
-        let log = Arc::clone(&self.log);
-        self.pipeline.submit(Box::new(move || {
-            log.lock()
-                .expect("replay log poisoned")
-                .epochs
-                .push(ReplayEpoch {
-                    profile: (*profile).clone(),
-                    truth_mem,
-                });
-        }));
+        let mem_accesses = report.truth.total_mem_accesses();
 
         // Decide and move.
-        let placement = policy.select(&handle.profile, self.capacity);
+        let placement = policy.select(&report.profile, self.capacity);
         let nominated = placement.tier1_pages.len();
         let moves = self.mover.apply(machine, &placement);
 
+        // Record for offline replay.
+        self.log.epochs.push(ReplayEpoch {
+            profile: report.profile,
+            truth_mem: report.truth.mem_accesses,
+        });
+
         let metrics = EpochMetrics {
-            epoch: handle.epoch,
+            epoch: report.epoch,
             tier1_hitrate: delta.tier1_hitrate(),
             nominated,
             moves,
@@ -153,14 +121,9 @@ impl EpochRunner {
     }
 
     /// Finish: capture the first-touch order and hand out the replay log.
-    /// Drains any in-flight epoch-close jobs first.
     pub fn into_log(mut self, machine: &Machine) -> ReplayLog {
-        self.pipeline.flush();
-        let mut log = Arc::try_unwrap(self.log)
-            .map(|m| m.into_inner().expect("replay log poisoned"))
-            .unwrap_or_else(|arc| arc.lock().expect("replay log poisoned").clone());
-        log.first_touch_order = machine.first_touch_order().to_vec();
-        log
+        self.log.first_touch_order = machine.first_touch_order().to_vec();
+        self.log
     }
 
     /// Metrics of every epoch run so far.
@@ -295,45 +258,6 @@ mod tests {
         let metrics = runner.run_epoch(&mut m, &mut tmp, &mut ft, &mut streams, 5_000);
         assert!((0.0..=1.0).contains(&metrics.tier1_hitrate));
         assert_eq!(metrics.epoch, 0);
-    }
-
-    #[test]
-    fn pipelined_runner_matches_serial_bit_for_bit() {
-        // The overlapped epoch close must leave no trace in any output:
-        // metrics, placement effects (hitrates), and the replay log all
-        // have to be byte-identical between the two modes.
-        let mut logs = Vec::new();
-        let mut all_metrics = Vec::new();
-        for threaded in [false, true] {
-            let (mut m, mut tmp, mut s) = setup(64);
-            let mut runner = EpochRunner::with_machine_capacity(&m, PageMover::default())
-                .with_pipeline(threaded);
-            let mut hist = HistoryPolicy::new(RankSource::Combined);
-            let mut streams: Vec<(Pid, &mut dyn OpStream)> = vec![(1, &mut s)];
-            runner.run(&mut m, &mut tmp, &mut hist, &mut streams, 20_000, 5);
-            all_metrics.push(runner.metrics().to_vec());
-            logs.push(runner.into_log(&m));
-        }
-
-        let (serial, piped) = (&all_metrics[0], &all_metrics[1]);
-        assert_eq!(serial.len(), piped.len());
-        for (a, b) in serial.iter().zip(piped) {
-            assert_eq!(a.epoch, b.epoch);
-            assert_eq!(a.tier1_hitrate.to_bits(), b.tier1_hitrate.to_bits());
-            assert_eq!(a.nominated, b.nominated);
-            assert_eq!(a.moves.promoted, b.moves.promoted);
-            assert_eq!(a.moves.demoted, b.moves.demoted);
-            assert_eq!(a.mem_accesses, b.mem_accesses);
-        }
-
-        let (la, lb) = (&logs[0], &logs[1]);
-        assert_eq!(la.first_touch_order, lb.first_touch_order);
-        assert_eq!(la.epochs.len(), lb.epochs.len());
-        for (ea, eb) in la.epochs.iter().zip(&lb.epochs) {
-            assert_eq!(ea.profile.abit, eb.profile.abit);
-            assert_eq!(ea.profile.trace, eb.profile.trace);
-            assert_eq!(ea.truth_mem, eb.truth_mem);
-        }
     }
 
     #[test]

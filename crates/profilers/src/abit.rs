@@ -25,10 +25,6 @@ use tmprof_sim::machine::Machine;
 use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::tlb::Pid;
 
-/// Environment knob selecting the hierarchical subtree-skipping scan
-/// (`"1"` = on). Registered in `tmprof-core`'s knob registry.
-pub const HIER_ENV: &str = "TMPROF_HIER_SCAN";
-
 /// Scanner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ABitConfig {
@@ -126,10 +122,6 @@ pub struct AbitHeatPoint {
 /// The A-bit scanning driver.
 pub struct ABitScanner {
     cfg: ABitConfig,
-    /// Prune cold subtrees via interior A-summary words before touching
-    /// leaf bitmaps (Telescope-style tree profiling). Observable behavior
-    /// is identical to the flat packed scan; only traversal work shrinks.
-    hier: bool,
     /// Resume cursor per PID for budgeted scans.
     cursors: KeyMap<Pid, Vpn>,
     /// Raw (possibly duplicated) packed keys observed this epoch; sorted
@@ -144,13 +136,10 @@ pub struct ABitScanner {
 }
 
 impl ABitScanner {
-    /// New scanner. The hierarchical scan mode defaults to the
-    /// `TMPROF_HIER_SCAN` environment knob (off unless set to `"1"`).
+    /// New scanner.
     pub fn new(cfg: ABitConfig) -> Self {
         Self {
             cfg,
-            // tmprof-lint: allow(knob-flow) — profilers reads the hier-scan toggle directly to avoid a dependency cycle with core; the name is pinned by the knob-registry sync test
-            hier: std::env::var(HIER_ENV).is_ok_and(|v| v == "1"),
             cursors: KeyMap::default(),
             epoch_pages: Vec::new(),
             seen_pages: PageSet::new(),
@@ -166,19 +155,6 @@ impl ABitScanner {
         &self.cfg
     }
 
-    /// Force the hierarchical scan mode on or off, overriding the
-    /// `TMPROF_HIER_SCAN` environment default (builder style, for tests
-    /// and benches that compare the two traversals directly).
-    pub fn with_hier(mut self, on: bool) -> Self {
-        self.hier = on;
-        self
-    }
-
-    /// Whether the packed scan prunes cold subtrees hierarchically.
-    pub fn hier(&self) -> bool {
-        self.hier
-    }
-
     /// Gate scanning on/off (TMP's TLB-miss-counter control).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -192,19 +168,21 @@ impl ABitScanner {
     /// Scan one process: walk its PTEs (budgeted, resuming from the last
     /// cursor), clear A bits, credit observations, optionally shoot down.
     ///
-    /// Uses the page table's packed word-wise scan: candidate pages come
-    /// from the `a_words & present_words` bitmaps 64 at a time, so mapped
-    /// but idle regions cost a couple of word loads instead of a branch
-    /// per PTE. Observable behavior — observations, cleared bits, cursor,
-    /// footprint, simulated cost — is identical to
+    /// Uses the page table's scan
+    /// ([`tmprof_sim::pagetable::PageTable::scan_accessed_bounded`]): cold
+    /// subtrees are pruned via interior summary words and candidate pages
+    /// come from the leaf `a_words & present_words` bitmaps 64 at a time,
+    /// so mapped but idle regions cost a few word loads instead of a
+    /// branch per PTE. Observable behavior — observations, cleared bits,
+    /// cursor, footprint, simulated cost — is identical to
     /// [`ABitScanner::scan_process_scalar`] (the scan_props suite holds
     /// the two to bit-for-bit equivalence).
     pub fn scan_process(&mut self, machine: &mut Machine, pid: Pid) {
         self.scan_process_impl(machine, pid, true, None);
     }
 
-    /// The per-PTE `test_and_clear_accessed` reference walk the packed
-    /// scan is proven against. Same cursor, same stats, same cost model.
+    /// The per-PTE `test_and_clear_accessed` reference walk the scan is
+    /// proven against. Same cursor, same stats, same cost model.
     pub fn scan_process_scalar(&mut self, machine: &mut Machine, pid: Pid) {
         self.scan_process_impl(machine, pid, false, None);
     }
@@ -259,9 +237,7 @@ impl ABitScanner {
                 }
             }
         };
-        let (fp, resume) = if packed && self.hier {
-            pt.hier_scan_accessed_bounded(start, budget, &mut observe)
-        } else if packed {
+        let (fp, resume) = if packed {
             pt.scan_accessed_bounded(start, budget, &mut observe)
         } else {
             pt.walk_present_bounded(start, budget, &mut observe)
@@ -311,9 +287,9 @@ impl ABitScanner {
     }
 
     /// The raw (unsorted, possibly duplicated) packed keys observed this
-    /// epoch; clears the per-epoch buffer. The overlapped epoch pipeline
-    /// takes this cheap handoff on the main thread and defers the
-    /// sort/dedup into a [`PageSet`] to the worker.
+    /// epoch; clears the per-epoch buffer. For callers that time or batch
+    /// the sort/dedup into a [`PageSet`] separately;
+    /// [`Self::take_epoch_pages`] does both steps.
     pub fn take_epoch_pages_raw(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.epoch_pages)
     }
@@ -467,18 +443,18 @@ mod tests {
     }
 
     #[test]
-    fn hier_scan_matches_flat_scan_at_the_scanner_layer() {
-        // Same machine state, same budgeted scan sequence — the
-        // hierarchical traversal must produce identical observations,
-        // cursors, stats, and charged cycles.
+    fn scan_matches_scalar_scan_at_the_scanner_layer() {
+        // Same machine state, same budgeted scan sequence — the scan must
+        // produce observations, cursors, stats, and charged cycles
+        // identical to the per-PTE reference walk.
         let big = || {
             let mut m = Machine::new(MachineConfig::scaled(2, 512, 8192, 1 << 20));
             m.add_process(1);
             m
         };
-        let mut flat_m = big();
-        let mut hier_m = big();
-        for m in [&mut flat_m, &mut hier_m] {
+        let mut scalar_m = big();
+        let mut scan_m = big();
+        for m in [&mut scalar_m, &mut scan_m] {
             // Map 5000 pages, clear every A bit with a throwaway sweep,
             // then re-heat only the first 300: a small hot set in front of
             // a large cold mapped tail.
@@ -487,23 +463,22 @@ mod tests {
             m.shootdown(1, &(0..300).map(Vpn).collect::<Vec<_>>(), false);
             touch_pages(m, 300);
         }
-        let mut flat = ABitScanner::new(ABitConfig::default().with_budget(700)).with_hier(false);
-        let mut hier = ABitScanner::new(ABitConfig::default().with_budget(700)).with_hier(true);
-        assert!(hier.hier() && !flat.hier());
+        let mut scalar = ABitScanner::new(ABitConfig::default().with_budget(700));
+        let mut scan = ABitScanner::new(ABitConfig::default().with_budget(700));
         for _ in 0..12 {
-            flat.scan_process(&mut flat_m, 1);
-            hier.scan_process(&mut hier_m, 1);
+            scalar.scan_process_scalar(&mut scalar_m, 1);
+            scan.scan_process(&mut scan_m, 1);
         }
-        assert_eq!(flat.stats().observations, hier.stats().observations);
-        assert_eq!(flat.stats().ptes_visited, hier.stats().ptes_visited);
-        assert_eq!(flat.stats().overhead_cycles, hier.stats().overhead_cycles);
+        assert_eq!(scalar.stats().observations, scan.stats().observations);
+        assert_eq!(scalar.stats().ptes_visited, scan.stats().ptes_visited);
+        assert_eq!(scalar.stats().overhead_cycles, scan.stats().overhead_cycles);
         assert_eq!(
-            flat.seen_pages().iter().count(),
-            hier.seen_pages().iter().count()
+            scalar.seen_pages().iter().collect::<Vec<_>>(),
+            scan.seen_pages().iter().collect::<Vec<_>>()
         );
         assert_eq!(
-            flat_m.aggregate_counts().profiling_cycles,
-            hier_m.aggregate_counts().profiling_cycles
+            scalar_m.aggregate_counts().profiling_cycles,
+            scan_m.aggregate_counts().profiling_cycles
         );
     }
 

@@ -19,7 +19,8 @@ use tmprof_sim::addr::Pfn;
 
 /// Environment knob for the Top-K candidate-table size. Registered as
 /// `tmprof_core::knobs::DEVSKETCH_K`; read here because this crate sits
-/// below `tmprof-core` (same layering note as the A-bit hier knob).
+/// below `tmprof-core` (same layering note as the sim runner's quantum
+/// knob).
 pub const K_ENV: &str = "TMPROF_DEVSKETCH_K";
 
 /// Candidate-table size when the knob is unset.

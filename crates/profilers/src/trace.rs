@@ -236,8 +236,7 @@ impl TraceProfiler {
 
     /// The raw (unsorted, possibly duplicated) packed keys detected this
     /// epoch; clears the per-epoch buffer. See
-    /// `ABitScanner::take_epoch_pages_raw` — same overlapped-pipeline
-    /// handoff.
+    /// `ABitScanner::take_epoch_pages_raw`.
     pub fn take_epoch_pages_raw(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.epoch_pages)
     }

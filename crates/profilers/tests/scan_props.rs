@@ -1,28 +1,28 @@
-//! Property suite: the packed word-wise A/D-bit scan AND the hierarchical
-//! subtree-skipping scan are bit-for-bit equivalent to the scalar per-PTE
-//! reference walk.
+//! Property suite: the A-bit scan (subtree pruning over interior summary
+//! words, word-wise leaf candidates) is bit-for-bit equivalent to the
+//! scalar per-PTE reference walk.
 //!
 //! Two layers of the claim are held under random page-table histories
 //! (map / unmap / huge-map conflicts / huge-unmap / touches / migrations,
 //! deliberately straddling 64-entry word and 512-entry leaf boundaries):
 //!
-//! * **Page-table layer**: `scan_accessed_bounded` / `scan_dirty_bounded`
-//!   and their `hier_*` counterparts report the same observations (in the
-//!   same order), the same walk footprint, the same resume cursor, and
-//!   leave the table in the same final state as `walk_present_bounded`
-//!   with the test-and-clear done per PTE — across a full budgeted cursor
-//!   cycle.
-//! * **Scanner layer**: `ABitScanner::scan_process` in both flat-packed
-//!   and hierarchical (`with_hier`) modes and
+//! * **Page-table layer**: `scan_accessed_bounded` reports the same
+//!   observations (in the same order), the same [`WalkFootprint`], the
+//!   same resume cursor, and leaves the table in the same final state as
+//!   `walk_present_bounded` with the test-and-clear done per PTE — across
+//!   a full budgeted cursor cycle.
+//! * **Scanner layer**: `ABitScanner::scan_process` and
 //!   `ABitScanner::scan_process_scalar` produce identical epoch pages,
 //!   heat points, stats, shootdowns, charged cycles, and residual A bits
-//!   on identically-driven machines — including when the modes alternate
+//!   on identically-driven machines — including when the two alternate
 //!   scan-by-scan on the same machine.
 //!
 //! The regression block at the bottom pins the historically dangerous
 //! cases: word/leaf straddles, huge conflicts under budget-1 cursors, and
-//! cold interior nodes whose summary bits are stale-set (the hierarchical
-//! scan must descend, find nothing, and charge the identical footprint).
+//! cold interior nodes whose summary bits are stale-set (the scan must
+//! descend, find nothing, and charge the identical footprint).
+//!
+//! [`WalkFootprint`]: tmprof_sim::pagetable::WalkFootprint
 
 use proptest::prelude::*;
 
@@ -154,17 +154,10 @@ fn snapshot(pt: &mut PageTable) -> Vec<(Vpn, Pte)> {
     out
 }
 
-/// Run a full budgeted cursor cycle of the packed scan on `packed`, the
-/// hierarchical scan on `hier`, and the scalar reference on `scalar`,
-/// asserting per-round three-way equivalence of observations, footprints,
-/// and resume cursors.
-fn assert_cycle_equivalent(
-    packed: &mut PageTable,
-    hier: &mut PageTable,
-    scalar: &mut PageTable,
-    budget: u64,
-    dirty_bit: bool,
-) {
+/// Run a full budgeted cursor cycle of the scan on `scan` and the scalar
+/// reference walk on `scalar`, asserting per-round equivalence of
+/// observations, footprints, and resume cursors.
+fn assert_cycle_equivalent(scan: &mut PageTable, scalar: &mut PageTable, budget: u64) {
     let mut cursor = Vpn(0);
     // A table of N pages finishes in ceil(N/budget)+1 rounds; anything
     // longer means a cursor livelock.
@@ -173,60 +166,22 @@ fn assert_cycle_equivalent(
         // page is not guaranteed hot — the in-closure test_and_clear is
         // the authoritative check, exactly as the scanner driver does it.
         let mut hits_p: Vec<Vpn> = Vec::new();
-        let (fp_p, resume_p) = if dirty_bit {
-            packed.scan_dirty_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_dirty() {
-                    hits_p.push(vpn);
-                }
-            })
-        } else {
-            packed.scan_accessed_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_accessed() {
-                    hits_p.push(vpn);
-                }
-            })
-        };
-
-        let mut hits_h: Vec<Vpn> = Vec::new();
-        let (fp_h, resume_h) = if dirty_bit {
-            hier.hier_scan_dirty_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_dirty() {
-                    hits_h.push(vpn);
-                }
-            })
-        } else {
-            hier.hier_scan_accessed_bounded(cursor, budget, |vpn, pte| {
-                if pte.test_and_clear_accessed() {
-                    hits_h.push(vpn);
-                }
-            })
-        };
+        let (fp_p, resume_p) = scan.scan_accessed_bounded(cursor, budget, |vpn, pte| {
+            if pte.test_and_clear_accessed() {
+                hits_p.push(vpn);
+            }
+        });
 
         let mut hits_s: Vec<Vpn> = Vec::new();
         let (fp_s, resume_s) = scalar.walk_present_bounded(cursor, budget, |vpn, pte| {
-            let hit = if dirty_bit {
-                pte.test_and_clear_dirty()
-            } else {
-                pte.test_and_clear_accessed()
-            };
-            if hit {
+            if pte.test_and_clear_accessed() {
                 hits_s.push(vpn);
             }
         });
 
         assert_eq!(hits_p, hits_s, "round {round} observations diverged");
-        assert_eq!(hits_h, hits_s, "round {round} hier observations diverged");
-        assert_eq!(
-            fp_p.ptes_visited, fp_s.ptes_visited,
-            "round {round} footprint diverged"
-        );
-        assert_eq!(
-            fp_p.leaf_tables, fp_s.leaf_tables,
-            "round {round} leaf count diverged"
-        );
-        assert_eq!(fp_h, fp_p, "round {round} hier footprint diverged");
+        assert_eq!(fp_p, fp_s, "round {round} footprint diverged");
         assert_eq!(resume_p, resume_s, "round {round} resume cursor diverged");
-        assert_eq!(resume_h, resume_s, "round {round} hier cursor diverged");
         match resume_p {
             Some(next) => cursor = next,
             None => return,
@@ -235,47 +190,42 @@ fn assert_cycle_equivalent(
     panic!("cursor cycle did not terminate");
 }
 
+/// Two tables driven through the same history: (scan, scalar reference).
+fn twin_tables(ops: &[TableOp]) -> (PageTable, PageTable) {
+    let mut scan = PageTable::new();
+    let mut scalar = PageTable::new();
+    for &op in ops {
+        apply(&mut scan, op);
+        apply(&mut scalar, op);
+    }
+    (scan, scalar)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Page-table layer: packed A-bit and D-bit scans match the scalar
-    /// walk round-for-round and leave identical final tables.
+    /// Page-table layer: the A-bit scan matches the scalar walk
+    /// round-for-round and leaves identical final tables.
     #[test]
     fn packed_scan_cycle_matches_scalar_walk(
         ops in prop::collection::vec(op_strategy(), 0..150),
         budget in 1u64..200,
-        dirty_bit in any::<bool>(),
     ) {
-        let mut packed = PageTable::new();
-        let mut hier = PageTable::new();
-        let mut scalar = PageTable::new();
-        for &op in &ops {
-            apply(&mut packed, op);
-            apply(&mut hier, op);
-            apply(&mut scalar, op);
-        }
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, budget, dirty_bit);
-        prop_assert_eq!(snapshot(&mut packed), snapshot(&mut scalar), "final tables diverged");
-        prop_assert_eq!(snapshot(&mut hier), snapshot(&mut scalar), "final hier table diverged");
+        let (mut scan, mut scalar) = twin_tables(&ops);
+        assert_cycle_equivalent(&mut scan, &mut scalar, budget);
+        prop_assert_eq!(snapshot(&mut scan), snapshot(&mut scalar), "final tables diverged");
     }
 
-    /// Unbounded single pass: same equivalence without cursor mechanics.
+    /// Unbounded passes: same equivalence without cursor mechanics; the
+    /// second pass runs over the summaries the first one re-tightened.
     #[test]
     fn packed_scan_unbounded_matches_scalar_walk(
         ops in prop::collection::vec(op_strategy(), 0..150),
     ) {
-        let mut packed = PageTable::new();
-        let mut hier = PageTable::new();
-        let mut scalar = PageTable::new();
-        for &op in &ops {
-            apply(&mut packed, op);
-            apply(&mut hier, op);
-            apply(&mut scalar, op);
-        }
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, u64::MAX, false);
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, u64::MAX, true);
-        prop_assert_eq!(snapshot(&mut packed), snapshot(&mut scalar));
-        prop_assert_eq!(snapshot(&mut hier), snapshot(&mut scalar));
+        let (mut scan, mut scalar) = twin_tables(&ops);
+        assert_cycle_equivalent(&mut scan, &mut scalar, u64::MAX);
+        assert_cycle_equivalent(&mut scan, &mut scalar, u64::MAX);
+        prop_assert_eq!(snapshot(&mut scan), snapshot(&mut scalar));
     }
 }
 
@@ -284,10 +234,8 @@ proptest! {
 enum ScanMode {
     /// `scan_process_scalar`: the per-PTE reference walk.
     Scalar,
-    /// `scan_process` with the flat word-packed leaf scan.
+    /// `scan_process`: the A-bit scan.
     Packed,
-    /// `scan_process` with hierarchical subtree skipping.
-    Hier,
 }
 
 /// A machine whose page table was driven through `ops`, plus the scanner
@@ -303,10 +251,9 @@ fn run_scanner(ops: &[TableOp], cfg: ABitConfig, modes: &[ScanMode]) -> (Machine
     }
     let mut sc = ABitScanner::new(cfg);
     for &mode in modes {
-        sc = sc.with_hier(mode == ScanMode::Hier);
         match mode {
             ScanMode::Scalar => sc.scan_process_scalar(&mut m, 1),
-            ScanMode::Packed | ScanMode::Hier => sc.scan_process(&mut m, 1),
+            ScanMode::Packed => sc.scan_process(&mut m, 1),
         }
     }
     (m, sc)
@@ -356,13 +303,12 @@ fn assert_modes_match_scalar(ops: &[TableOp], cfg: ABitConfig, modes: &[ScanMode
 
 fn assert_scanners_equivalent(ops: &[TableOp], cfg: ABitConfig, scans: u32) {
     assert_modes_match_scalar(ops, cfg, &vec![ScanMode::Packed; scans as usize]);
-    assert_modes_match_scalar(ops, cfg, &vec![ScanMode::Hier; scans as usize]);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Scanner layer: packed `scan_process` == `scan_process_scalar` for
+    /// Scanner layer: `scan_process` == `scan_process_scalar` for
     /// every observable (epoch pages, heat, stats, cost, residual bits)
     /// across multiple budgeted scans of random tables.
     #[test]
@@ -382,8 +328,8 @@ proptest! {
         assert_scanners_equivalent(&ops, cfg, scans);
     }
 
-    /// Mode-interleaving: a random sequence of scalar/packed/hier scans on
-    /// ONE machine equals the all-scalar sequence — the traversals are
+    /// Mode-interleaving: a random sequence of scalar/packed scans on ONE
+    /// machine equals the all-scalar sequence — the traversals are
     /// interchangeable mid-run because each leaves identical table state
     /// and cursor behind.
     #[test]
@@ -391,11 +337,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..120),
         budget in prop_oneof![Just(None), (1u64..300).prop_map(Some)],
         modes in prop::collection::vec(
-            prop_oneof![
-                Just(ScanMode::Scalar),
-                Just(ScanMode::Packed),
-                Just(ScanMode::Hier),
-            ],
+            prop_oneof![Just(ScanMode::Scalar), Just(ScanMode::Packed)],
             1..6,
         ),
     ) {
@@ -422,15 +364,8 @@ fn word_boundary_straddle_scans_identically() {
         .collect();
     assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(5), 4);
 
-    let mut packed = PageTable::new();
-    let mut hier = PageTable::new();
-    let mut scalar = PageTable::new();
-    for &op in &ops {
-        apply(&mut packed, op);
-        apply(&mut hier, op);
-        apply(&mut scalar, op);
-    }
-    assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, 5, false);
+    let (mut scan, mut scalar) = twin_tables(&ops);
+    assert_cycle_equivalent(&mut scan, &mut scalar, 5);
 }
 
 /// Partial-last-word regression: the leaf's final word is only partially
@@ -452,15 +387,8 @@ fn partial_last_word_scans_identically() {
     }));
     assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(7), 12);
 
-    let mut packed = PageTable::new();
-    let mut hier = PageTable::new();
-    let mut scalar = PageTable::new();
-    for &op in &ops {
-        apply(&mut packed, op);
-        apply(&mut hier, op);
-        apply(&mut scalar, op);
-    }
-    assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, 7, false);
+    let (mut scan, mut scalar) = twin_tables(&ops);
+    assert_cycle_equivalent(&mut scan, &mut scalar, 7);
 }
 
 /// Huge-page conflict regression: a huge mapping that loses to existing
@@ -499,22 +427,15 @@ fn huge_conflict_and_mid_span_cursor_scan_identically() {
     // huge entry repeatedly — the historical footprint-drift spot.
     assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(1), 6);
 
-    let mut packed = PageTable::new();
-    let mut hier = PageTable::new();
-    let mut scalar = PageTable::new();
-    for &op in &ops {
-        apply(&mut packed, op);
-        apply(&mut hier, op);
-        apply(&mut scalar, op);
-    }
-    assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, 1, false);
+    let (mut scan, mut scalar) = twin_tables(&ops);
+    assert_cycle_equivalent(&mut scan, &mut scalar, 1);
 }
 
 /// Cold-interior-node-with-stale-summary-bit regression: unmapping every
 /// page of a subtree leaves its interior summary bits stale-SET (unmap
-/// does not recompute summaries). The hierarchical scan must descend the
-/// stale-flagged subtree, find nothing, and still report the exact same
-/// footprint, observations, and cursor as the flat scan and scalar walk.
+/// does not recompute summaries). The scan must descend the stale-flagged
+/// subtree, find nothing, and still report the exact same footprint,
+/// observations, and cursor as the scalar walk.
 #[test]
 fn stale_set_summary_over_cold_subtree_scans_identically() {
     let mut ops: Vec<TableOp> = Vec::new();
@@ -540,15 +461,8 @@ fn stale_set_summary_over_cold_subtree_scans_identically() {
         });
     }
     for budget in [1, 7, 64, u64::MAX] {
-        let mut packed = PageTable::new();
-        let mut hier = PageTable::new();
-        let mut scalar = PageTable::new();
-        for &op in &ops {
-            apply(&mut packed, op);
-            apply(&mut hier, op);
-            apply(&mut scalar, op);
-        }
-        assert_cycle_equivalent(&mut packed, &mut hier, &mut scalar, budget, false);
+        let (mut scan, mut scalar) = twin_tables(&ops);
+        assert_cycle_equivalent(&mut scan, &mut scalar, budget);
     }
     assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(16), 8);
     // After the first full sweep cleared every A bit, the summaries over
@@ -558,10 +472,10 @@ fn stale_set_summary_over_cold_subtree_scans_identically() {
         &ops,
         ABitConfig::unbounded(),
         &[
-            ScanMode::Hier,
-            ScanMode::Hier,
+            ScanMode::Packed,
+            ScanMode::Packed,
             ScanMode::Scalar,
-            ScanMode::Hier,
+            ScanMode::Packed,
         ],
     );
 }

@@ -123,25 +123,11 @@ pub struct PageDescTable {
 /// ~0.25 MiB chunk of descriptors.
 pub const DEFAULT_CHUNK: usize = 4096;
 
-/// Env knob (registered in `core/src/knobs.rs`) overriding the chunk size;
-/// must be a positive power of two, else the default is kept.
-pub const CHUNK_ENV: &str = "TMPROF_DESC_CHUNK";
-
-fn chunk_frames_from_env() -> usize {
-    // tmprof-lint: allow(knob-flow) — sim reads the chunk-size knob directly to avoid depending on core; the name is pinned by the knob-registry sync test
-    std::env::var(CHUNK_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| n.is_power_of_two())
-        .unwrap_or(DEFAULT_CHUNK)
-}
-
 impl PageDescTable {
-    /// Cover `total_frames` frames with chunk size taken from
-    /// `TMPROF_DESC_CHUNK` (default [`DEFAULT_CHUNK`]). No descriptor
-    /// storage is allocated until a frame is first written.
+    /// Cover `total_frames` frames in [`DEFAULT_CHUNK`]-frame chunks. No
+    /// descriptor storage is allocated until a frame is first written.
     pub fn new(total_frames: u64) -> Self {
-        Self::with_chunk_frames(total_frames, chunk_frames_from_env())
+        Self::with_chunk_frames(total_frames, DEFAULT_CHUNK)
     }
 
     /// As [`Self::new`] with an explicit chunk size (must be a power of

@@ -11,15 +11,15 @@
 //! PTEs — is one of the quantities the paper measures (Table I: "the more
 //! PIDs are covered, the more overhead there is in traversing PTEs").
 //!
-//! Interior nodes additionally carry *summary* A/D words (one bit per
+//! Interior nodes additionally carry *summary* A words (one bit per
 //! child, the PMD/PUD/PGD analogue of the leaf `a_words`): a summary bit
 //! is a conservative superset flag saying the child's whole subtree *may*
-//! contain a set A/D bit. The hierarchical scan
-//! ([`PageTable::hier_scan_accessed_bounded`], Telescope-style) uses them
-//! to prune entire cold subtrees in O(1) — charging the subtree's exact
+//! contain a set A bit. The A-bit scan
+//! ([`PageTable::scan_accessed_bounded`], Telescope-style) uses them to
+//! prune entire cold subtrees in O(1) — charging the subtree's exact
 //! walk footprint from per-node aggregates so cost accounting, budget
-//! consumption, and resume cursors stay bit-identical to the flat
-//! word-wise scan, which remains the authoritative inner loop.
+//! consumption, and resume cursors stay bit-identical to the per-PTE
+//! [`PageTable::walk_present_bounded`].
 
 use crate::addr::{Vpn, RADIX_BITS, RADIX_LEVELS};
 #[allow(unused_imports)]
@@ -43,24 +43,22 @@ fn set_bit(word: &mut u64, bit: u64, on: bool) {
 
 /// A leaf table: 512 PTEs covering a 2 MiB-aligned virtual range.
 ///
-/// Alongside the PTE array it keeps three packed bitmaps (one bit per
+/// Alongside the PTE array it keeps two packed bitmaps (one bit per
 /// slot, 64 slots per `u64`), the structure behind the word-wise A-bit
 /// scan:
 ///
 /// * `present_words` — exact: bit set iff the slot holds a present PTE;
-/// * `a_words` / `d_words` — conservative *supersets* of the slots whose
-///   PTE has the A/D bit set. A bitmap bit may be stale-set (e.g. after
-///   `entry_mut` handed out a `&mut Pte` that the caller never touched)
-///   but is never stale-clear, so a word-wise scan over
-///   `a_words & present_words` can skip clear words without ever missing
-///   an accessed page; the per-candidate `test_and_clear_accessed` stays
-///   authoritative.
+/// * `a_words` — a conservative *superset* of the slots whose PTE has the
+///   A bit set. A bitmap bit may be stale-set (e.g. after `entry_mut`
+///   handed out a `&mut Pte` that the caller never touched) but is never
+///   stale-clear, so a word-wise scan over `a_words & present_words` can
+///   skip clear words without ever missing an accessed page; the
+///   per-candidate `test_and_clear_accessed` stays authoritative.
 struct LeafTable {
     ptes: Box<[Pte; FANOUT]>,
     present: u16,
     present_words: [u64; SCAN_WORDS],
     a_words: [u64; SCAN_WORDS],
-    d_words: [u64; SCAN_WORDS],
 }
 
 impl LeafTable {
@@ -70,7 +68,6 @@ impl LeafTable {
             present: 0,
             present_words: [0; SCAN_WORDS],
             a_words: [0; SCAN_WORDS],
-            d_words: [0; SCAN_WORDS],
         }
     }
 
@@ -83,59 +80,37 @@ impl LeafTable {
         let pte = self.ptes[pi];
         set_bit(&mut self.present_words[w], bit, pte.present());
         set_bit(&mut self.a_words[w], bit, pte.present() && pte.accessed());
-        set_bit(&mut self.d_words[w], bit, pte.present() && pte.dirty());
     }
 
-    /// Conservatively mark slot `pi` as a possible A/D candidate: callers
-    /// of `entry_mut` (the hardware walker above all) may set either bit
-    /// through the returned reference, so the bitmaps must assume they do.
+    /// Conservatively mark slot `pi` as a possible A candidate: callers of
+    /// `entry_mut` (the hardware walker above all) may set the bit through
+    /// the returned reference, so the bitmap must assume they do.
     #[inline]
-    fn mark_slot_ad(&mut self, pi: usize) {
-        let w = pi >> 6;
-        let bit = 1u64 << (pi & 63);
-        self.a_words[w] |= bit;
-        self.d_words[w] |= bit;
+    fn mark_slot_a(&mut self, pi: usize) {
+        self.a_words[pi >> 6] |= 1u64 << (pi & 63);
     }
-
-    /// Candidate word `w` for the requested bit kind.
-    #[inline]
-    // tmprof-lint: allow(panic-reachability) — w < SCAN_WORDS by the scan-word loop contract of every caller
-    fn a_or_d_word(&self, which: ScanBit, w: usize) -> u64 {
-        match which {
-            ScanBit::Accessed => self.a_words[w],
-            ScanBit::Dirty => self.d_words[w],
-        }
-    }
-}
-
-/// Which packed bitmap a word-wise scan draws candidates from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ScanBit {
-    Accessed,
-    Dirty,
 }
 
 /// An interior node at level 1..=3.
 ///
-/// Besides the child slots it carries the hierarchical-scan metadata:
+/// Besides the child slots it carries the A-bit scan's metadata:
 ///
 /// * `live_words` — exact bitmap of occupied child slots, the interior
 ///   twin of the leaf `present_words` (64 slots per word);
-/// * `a_sum` / `d_sum` — conservative summary supersets: bit set when the
-///   child's subtree *may* hold a present PTE with the A/D bit set. Like
-///   the leaf bitmaps they can be stale-set but never stale-clear, so a
-///   clear bit proves the whole subtree is cold;
+/// * `a_sum` — conservative summary superset: bit set when the child's
+///   subtree *may* hold a present PTE with the A bit set. Like the leaf
+///   bitmap it can be stale-set but never stale-clear, so a clear bit
+///   proves the whole subtree is cold;
 /// * `agg_*` — exact walk-unit aggregates for the subtree (a huge entry
 ///   counts as one PTE, exactly as the walk visits it; `agg_interiors`
 ///   includes the node itself; `agg_leaves` includes empty leaf tables
-///   left behind by unmap, which the flat walk also touches). They let
-///   the hierarchical scan charge a skipped subtree's exact
-///   [`WalkFootprint`] without descending into it.
+///   left behind by unmap, which the walk also touches). They let the
+///   scan charge a skipped subtree's exact [`WalkFootprint`] without
+///   descending into it.
 struct Interior {
     children: Vec<Option<Node>>,
     live_words: [u64; SCAN_WORDS],
     a_sum: [u64; SCAN_WORDS],
-    d_sum: [u64; SCAN_WORDS],
     agg_ptes: u64,
     agg_leaves: u64,
     agg_interiors: u64,
@@ -158,7 +133,6 @@ impl Interior {
             children,
             live_words: [0; SCAN_WORDS],
             a_sum: [0; SCAN_WORDS],
-            d_sum: [0; SCAN_WORDS],
             agg_ptes: 0,
             agg_leaves: 0,
             agg_interiors: 1,
@@ -175,28 +149,14 @@ impl Interior {
         self.live_words[idx >> 6] &= !(1u64 << (idx & 63));
     }
 
-    /// Conservatively mark child `idx` as a possible A/D candidate: the
-    /// interior twin of [`LeafTable::mark_slot_ad`], used on the
-    /// `entry_mut` descent path because the caller may set either bit
-    /// through the returned reference.
+    /// Conservatively mark child `idx` as a possible A candidate: the
+    /// interior twin of [`LeafTable::mark_slot_a`], used on the
+    /// `entry_mut` descent path because the caller may set the bit
+    /// through the returned reference, and when a mapping installs an
+    /// accessed PTE.
     #[inline]
-    fn mark_child_ad(&mut self, idx: usize) {
-        let bit = 1u64 << (idx & 63);
-        self.a_sum[idx >> 6] |= bit;
-        self.d_sum[idx >> 6] |= bit;
-    }
-
-    /// Set (never clear) the summary bits for child `idx` from an
-    /// installed PTE's flags.
-    #[inline]
-    fn mark_child_bits(&mut self, idx: usize, a: bool, d: bool) {
-        let bit = 1u64 << (idx & 63);
-        if a {
-            self.a_sum[idx >> 6] |= bit;
-        }
-        if d {
-            self.d_sum[idx >> 6] |= bit;
-        }
+    fn mark_child_a(&mut self, idx: usize) {
+        self.a_sum[idx >> 6] |= 1u64 << (idx & 63);
     }
 
     /// Fold a mapping delta from a completed descent into the aggregates.
@@ -227,47 +187,36 @@ impl MapDelta {
     }
 }
 
-/// Recompute the A/D summary for child `idx` exactly from the child's own
+/// Recompute the A summary for child `idx` exactly from the child's own
 /// (possibly conservative) words. Called after a traversal processed the
 /// child: the visit closure may have set *or* cleared bits, and a
-/// stale-clear summary would make the hierarchical scan skip a hot
-/// subtree, so every traversal re-tightens summaries on the way out.
+/// stale-clear summary would make the scan skip a hot subtree, so every
+/// traversal re-tightens summaries on the way out.
 #[inline]
-fn resync_summary(
-    a_sum: &mut [u64; SCAN_WORDS],
-    d_sum: &mut [u64; SCAN_WORDS],
-    idx: usize,
-    child: &Node,
-) {
-    let (a, d) = child_summary_flags(child);
-    let bit = 1u64 << (idx & 63);
-    set_bit(&mut a_sum[idx >> 6], bit, a);
-    set_bit(&mut d_sum[idx >> 6], bit, d);
+fn resync_summary(a_sum: &mut [u64; SCAN_WORDS], idx: usize, child: &Node) {
+    set_bit(
+        &mut a_sum[idx >> 6],
+        1u64 << (idx & 63),
+        child_may_be_accessed(child),
+    );
 }
 
-/// Whether `child`'s subtree may hold a present PTE with the A/D bit set,
+/// Whether `child`'s subtree may hold a present PTE with the A bit set,
 /// judged from the child's own summary/bitmap state (not a full descent).
 #[inline]
-// tmprof-lint: allow(panic-reachability) — w ranges over 0..SCAN_WORDS, the fixed length of both word arrays
-fn child_summary_flags(child: &Node) -> (bool, bool) {
+fn child_may_be_accessed(child: &Node) -> bool {
     match child {
-        Node::Interior(n) => (
-            n.a_sum.iter().any(|&w| w != 0),
-            n.d_sum.iter().any(|&w| w != 0),
-        ),
-        Node::Leaf(l) => {
-            let (mut a, mut d) = (0u64, 0u64);
-            for w in 0..SCAN_WORDS {
-                a |= l.a_words[w] & l.present_words[w];
-                d |= l.d_words[w] & l.present_words[w];
-            }
-            (a != 0, d != 0)
-        }
-        Node::Huge(p) => (p.present() && p.accessed(), p.present() && p.dirty()),
+        Node::Interior(n) => n.a_sum.iter().any(|&w| w != 0),
+        Node::Leaf(l) => l
+            .a_words
+            .iter()
+            .zip(&l.present_words)
+            .any(|(&a, &p)| a & p != 0),
+        Node::Huge(p) => p.present() && p.accessed(),
     }
 }
 
-/// Exact walk-unit aggregates for a child subtree, as the flat walk would
+/// Exact walk-unit aggregates for a child subtree, as the walk would
 /// charge them: (PTE visits, leaf tables, interior nodes).
 #[inline]
 fn child_aggregates(child: &Node) -> (u64, u64, u64) {
@@ -280,7 +229,7 @@ fn child_aggregates(child: &Node) -> (u64, u64, u64) {
 
 /// Per-scan pruning counters, exported as tmprof-obs metrics.
 #[derive(Default)]
-struct HierScanStats {
+struct ScanStats {
     skipped: u64,
     descended: u64,
 }
@@ -395,8 +344,8 @@ impl PageTable {
                 Some(_) => Err(MapError::HugeConflict { base }),
             }
         };
-        if res.is_ok() {
-            node.mark_child_bits(idx, pte.accessed(), pte.dirty());
+        if res.is_ok() && pte.accessed() {
+            node.mark_child_a(idx);
         }
         node.apply(delta);
         (delta, res)
@@ -479,7 +428,9 @@ impl PageTable {
                 _ => unreachable!("interior at leaf level"),
             }
         }
-        node.mark_child_bits(idx, pte.accessed(), pte.dirty());
+        if pte.accessed() {
+            node.mark_child_a(idx);
+        }
         node.apply(delta);
         delta
     }
@@ -515,7 +466,7 @@ impl PageTable {
             }
         };
         // Empty leaf tables stay in the tree (and in `agg_leaves`), exactly
-        // as the flat walk keeps touching them.
+        // as the walk keeps touching them.
         node.agg_ptes -= 1;
         Some(old)
     }
@@ -562,22 +513,22 @@ impl PageTable {
         let mut node = &mut self.root;
         for level in (2..RADIX_LEVELS).rev() {
             let idx = vpn.radix_index(level);
-            // The caller may set A/D through the returned reference; mark
+            // The caller may set A through the returned reference; mark
             // the whole descent path so the summaries stay supersets (a
             // stale-set bit on a failed lookup is conservative and fine).
-            node.mark_child_ad(idx);
+            node.mark_child_a(idx);
             node = match node.children[idx].as_mut()? {
                 Node::Interior(next) => next,
                 _ => return None,
             };
         }
         let idx = vpn.radix_index(1);
-        node.mark_child_ad(idx);
+        node.mark_child_a(idx);
         match node.children[idx].as_mut()? {
             Node::Leaf(leaf) => {
                 let pi = vpn.radix_index(0);
                 // Same marking at leaf granularity.
-                leaf.mark_slot_ad(pi);
+                leaf.mark_slot_a(pi);
                 Some(&mut leaf.ptes[pi])
             }
             Node::Huge(pte) => Some(pte),
@@ -604,10 +555,7 @@ impl PageTable {
         visit: &mut impl FnMut(Vpn, &mut Pte),
     ) {
         let Interior {
-            children,
-            a_sum,
-            d_sum,
-            ..
+            children, a_sum, ..
         } = node;
         for (idx, child) in children.iter_mut().enumerate() {
             let Some(child) = child else { continue };
@@ -636,7 +584,7 @@ impl PageTable {
                     visit(vpn, pte);
                 }
             }
-            resync_summary(a_sum, d_sum, idx, child);
+            resync_summary(a_sum, idx, child);
         }
     }
 
@@ -692,10 +640,7 @@ impl PageTable {
         visit: &mut impl FnMut(Vpn, &mut Pte),
     ) -> bool {
         let Interior {
-            children,
-            a_sum,
-            d_sum,
-            ..
+            children, a_sum, ..
         } = node;
         for (idx, child) in children.iter_mut().enumerate() {
             // Prune children strictly before the start prefix at this level.
@@ -762,7 +707,7 @@ impl PageTable {
             // Re-tighten this child's summary even on truncation: the
             // closure may have set or cleared bits before the budget ran
             // out, and a stale-clear summary must never survive.
-            resync_summary(a_sum, d_sum, idx, child);
+            resync_summary(a_sum, idx, child);
             if truncated {
                 return true;
             }
@@ -770,149 +715,155 @@ impl PageTable {
         false
     }
 
-    /// Word-wise budgeted A-bit scan: the packed twin of
-    /// [`PageTable::walk_present_bounded`] behind `ABitScanner::scan_process`.
+    /// Budgeted, resumable A-bit scan behind `ABitScanner::scan_process`:
+    /// the word-wise, subtree-pruning twin of
+    /// [`PageTable::walk_present_bounded`].
     ///
     /// Traversal order, footprint accounting (`ptes_visited` counts every
     /// present PTE in the covered span, not just candidates), budget
     /// consumption, and resume-cursor semantics are all identical to the
-    /// scalar bounded walk. The difference is purely how candidates are
-    /// found: instead of branching on every PTE, each leaf loads
-    /// `a_words & present_words` one `u64` at a time — 64 pages per load —
-    /// and iterates set bits via `trailing_zeros`. Because `a_words` is a
-    /// conservative superset, `visit` only runs for PTEs that *may* have
-    /// the A bit set and must confirm with `test_and_clear_accessed`; the
-    /// bitmap is re-tightened from the PTE after each visit.
+    /// bounded walk. The difference is purely how candidates are found:
+    ///
+    /// * an interior child whose A-summary bit is clear holds no
+    ///   candidates and is skipped in O(1) (Telescope-style tree
+    ///   profiling), charged its exact aggregate [`WalkFootprint`] — but
+    ///   only when it lies wholly at or after the cursor and its visit
+    ///   count fits the remaining budget, since otherwise the walk's
+    ///   cursor would stop inside it;
+    /// * each leaf loads `a_words & present_words` one `u64` at a time —
+    ///   64 pages per load — and iterates set bits via `trailing_zeros`.
+    ///
+    /// Because summaries and `a_words` are conservative supersets, `visit`
+    /// only runs for PTEs that *may* have the A bit set and must confirm
+    /// with `test_and_clear_accessed`; bitmaps and summaries are
+    /// re-tightened from the PTEs after each visit.
     pub fn scan_accessed_bounded(
         &mut self,
         start: Vpn,
         limit: u64,
         mut visit: impl FnMut(Vpn, &mut Pte),
     ) -> (WalkFootprint, Option<Vpn>) {
-        self.scan_bit_bounded(ScanBit::Accessed, start, limit, &mut visit)
-    }
-
-    /// Word-wise budgeted D-bit scan (writeback/PML drains); same contract
-    /// as [`PageTable::scan_accessed_bounded`] with `d_words` candidates.
-    pub fn scan_dirty_bounded(
-        &mut self,
-        start: Vpn,
-        limit: u64,
-        mut visit: impl FnMut(Vpn, &mut Pte),
-    ) -> (WalkFootprint, Option<Vpn>) {
-        self.scan_bit_bounded(ScanBit::Dirty, start, limit, &mut visit)
-    }
-
-    fn scan_bit_bounded(
-        &mut self,
-        which: ScanBit,
-        start: Vpn,
-        limit: u64,
-        visit: &mut impl FnMut(Vpn, &mut Pte),
-    ) -> (WalkFootprint, Option<Vpn>) {
         let mut fp = WalkFootprint {
             interior_nodes: 1,
             ..Default::default()
         };
         let mut resume = None;
+        let mut stats = ScanStats::default();
         if limit > 0 {
-            Self::scan_node_bounded(
+            Self::scan_node(
                 &mut self.root,
                 RADIX_LEVELS - 1,
                 0,
-                which,
                 start,
                 limit,
                 &mut fp,
                 &mut resume,
-                visit,
+                &mut stats,
+                &mut visit,
             );
         } else {
             resume = Some(start);
         }
+        metrics::add(Metric::SimHierSubtreesSkipped, stats.skipped);
+        metrics::add(Metric::SimHierSubtreesDescended, stats.descended);
         (fp, resume)
     }
 
-    /// Recursive helper for the packed scan; structure mirrors
-    /// [`PageTable::walk_node_bounded`] exactly so the two stay
-    /// footprint- and cursor-identical (locked down by the scan_props
-    /// suite).
+    /// Recursive helper for the scan. Occupied children are found via
+    /// `live_words` (64 slots per load); a child whose summary bit is
+    /// clear, whose span lies wholly at/after the cursor, and whose
+    /// aggregate visit count fits the remaining budget is charged its
+    /// exact footprint and skipped. Everything else descends into the
+    /// leaf/huge arms, then re-tightens the summary bit on the way out.
+    /// Returns true when the budget is exhausted (`resume` then holds the
+    /// next VPN to visit).
     #[allow(clippy::too_many_arguments)]
-    fn scan_node_bounded(
+    // tmprof-lint: allow(panic-reachability) — lw < SCAN_WORDS and idx = (lw << 6) | trailing_zeros(occ) < FANOUT
+    fn scan_node(
         node: &mut Interior,
         level: usize,
         prefix: u64,
-        which: ScanBit,
         start: Vpn,
         limit: u64,
         fp: &mut WalkFootprint,
         resume: &mut Option<Vpn>,
+        stats: &mut ScanStats,
         visit: &mut impl FnMut(Vpn, &mut Pte),
     ) -> bool {
         let Interior {
             children,
+            live_words,
             a_sum,
-            d_sum,
             ..
         } = node;
-        for (idx, child) in children.iter_mut().enumerate() {
-            let child_prefix = (prefix << RADIX_BITS) | idx as u64;
-            let span_bits = RADIX_BITS as usize * level;
-            let child_first_vpn = child_prefix << span_bits;
-            let child_last_vpn = child_first_vpn + (1u64 << span_bits) - 1;
-            if child_last_vpn < start.0 {
-                continue;
-            }
-            let Some(child) = child else { continue };
-            let truncated = match child {
-                Node::Interior(next) => {
-                    fp.interior_nodes += 1;
-                    Self::scan_node_bounded(
-                        next,
-                        level - 1,
-                        child_prefix,
-                        which,
-                        start,
-                        limit,
-                        fp,
-                        resume,
-                        visit,
-                    )
+        let span_bits = RADIX_BITS as usize * level;
+        for lw in 0..SCAN_WORDS {
+            let mut occ = live_words[lw];
+            while occ != 0 {
+                let idx = (lw << 6) | occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let child_prefix = (prefix << RADIX_BITS) | idx as u64;
+                let child_first_vpn = child_prefix << span_bits;
+                let child_last_vpn = child_first_vpn + (1u64 << span_bits) - 1;
+                if child_last_vpn < start.0 {
+                    continue;
                 }
-                Node::Leaf(leaf) => {
-                    fp.leaf_tables += 1;
-                    Self::scan_leaf_words(
-                        leaf,
-                        child_prefix,
-                        which,
-                        start,
-                        limit,
-                        fp,
-                        resume,
-                        visit,
-                    )
+                let Some(child) = children[idx].as_mut() else {
+                    continue;
+                };
+                let cold = a_sum[lw] & (1u64 << (idx & 63)) == 0;
+                let (agg_ptes, agg_leaves, agg_interiors) = child_aggregates(child);
+                if cold && child_first_vpn >= start.0 && agg_ptes <= limit - fp.ptes_visited {
+                    // Provably no candidates, wholly at/after the cursor,
+                    // and the walk's cursor could not stop inside it:
+                    // charge the exact footprint and prune the subtree.
+                    fp.ptes_visited += agg_ptes;
+                    fp.leaf_tables += agg_leaves;
+                    fp.interior_nodes += agg_interiors;
+                    stats.skipped += 1;
+                    continue;
                 }
-                Node::Huge(pte) => {
-                    Self::scan_huge_entry(pte, child_prefix, which, start, limit, fp, resume, visit)
+                stats.descended += 1;
+                let truncated = match child {
+                    Node::Interior(next) => {
+                        fp.interior_nodes += 1;
+                        Self::scan_node(
+                            next,
+                            level - 1,
+                            child_prefix,
+                            start,
+                            limit,
+                            fp,
+                            resume,
+                            stats,
+                            visit,
+                        )
+                    }
+                    Node::Leaf(leaf) => {
+                        fp.leaf_tables += 1;
+                        Self::scan_leaf_words(leaf, child_prefix, start, limit, fp, resume, visit)
+                    }
+                    Node::Huge(pte) => {
+                        Self::scan_huge_entry(pte, child_prefix, start, limit, fp, resume, visit)
+                    }
+                };
+                // Re-tighten even on truncation: the closure may have
+                // cleared bits before the budget ran out.
+                resync_summary(a_sum, idx, child);
+                if truncated {
+                    return true;
                 }
-            };
-            resync_summary(a_sum, d_sum, idx, child);
-            if truncated {
-                return true;
             }
         }
         false
     }
 
-    /// The authoritative word-wise leaf scan, shared verbatim by the flat
-    /// and hierarchical modes. Returns true when the budget ran out inside
-    /// this leaf (`resume` then holds the cursor).
-    #[allow(clippy::too_many_arguments)]
+    /// The word-wise leaf scan. Returns true when the budget ran out
+    /// inside this leaf (`resume` then holds the cursor).
     // tmprof-lint: allow(panic-reachability) — w < SCAN_WORDS and pi = (w << 6) | bit < FANOUT by construction
     fn scan_leaf_words(
         leaf: &mut LeafTable,
         child_prefix: u64,
-        which: ScanBit,
         start: Vpn,
         limit: u64,
         fp: &mut WalkFootprint,
@@ -950,7 +901,7 @@ impl PageTable {
             } else {
                 live
             };
-            let mut cand = leaf.a_or_d_word(which, w) & span;
+            let mut cand = leaf.a_words[w] & span;
             while cand != 0 {
                 let bit = cand.trailing_zeros() as usize;
                 cand &= cand - 1;
@@ -966,13 +917,12 @@ impl PageTable {
         false
     }
 
-    /// Scan-mode visit of one huge entry; shared by the flat and
-    /// hierarchical modes.
-    #[allow(clippy::too_many_arguments)]
+    /// Scan-mode visit of one huge entry, which keeps its A bit at the
+    /// PTE itself (one bit per 2 MiB). Returns true when the budget ran
+    /// out before it.
     fn scan_huge_entry(
         pte: &mut Pte,
         child_prefix: u64,
-        which: ScanBit,
         start: Vpn,
         limit: u64,
         fp: &mut WalkFootprint,
@@ -988,190 +938,8 @@ impl PageTable {
             return true;
         }
         fp.ptes_visited += 1;
-        // Huge entries keep their A/D at the PTE itself (one bit per
-        // 2 MiB); gate the visit on the live bit.
-        let candidate = match which {
-            ScanBit::Accessed => pte.accessed(),
-            ScanBit::Dirty => pte.dirty(),
-        };
-        if candidate {
+        if pte.accessed() {
             visit(vpn, pte);
-        }
-        false
-    }
-
-    /// Hierarchical budgeted A-bit scan (Telescope-style, behind
-    /// `TMPROF_HIER_SCAN`): prune whole cold subtrees using the interior
-    /// summary words before touching leaf words.
-    ///
-    /// Contract-identical to [`PageTable::scan_accessed_bounded`]: same
-    /// observations, same cleared bits, same [`WalkFootprint`] (a skipped
-    /// subtree is charged its exact aggregate footprint), same budget
-    /// consumption, and the same resume cursor — so the simulated cost
-    /// model and every committed CSV are unchanged whether or not the
-    /// hierarchical mode is on. A subtree is skipped only when its summary
-    /// bit is clear (proving it holds no candidates), it lies wholly at or
-    /// after the cursor, and its full visit count fits the remaining
-    /// budget (otherwise the flat cursor would stop inside it).
-    pub fn hier_scan_accessed_bounded(
-        &mut self,
-        start: Vpn,
-        limit: u64,
-        mut visit: impl FnMut(Vpn, &mut Pte),
-    ) -> (WalkFootprint, Option<Vpn>) {
-        self.hier_scan_bit_bounded(ScanBit::Accessed, start, limit, &mut visit)
-    }
-
-    /// Hierarchical budgeted D-bit scan; same contract as
-    /// [`PageTable::hier_scan_accessed_bounded`] with `d_sum` summaries.
-    pub fn hier_scan_dirty_bounded(
-        &mut self,
-        start: Vpn,
-        limit: u64,
-        mut visit: impl FnMut(Vpn, &mut Pte),
-    ) -> (WalkFootprint, Option<Vpn>) {
-        self.hier_scan_bit_bounded(ScanBit::Dirty, start, limit, &mut visit)
-    }
-
-    fn hier_scan_bit_bounded(
-        &mut self,
-        which: ScanBit,
-        start: Vpn,
-        limit: u64,
-        visit: &mut impl FnMut(Vpn, &mut Pte),
-    ) -> (WalkFootprint, Option<Vpn>) {
-        let mut fp = WalkFootprint {
-            interior_nodes: 1,
-            ..Default::default()
-        };
-        let mut resume = None;
-        let mut stats = HierScanStats::default();
-        if limit > 0 {
-            Self::hier_scan_node(
-                &mut self.root,
-                RADIX_LEVELS - 1,
-                0,
-                which,
-                start,
-                limit,
-                &mut fp,
-                &mut resume,
-                &mut stats,
-                visit,
-            );
-        } else {
-            resume = Some(start);
-        }
-        metrics::add(Metric::SimHierSubtreesSkipped, stats.skipped);
-        metrics::add(Metric::SimHierSubtreesDescended, stats.descended);
-        (fp, resume)
-    }
-
-    /// Recursive helper for the hierarchical scan. Occupied children are
-    /// found via `live_words` (64 slots per load); a child whose summary
-    /// bit is clear, whose span lies wholly at/after the cursor, and whose
-    /// aggregate visit count fits the remaining budget is charged its
-    /// exact footprint and skipped in O(1). Everything else descends into
-    /// the same leaf/huge arms as the flat scan, then re-tightens the
-    /// summary bit on the way out.
-    #[allow(clippy::too_many_arguments)]
-    // tmprof-lint: allow(panic-reachability) — lw < SCAN_WORDS and idx = (lw << 6) | trailing_zeros(occ) < FANOUT
-    fn hier_scan_node(
-        node: &mut Interior,
-        level: usize,
-        prefix: u64,
-        which: ScanBit,
-        start: Vpn,
-        limit: u64,
-        fp: &mut WalkFootprint,
-        resume: &mut Option<Vpn>,
-        stats: &mut HierScanStats,
-        visit: &mut impl FnMut(Vpn, &mut Pte),
-    ) -> bool {
-        let Interior {
-            children,
-            live_words,
-            a_sum,
-            d_sum,
-            ..
-        } = node;
-        let span_bits = RADIX_BITS as usize * level;
-        for lw in 0..SCAN_WORDS {
-            let mut occ = live_words[lw];
-            while occ != 0 {
-                let idx = (lw << 6) | occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let child_prefix = (prefix << RADIX_BITS) | idx as u64;
-                let child_first_vpn = child_prefix << span_bits;
-                let child_last_vpn = child_first_vpn + (1u64 << span_bits) - 1;
-                if child_last_vpn < start.0 {
-                    continue;
-                }
-                let Some(child) = children[idx].as_mut() else {
-                    continue;
-                };
-                let summary_word = match which {
-                    ScanBit::Accessed => a_sum[lw],
-                    ScanBit::Dirty => d_sum[lw],
-                };
-                let cold = summary_word & (1u64 << (idx & 63)) == 0;
-                let (agg_ptes, agg_leaves, agg_interiors) = child_aggregates(child);
-                if cold && child_first_vpn >= start.0 && agg_ptes <= limit - fp.ptes_visited {
-                    // Provably no candidates, wholly at/after the cursor,
-                    // and the flat cursor could not stop inside it: charge
-                    // the exact footprint and prune the whole subtree.
-                    fp.ptes_visited += agg_ptes;
-                    fp.leaf_tables += agg_leaves;
-                    fp.interior_nodes += agg_interiors;
-                    stats.skipped += 1;
-                    continue;
-                }
-                stats.descended += 1;
-                let truncated = match child {
-                    Node::Interior(next) => {
-                        fp.interior_nodes += 1;
-                        Self::hier_scan_node(
-                            next,
-                            level - 1,
-                            child_prefix,
-                            which,
-                            start,
-                            limit,
-                            fp,
-                            resume,
-                            stats,
-                            visit,
-                        )
-                    }
-                    Node::Leaf(leaf) => {
-                        fp.leaf_tables += 1;
-                        Self::scan_leaf_words(
-                            leaf,
-                            child_prefix,
-                            which,
-                            start,
-                            limit,
-                            fp,
-                            resume,
-                            visit,
-                        )
-                    }
-                    Node::Huge(pte) => Self::scan_huge_entry(
-                        pte,
-                        child_prefix,
-                        which,
-                        start,
-                        limit,
-                        fp,
-                        resume,
-                        visit,
-                    ),
-                };
-                resync_summary(a_sum, d_sum, idx, child);
-                if truncated {
-                    return true;
-                }
-            }
         }
         false
     }
@@ -1484,7 +1252,8 @@ mod tests {
     fn packed_scan_matches_scalar_walk() {
         // Same table contents, same budget, same cursor: the word-wise scan
         // must observe the same accessed pages, clear the same bits, report
-        // the same footprint, and leave the same resume cursor.
+        // the same footprint, and leave the same resume cursor, across
+        // budgets that truncate at every level.
         let build = || {
             let mut pt = mixed_shape_table();
             for v in [0u64, 63 * 2, 64 * 2, 511 * 2, 512 * 2, 699 * 2] {
@@ -1495,32 +1264,27 @@ mod tests {
                 .set(crate::pte::bits::A);
             pt
         };
-        for budget in [3u64, 64, 701, u64::MAX] {
+        for budget in [1u64, 3, 64, 701, u64::MAX] {
             let (mut scalar_pt, mut packed_pt) = (build(), build());
-            let mut cursor_s = Vpn(0);
-            let mut cursor_p = Vpn(0);
+            let mut cursor = Vpn(0);
             loop {
                 let mut hits_s = Vec::new();
-                let (fp_s, res_s) = scalar_pt.walk_present_bounded(cursor_s, budget, |vpn, pte| {
+                let (fp_s, res_s) = scalar_pt.walk_present_bounded(cursor, budget, |vpn, pte| {
                     if pte.test_and_clear_accessed() {
                         hits_s.push(vpn);
                     }
                 });
                 let mut hits_p = Vec::new();
-                let (fp_p, res_p) =
-                    packed_pt.scan_accessed_bounded(cursor_p, budget, |vpn, pte| {
-                        if pte.test_and_clear_accessed() {
-                            hits_p.push(vpn);
-                        }
-                    });
+                let (fp_p, res_p) = packed_pt.scan_accessed_bounded(cursor, budget, |vpn, pte| {
+                    if pte.test_and_clear_accessed() {
+                        hits_p.push(vpn);
+                    }
+                });
                 assert_eq!(hits_s, hits_p, "budget {budget}: observations diverged");
                 assert_eq!(fp_s, fp_p, "budget {budget}: footprints diverged");
                 assert_eq!(res_s, res_p, "budget {budget}: cursors diverged");
                 match res_s {
-                    Some(v) => {
-                        cursor_s = v;
-                        cursor_p = v;
-                    }
+                    Some(v) => cursor = v,
                     None => break,
                 }
             }
@@ -1534,72 +1298,89 @@ mod tests {
 
     #[test]
     fn hier_scan_matches_packed_scan() {
-        // Three-way cycle: the hierarchical scan must stay in lockstep with
-        // the flat packed scan (itself proven against the scalar walk
-        // above) — observations, footprints, and cursors — across budgets
-        // that truncate at every level.
-        let build = || {
-            let mut pt = mixed_shape_table();
-            for v in [0u64, 63 * 2, 64 * 2, 511 * 2, 512 * 2, 699 * 2] {
-                pt.entry_mut(Vpn(v)).unwrap().set(crate::pte::bits::A);
-            }
-            pt.entry_mut(Vpn(4096 + 17))
-                .unwrap()
-                .set(crate::pte::bits::A);
-            pt
-        };
+        // The summary-pruned scan must report exactly what a word-by-word
+        // packed scan would, i.e. the scalar walk's result (see
+        // packed_scan_matches_scalar_walk), also once earlier scans have
+        // tightened the summaries so that whole cold subtrees are pruned.
+        // Several epochs per budget, each re-heating a different page set
+        // on both tables, keep observations, footprints, and cursors in
+        // lockstep.
+        let hot_sets: [&[u64]; 3] = [
+            &[0, 63 * 2, 64 * 2, 511 * 2, 512 * 2, 699 * 2, 4096 + 17],
+            &[4096 + 17, (1 << 30) + 700],
+            &[300 * 2],
+        ];
+        let before_skipped = metrics::get(Metric::SimHierSubtreesSkipped);
         for budget in [1u64, 3, 64, 701, u64::MAX] {
-            let (mut flat_pt, mut hier_pt) = (build(), build());
-            let mut cursor = Vpn(0);
-            loop {
-                let mut hits_f = Vec::new();
-                let (fp_f, res_f) = flat_pt.scan_accessed_bounded(cursor, budget, |vpn, pte| {
-                    if pte.test_and_clear_accessed() {
-                        hits_f.push(vpn);
+            let (mut walked, mut scanned) = (mixed_shape_table(), mixed_shape_table());
+            scanned.scan_accessed_bounded(Vpn(0), u64::MAX, |_, pte| {
+                pte.test_and_clear_accessed();
+            });
+            for (epoch, hot) in hot_sets.iter().enumerate() {
+                for pt in [&mut walked, &mut scanned] {
+                    for &v in hot.iter() {
+                        pt.entry_mut(Vpn(v)).unwrap().set(crate::pte::bits::A);
                     }
-                });
-                let mut hits_h = Vec::new();
-                let (fp_h, res_h) =
-                    hier_pt.hier_scan_accessed_bounded(cursor, budget, |vpn, pte| {
+                }
+                let mut cursor = Vpn(0);
+                loop {
+                    let mut hits_w = Vec::new();
+                    let (fp_w, res_w) = walked.walk_present_bounded(cursor, budget, |vpn, pte| {
                         if pte.test_and_clear_accessed() {
-                            hits_h.push(vpn);
+                            hits_w.push(vpn);
                         }
                     });
-                assert_eq!(hits_f, hits_h, "budget {budget}: observations diverged");
-                assert_eq!(fp_f, fp_h, "budget {budget}: footprints diverged");
-                assert_eq!(res_f, res_h, "budget {budget}: cursors diverged");
-                match res_f {
-                    Some(v) => cursor = v,
-                    None => break,
+                    let mut hits_s = Vec::new();
+                    let (fp_s, res_s) =
+                        scanned.scan_accessed_bounded(cursor, budget, |vpn, pte| {
+                            if pte.test_and_clear_accessed() {
+                                hits_s.push(vpn);
+                            }
+                        });
+                    let at = format!("budget {budget}, epoch {epoch}");
+                    assert_eq!(hits_w, hits_s, "{at}: observations diverged");
+                    assert_eq!(fp_w, fp_s, "{at}: footprints diverged");
+                    assert_eq!(res_w, res_s, "{at}: cursors diverged");
+                    match res_w {
+                        Some(v) => cursor = v,
+                        None => break,
+                    }
                 }
+                let mut left = 0;
+                scanned.walk_present(|_, pte| left += pte.accessed() as u32);
+                assert_eq!(
+                    left, 0,
+                    "budget {budget}, epoch {epoch}: stale A bits remain"
+                );
             }
-            let mut left = 0;
-            hier_pt.walk_present(|_, pte| left += pte.accessed() as u32);
-            assert_eq!(left, 0, "budget {budget}: stale A bits remain");
         }
+        assert!(
+            metrics::get(Metric::SimHierSubtreesSkipped) > before_skipped,
+            "cold subtrees were not pruned"
+        );
+    }
+
+    /// `n` contiguous present pages from VPN 0, none accessed.
+    fn dense_table(n: u64) -> PageTable {
+        let mut pt = PageTable::new();
+        for v in 0..n {
+            pt.map(Vpn(v), Pte::new(Pfn(v), true));
+        }
+        pt
     }
 
     #[test]
-    fn hier_scan_prunes_cold_subtrees_but_charges_exact_footprint() {
-        // 4096 mapped pages in 8 leaf tables, one hot page: the
-        // hierarchical scan must find the one candidate, skip the 7 cold
-        // leaves without loading their words, and still report the flat
-        // scan's exact footprint (the cost model is unchanged).
-        let mut pt = PageTable::new();
-        for v in 0..4096u64 {
-            pt.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
+    fn scan_prunes_cold_subtrees_but_charges_exact_footprint() {
+        // 4096 mapped pages in 8 leaf tables, one hot page: the scan must
+        // find the one candidate, skip the 7 cold leaves without loading
+        // their words, and still report the walk's exact footprint (the
+        // cost model is unchanged).
+        let mut pt = dense_table(4096);
         pt.entry_mut(Vpn(2049)).unwrap().set(crate::pte::bits::A);
-        // A full clearing pass first: entry_mut conservatively marked the
-        // whole descent path, so summaries only tighten after one scan.
-        let mut warm = PageTable::new();
-        for v in 0..4096u64 {
-            warm.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
-        let (flat_fp, _) = warm.scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {});
+        let (walk_fp, _) = dense_table(4096).walk_present_bounded(Vpn(0), u64::MAX, |_, _| {});
         let before_skipped = metrics::get(Metric::SimHierSubtreesSkipped);
         let mut hits = Vec::new();
-        let (fp, resume) = pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
+        let (fp, resume) = pt.scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
             if pte.test_and_clear_accessed() {
                 hits.push(vpn);
             }
@@ -1607,11 +1388,12 @@ mod tests {
         assert_eq!(hits, vec![Vpn(2049)]);
         assert_eq!(fp.ptes_visited, 4096);
         assert_eq!(fp.leaf_tables, 8);
-        assert_eq!(fp, flat_fp);
+        assert_eq!(fp, walk_fp);
         assert_eq!(resume, None);
-        // Second scan: everything is cold and summaries are tight, so the
-        // top-level subtree is pruned outright.
-        let (fp2, _) = pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {
+        // Second scan: everything is cold and summaries are tight (the
+        // first scan re-tightened what entry_mut conservatively marked),
+        // so the top-level subtree is pruned outright.
+        let (fp2, _) = pt.scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {
             panic!("no candidates remain");
         });
         assert_eq!(fp2, fp, "pruned footprint drifted");
@@ -1622,37 +1404,25 @@ mod tests {
     }
 
     #[test]
-    fn hier_scan_descends_stale_set_summaries() {
+    fn scan_descends_stale_set_summaries() {
         // Regression: a stale-SET summary bit (entry_mut marked the path
         // but the caller never set A, then the page went cold) must make
-        // the hierarchical scan descend — and charge the same footprint as
-        // the flat scan, not a blind aggregate.
-        let mut pt = PageTable::new();
-        for v in 0..1024u64 {
-            pt.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
+        // the scan descend — probe the false candidate and charge the
+        // walk's footprint, not a blind aggregate.
+        let mut pt = dense_table(1024);
         // Touch without setting A: summaries along the path go stale-set
-        // (and so does the leaf word — both scans see a false candidate).
+        // (and so does the leaf word).
         let _ = pt.entry_mut(Vpn(700)).unwrap();
-        let mut flat = PageTable::new();
-        for v in 0..1024u64 {
-            flat.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
-        let _ = flat.entry_mut(Vpn(700)).unwrap();
-        let mut cand_f = Vec::new();
-        let (flat_fp, flat_res) = flat.scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
+        let (walk_fp, walk_res) =
+            dense_table(1024).walk_present_bounded(Vpn(0), u64::MAX, |_, _| {});
+        let mut cand = Vec::new();
+        let (fp, res) = pt.scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
             assert!(!pte.test_and_clear_accessed());
-            cand_f.push(vpn);
+            cand.push(vpn);
         });
-        let mut cand_h = Vec::new();
-        let (fp, res) = pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
-            assert!(!pte.test_and_clear_accessed());
-            cand_h.push(vpn);
-        });
-        assert_eq!(cand_f, vec![Vpn(700)], "stale-set candidate not probed");
-        assert_eq!(cand_h, cand_f, "candidate probes diverged");
-        assert_eq!(fp, flat_fp);
-        assert_eq!(res, flat_res);
+        assert_eq!(cand, vec![Vpn(700)], "stale-set candidate not probed");
+        assert_eq!(fp, walk_fp);
+        assert_eq!(res, walk_res);
     }
 
     #[test]
@@ -1660,12 +1430,9 @@ mod tests {
         // Regression for the stale-CLEAR hazard: after a full scan leaves
         // every summary clear, a walk closure sets an A bit directly on the
         // PTE. The walk must re-tighten the summaries on its way out, or
-        // the next hierarchical scan would prune the now-hot subtree.
-        let mut pt = PageTable::new();
-        for v in 0..1024u64 {
-            pt.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
-        pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |_, pte| {
+        // the next scan would prune the now-hot subtree.
+        let mut pt = dense_table(1024);
+        pt.scan_accessed_bounded(Vpn(0), u64::MAX, |_, pte| {
             pte.test_and_clear_accessed();
         });
         pt.walk_present(|vpn, pte| {
@@ -1674,18 +1441,18 @@ mod tests {
             }
         });
         let mut hits = Vec::new();
-        pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
+        pt.scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
             if pte.test_and_clear_accessed() {
                 hits.push(vpn);
             }
         });
-        assert_eq!(hits, vec![Vpn(777)], "hier scan missed a walk-set A bit");
+        assert_eq!(hits, vec![Vpn(777)], "scan missed a walk-set A bit");
     }
 
     #[test]
-    fn hier_scan_matches_flat_after_map_unmap_huge_churn() {
+    fn scan_matches_walk_after_map_unmap_huge_churn() {
         // Aggregates must survive huge conflicts, unmaps, and remaps: the
-        // unbounded hierarchical footprint equals walk_present's.
+        // unbounded scan footprint equals walk_present's.
         let build = || {
             let mut pt = mixed_shape_table();
             let mut huge = Pte::new(Pfn(1 << 15), true);
@@ -1700,35 +1467,28 @@ mod tests {
             }
             pt
         };
-        let mut flat = build();
-        let mut hier = build();
-        let flat_fp = flat.walk_present(|_, _| {});
-        let (hier_fp, res) = hier.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {});
-        assert_eq!(hier_fp, flat_fp, "aggregates drifted from the real tree");
+        let mut walked = build();
+        let mut scanned = build();
+        let walk_fp = walked.walk_present(|_, _| {});
+        let (scan_fp, res) = scanned.scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {});
+        assert_eq!(scan_fp, walk_fp, "aggregates drifted from the real tree");
         assert_eq!(res, None);
-        assert_eq!(flat.mapped_pages(), hier.mapped_pages());
+        assert_eq!(walked.mapped_pages(), scanned.mapped_pages());
     }
 
     #[test]
-    fn hier_scan_budget_lands_inside_cold_subtree() {
-        // When the budget runs out inside a cold subtree the flat cursor
-        // stops there, so the hierarchical scan must descend (the skip
-        // test fails) and leave the identical mid-subtree cursor.
-        let mut pt = PageTable::new();
-        for v in 0..2048u64 {
-            pt.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
-        pt.hier_scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {}); // tighten
-        let mut flat = PageTable::new();
-        for v in 0..2048u64 {
-            flat.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
-        flat.scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {});
+    fn scan_budget_lands_inside_cold_subtree() {
+        // When the budget runs out inside a cold subtree the walk's cursor
+        // stops there, so the scan must descend (the skip test fails) and
+        // leave the identical mid-subtree cursor.
+        let mut pt = dense_table(2048);
+        pt.scan_accessed_bounded(Vpn(0), u64::MAX, |_, _| {}); // tighten
+        let mut walked = dense_table(2048);
         for budget in [1u64, 100, 511, 512, 513, 1000] {
-            let (fp_f, res_f) = flat.scan_accessed_bounded(Vpn(0), budget, |_, _| {});
-            let (fp_h, res_h) = pt.hier_scan_accessed_bounded(Vpn(0), budget, |_, _| {});
-            assert_eq!(fp_f, fp_h, "budget {budget}");
-            assert_eq!(res_f, res_h, "budget {budget}");
+            let (fp_w, res_w) = walked.walk_present_bounded(Vpn(0), budget, |_, _| {});
+            let (fp_s, res_s) = pt.scan_accessed_bounded(Vpn(0), budget, |_, _| {});
+            assert_eq!(fp_w, fp_s, "budget {budget}");
+            assert_eq!(res_w, res_s, "budget {budget}");
         }
     }
 
@@ -1737,10 +1497,7 @@ mod tests {
         // 4096 mapped pages, only one accessed: the packed scan still
         // charges the full footprint (the cost model is unchanged) while
         // visiting just the one candidate.
-        let mut pt = PageTable::new();
-        for v in 0..4096u64 {
-            pt.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
+        let mut pt = dense_table(4096);
         pt.entry_mut(Vpn(2049)).unwrap().set(crate::pte::bits::A);
         let mut hits = Vec::new();
         let (fp, resume) = pt.scan_accessed_bounded(Vpn(0), u64::MAX, |vpn, pte| {
@@ -1752,54 +1509,6 @@ mod tests {
         assert_eq!(fp.ptes_visited, 4096);
         assert_eq!(fp.leaf_tables, 8);
         assert_eq!(resume, None);
-    }
-
-    #[test]
-    fn scan_dirty_bounded_finds_dirty_pages() {
-        let mut pt = PageTable::new();
-        for v in 0..128u64 {
-            pt.map(Vpn(v), Pte::new(Pfn(v), true));
-        }
-        pt.entry_mut(Vpn(7)).unwrap().set(crate::pte::bits::D);
-        pt.entry_mut(Vpn(64)).unwrap().set(crate::pte::bits::D);
-        let mut dirty = Vec::new();
-        let (fp, _) = pt.scan_dirty_bounded(Vpn(0), u64::MAX, |vpn, pte| {
-            if pte.test_and_clear_dirty() {
-                dirty.push(vpn);
-            }
-        });
-        assert_eq!(dirty, vec![Vpn(7), Vpn(64)]);
-        assert_eq!(fp.ptes_visited, 128);
-        // Bits cleared: a second scan sees nothing.
-        let (_, _) = pt.scan_dirty_bounded(Vpn(0), u64::MAX, |_, _| panic!("dirty bit left set"));
-    }
-
-    #[test]
-    fn hier_scan_dirty_matches_flat() {
-        let build = || {
-            let mut pt = mixed_shape_table();
-            pt.entry_mut(Vpn(7 * 2)).unwrap().set(crate::pte::bits::D);
-            pt.entry_mut(Vpn(650 * 2)).unwrap().set(crate::pte::bits::D);
-            pt
-        };
-        let (mut flat, mut hier) = (build(), build());
-        for budget in [5u64, u64::MAX] {
-            let mut d_f = Vec::new();
-            let (fp_f, res_f) = flat.scan_dirty_bounded(Vpn(0), budget, |vpn, pte| {
-                if pte.test_and_clear_dirty() {
-                    d_f.push(vpn);
-                }
-            });
-            let mut d_h = Vec::new();
-            let (fp_h, res_h) = hier.hier_scan_dirty_bounded(Vpn(0), budget, |vpn, pte| {
-                if pte.test_and_clear_dirty() {
-                    d_h.push(vpn);
-                }
-            });
-            assert_eq!(d_f, d_h, "budget {budget}");
-            assert_eq!(fp_f, fp_h, "budget {budget}");
-            assert_eq!(res_f, res_h, "budget {budget}");
-        }
     }
 
     #[test]

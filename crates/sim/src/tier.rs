@@ -196,6 +196,27 @@ impl std::fmt::Display for FrameOutOfRange {
 
 impl std::error::Error for FrameOutOfRange {}
 
+/// A `TMPROF_TOPOLOGY` value that names no tier layout: an unknown tier
+/// name, or more than [`MAX_ENV_TIERS`] names.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TopologyError {
+    /// The rejected value.
+    pub value: String,
+}
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{TOPOLOGY_ENV}={:?} is not a tier layout: expected 1..={MAX_ENV_TIERS} \
+             comma-separated tier names from {{dram, cxl, nvm}}, fastest first",
+            self.value
+        )
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
 impl MemTopology {
     /// Build the paper's two-tier layout from per-tier specs. Either tier
     /// may be empty (a zero-capacity tier owns no frames).
@@ -239,29 +260,37 @@ impl MemTopology {
 
     /// The scaled experiment layout, honoring the `TMPROF_TOPOLOGY` knob.
     ///
-    /// Unset (or unparsable, or more than [`MAX_ENV_TIERS`] names) gives
-    /// exactly [`MemTopology::with_frames`] — the default two-tier layout
-    /// every committed experiment runs under. A named layout keeps the same
-    /// total capacity and the same fast-tier size: the fastest tier gets
-    /// `t1_frames`, and `t2_frames` is split evenly across the slower tiers
-    /// (remainder to the slowest). A single-tier layout gets everything.
+    /// Unset gives exactly [`MemTopology::with_frames`] — the default
+    /// two-tier layout every committed experiment runs under. A set value
+    /// is parsed by [`MemTopology::scaled_named`]; one that names no
+    /// layout panics with its [`TopologyError`] rather than silently
+    /// running the default machine.
     pub fn scaled_from_env(t1_frames: u64, t2_frames: u64) -> Self {
         // tmprof-lint: allow(knob-flow) — sim reads the topology directly to avoid a dependency cycle with core's registry; the name is pinned by the knob-registry sync test
-        std::env::var(TOPOLOGY_ENV)
-            .ok()
-            .and_then(|names| Self::scaled_named(&names, t1_frames, t2_frames))
-            .unwrap_or_else(|| Self::with_frames(t1_frames, t2_frames))
+        match std::env::var(TOPOLOGY_ENV) {
+            Ok(names) => {
+                Self::scaled_named(&names, t1_frames, t2_frames).unwrap_or_else(|e| panic!("{e}"))
+            }
+            Err(_) => Self::with_frames(t1_frames, t2_frames),
+        }
     }
 
-    /// The layout `scaled_from_env` builds for a given knob value: the
-    /// fastest named tier gets `t1_frames`, the slower tiers split
-    /// `t2_frames` evenly (remainder to the slowest); a single-tier layout
-    /// gets everything. `None` on an unknown name or more than
-    /// [`MAX_ENV_TIERS`] tiers.
-    pub fn scaled_named(names: &str, t1_frames: u64, t2_frames: u64) -> Option<Self> {
+    /// The layout `scaled_from_env` builds for a given knob value. It keeps
+    /// the default's total capacity and fast-tier size: the fastest named
+    /// tier gets `t1_frames`, the slower tiers split `t2_frames` evenly
+    /// (remainder to the slowest); a single-tier layout gets everything.
+    /// Fails on an unknown name or more than [`MAX_ENV_TIERS`] tiers.
+    pub fn scaled_named(
+        names: &str,
+        t1_frames: u64,
+        t2_frames: u64,
+    ) -> Result<Self, TopologyError> {
+        let invalid = || TopologyError {
+            value: names.to_string(),
+        };
         let n = names.split(',').count();
         if n > MAX_ENV_TIERS {
-            return None;
+            return Err(invalid());
         }
         let mut frames = Vec::with_capacity(n);
         if n == 1 {
@@ -278,7 +307,7 @@ impl MemTopology {
                 });
             }
         }
-        Self::from_names(names, &frames)
+        Self::from_names(names, &frames).ok_or_else(invalid)
     }
 
     /// Number of tiers (including zero-capacity ones).
@@ -518,9 +547,16 @@ mod tests {
         assert_eq!(one.total_frames(), 320);
         let two = MemTopology::scaled_named("dram,nvm", 10, 20).unwrap();
         assert_eq!(two.spec(Tier::Tier2).frames, 20);
-        // Rejections: unknown names, too many tiers.
-        assert!(MemTopology::scaled_named("dram,foo", 1, 2).is_none());
-        assert!(MemTopology::scaled_named("dram,cxl,cxl,nvm,nvm", 8, 8).is_none());
+        // Rejections (unknown names, too many tiers, empty) name the
+        // knob, the value and the accepted names.
+        for bad in ["dram,foo", "dram,cxl,cxl,nvm,nvm", ""] {
+            let msg = MemTopology::scaled_named(bad, 8, 8)
+                .expect_err(bad)
+                .to_string();
+            assert!(msg.contains(TOPOLOGY_ENV), "{msg}");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+            assert!(msg.contains("{dram, cxl, nvm}"), "{msg}");
+        }
     }
 
     #[test]
