@@ -1,26 +1,25 @@
-//! Fleet-scale sweep: tenant count × worker count over the work-stealing
-//! epoch scheduler.
+//! Fleet-scale sweep: tenant count × worker count over the worker pool.
 //!
 //! Each cell builds a churning tenant population
-//! (`tmprof_workloads::fleet::FleetScenario`) and drives every tenant's
-//! epoch pipeline through `FleetRunner` at a given worker count. Two
-//! numbers come out of every cell:
+//! (`tmprof_workloads::fleet::FleetScenario`) and runs every tenant's
+//! epoch chain through `FleetRunner` at a given worker count, one pool
+//! item per tenant shard. Two numbers come out of every cell:
 //!
 //! * the criterion wall-clock timing of the whole fleet run (setup —
 //!   spawning tenant machines and streams — is untimed via
 //!   `iter_batched`), and
 //! * an untimed report of the schedule's *simulated-cycle* accounting:
-//!   total unit cost, per-epoch critical path (makespan), and the
-//!   resulting schedule speedup (`total / makespan`). The simulator's
-//!   currency is modeled cycles, so the headline scan+migration
-//!   throughput claim is measured there — on a single-core bench host
-//!   the wall-clock columns measure scheduler *overhead*, not
-//!   parallelism, and say so honestly.
+//!   total unit cost, per-epoch critical path (makespan: chain costs
+//!   assigned in shard order to the least-loaded worker), and the
+//!   resulting schedule speedup (`total / makespan`). Both depend only
+//!   on the simulated work, so they repeat exactly from run to run; the
+//!   wall-clock columns show what the host's cores actually deliver
+//!   (on a single-core host, pool overhead rather than parallelism).
 //!
 //! Setup also asserts the determinism contract, untimed: a 4-worker fleet
-//! must be decision-identical to the serial reference (same migrations,
-//! rankings, gate flips, admission rejections) with identical total unit
-//! cost, on the same churn population the timed cells use.
+//! must be decision-identical to one worker (same migrations, rankings,
+//! gate flips, admission rejections) with identical total unit cost, on
+//! the same churn population the timed cells use.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -31,8 +30,8 @@ use tmprof_workloads::fleet::FleetScenario;
 const EPOCHS: u32 = 2;
 /// Churn-population seed shared by every cell.
 const SEED: u64 = 0xF1EE7;
-/// Scan-unit carve budget: small tenants split into a few stealable
-/// pieces, so the pool has finer-grained units than one-per-pid.
+/// Scan-unit carve budget: each pid's A-bit walk splits into resumable
+/// pieces of at most this many PTEs.
 const SCAN_UNIT_PTES: u64 = 256;
 
 /// The sweep: tenant count × per-tenant ops per active epoch. Ops shrink
@@ -41,7 +40,7 @@ const SCAN_UNIT_PTES: u64 = 256;
 /// cross-worker comparison needs.
 const CELLS: &[(usize, u64)] = &[(10, 20_000), (100, 5_000), (1_000, 1_000), (10_000, 500)];
 
-/// Worker counts swept per cell (1 = the serial reference schedule).
+/// Worker counts swept per cell (1 = every shard on the calling thread).
 const WORKERS: &[usize] = &[1, 2, 4, 8];
 
 fn build(n: usize, ops: u64, workers: usize) -> FleetRunner {
@@ -63,15 +62,14 @@ fn build(n: usize, ops: u64, workers: usize) -> FleetRunner {
 }
 
 fn bench_fleet_grid(c: &mut Criterion) {
-    // Determinism contract (untimed): the work-stealing schedule decides
-    // exactly what the serial reference decides, at the bench's own
-    // population and carve budget.
+    // Determinism contract (untimed): four workers decide exactly what
+    // one worker decides, at the bench's own population and carve budget.
     let serial = build(64, 3_000, 1).run();
     let par = build(64, 3_000, 4).run();
     assert_eq!(
         serial.decisions(),
         par.decisions(),
-        "4-worker fleet diverged from the serial reference"
+        "4-worker fleet diverged from the 1-worker fleet"
     );
     assert_eq!(
         serial.total_cost(),
@@ -90,9 +88,8 @@ fn bench_fleet_grid(c: &mut Criterion) {
             // cell — the throughput numbers EXPERIMENTS.md reports.
             let report = build(n, ops, w).run();
             println!(
-                "fleet_grid {n}x{w}w: units={} stolen={} moved={} total_cycles={} makespan={} sched_speedup={:.2}",
+                "fleet_grid {n}x{w}w: units={} moved={} total_cycles={} makespan={} sched_speedup={:.2}",
                 report.units_executed(),
-                report.units_stolen(),
                 report.pages_moved(),
                 report.total_cost(),
                 report.makespan(),

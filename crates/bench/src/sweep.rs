@@ -4,13 +4,14 @@
 //! cells. This module centralizes the fan-out that used to be hand-rolled
 //! per binary:
 //!
-//! * a fixed pool of worker threads pulls cells off a shared queue
-//!   (bounded by [`Sweep::workers`] or the `TMPROF_SWEEP_WORKERS`
+//! * cells run on [`tmprof_core::pool`], whose worker threads claim cells
+//!   one at a time (bounded by [`Sweep::workers`] or the `TMPROF_WORKERS`
 //!   environment variable, defaulting to the machine's parallelism);
 //! * each cell is timed individually;
 //! * a panicking cell is captured as a [`CellFailure`] instead of tearing
-//!   down the whole sweep — every other cell still completes and the
-//!   binary decides how to react.
+//!   down the whole sweep — every other cell still completes, and
+//!   [`SweepResults::log_summary`] then fails the binary naming every
+//!   failed cell.
 //!
 //! Results come back in deterministic row-major grid order (workload-major,
 //! then parameter), independent of which worker finished first.
@@ -28,19 +29,10 @@
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use tmprof_core::pool;
 use tmprof_obs::metrics::Snapshot;
-
-/// One grid cell's pending outcome: wall-clock, the cell's thread-local
-/// metric delta, and its result or the captured panic message.
-type CellSlot<T> = Mutex<Option<(Duration, Snapshot, Result<T, String>)>>;
-
-/// Environment variable overriding the worker-thread count (registered as
-/// [`tmprof_core::knobs::SWEEP_WORKERS`]).
-pub const WORKERS_ENV: &str = tmprof_core::knobs::SWEEP_WORKERS.name;
 
 /// A grid of (workload × parameter) experiment cells.
 pub struct Sweep<W, P> {
@@ -66,22 +58,10 @@ impl<W, P> Sweep<W, P> {
         }
     }
 
-    /// Cap the worker pool (overrides `TMPROF_SWEEP_WORKERS`).
+    /// Cap the worker pool (overrides `TMPROF_WORKERS`).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
-    }
-
-    fn resolve_workers(&self, cells: usize) -> usize {
-        let configured = self.workers.or_else(|| {
-            tmprof_core::knobs::SWEEP_WORKERS
-                .get_u64()
-                .map(|n| n as usize)
-        });
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        configured.unwrap_or(hw).min(cells).max(1)
     }
 }
 
@@ -96,53 +76,40 @@ where
         T: Send,
         F: Fn(&W, &P) -> T + Sync,
     {
-        let n = self.workloads.len() * self.params.len();
-        let workers = self.resolve_workers(n);
+        let mut points: Vec<(&W, &P)> = self
+            .workloads
+            .iter()
+            .flat_map(|w| self.params.iter().map(move |p| (w, p)))
+            .collect();
+        let workers = self
+            .workers
+            .unwrap_or_else(pool::workers)
+            .min(points.len())
+            .max(1);
         // tmprof-lint: allow(determinism-taint) — harness wall time feeds only the elapsed-seconds progress line; simulated results are cycle-counted, not timed
         let started = Instant::now();
 
-        let slots: Vec<CellSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let w = &self.workloads[i / self.params.len()];
-                    let p = &self.params[i % self.params.len()];
-                    // tmprof-lint: allow(determinism-taint) — harness wall time feeds only the elapsed-seconds progress line; simulated results are cycle-counted, not timed
-                    let cell_start = Instant::now();
-                    // Metrics are thread-local, so bracketing the cell on
-                    // the worker thread yields this cell's own delta even
-                    // though the thread runs many cells back to back.
-                    let before = Snapshot::take();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| cell(w, p)))
-                        .map_err(|payload| panic_message(payload.as_ref()));
-                    let metrics = Snapshot::take().delta_since(&before);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some((cell_start.elapsed(), metrics, outcome));
-                });
-            }
+        let outcomes = pool::run(&mut points, workers, |_, &mut (w, p)| {
+            // tmprof-lint: allow(determinism-taint) — harness wall time feeds only the elapsed-seconds progress line; simulated results are cycle-counted, not timed
+            let cell_start = Instant::now();
+            // Metrics are thread-local, so bracketing the cell on the
+            // worker thread yields this cell's own delta even though the
+            // thread runs many cells back to back.
+            let before = Snapshot::take();
+            let outcome = catch_unwind(AssertUnwindSafe(|| cell(w, p)))
+                .map_err(|payload| panic_message(payload.as_ref()));
+            let metrics = Snapshot::take().delta_since(&before);
+            (cell_start.elapsed(), metrics, outcome)
         });
-
-        let cells = slots
+        let cells = points
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let (elapsed, metrics, outcome) = slot
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every queued cell ran");
-                SweepCell {
-                    workload: self.workloads[i / self.params.len()].clone(),
-                    param: self.params[i % self.params.len()].clone(),
-                    elapsed,
-                    metrics,
-                    outcome,
-                }
+            .zip(outcomes)
+            .map(|((w, p), (elapsed, metrics, outcome))| SweepCell {
+                workload: w.clone(),
+                param: p.clone(),
+                elapsed,
+                metrics,
+                outcome,
             })
             .collect();
 
@@ -305,6 +272,12 @@ where
     }
 
     /// Print a one-line timing summary (plus any failures) to stderr.
+    ///
+    /// # Panics
+    ///
+    /// After printing every failure, panics with a message naming the
+    /// failed cells. The binaries call this before their first CSV write,
+    /// so a failed cell writes no partial CSV and exits non-zero.
     pub fn log_summary(&self, name: &str) {
         let slowest = self.cells.iter().max_by_key(|c| c.elapsed);
         let slowest = slowest
@@ -324,7 +297,8 @@ where
             self.wall_time.as_secs_f64(),
             slowest
         );
-        for failure in self.failures() {
+        let failures = self.failures();
+        for failure in &failures {
             eprintln!(
                 "[sweep {name}] FAILED cell {} after {:.2}s: {}",
                 failure.label,
@@ -337,6 +311,15 @@ where
                 Ok(path) => eprintln!("[sweep {name}] metrics sidecar: {}", path.display()),
                 Err(e) => eprintln!("[sweep {name}] metrics sidecar write failed: {e}"),
             }
+        }
+        if !failures.is_empty() {
+            let labels: Vec<&str> = failures.iter().map(|f| f.label.as_str()).collect();
+            panic!(
+                "[sweep {name}] {} of {} cells failed: {}",
+                failures.len(),
+                self.cells.len(),
+                labels.join(", ")
+            );
         }
     }
 }
@@ -355,7 +338,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn grid_covers_every_cell_in_row_major_order() {
@@ -395,6 +378,23 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| results.value_for(&7))).unwrap_err();
         let msg = panic_message(&*err);
         assert!(msg.contains("injected failure"), "{msg}");
+    }
+
+    #[test]
+    fn log_summary_panics_naming_every_failed_cell() {
+        let results = Sweep::grid(vec![1u32, 2], vec![10u32, 20]).run(|&w, &p| {
+            if p == 20 {
+                panic!("injected failure (expected in test output)");
+            }
+            w * p
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| results.log_summary("unit"))).unwrap_err();
+        let msg = panic_message(&*err);
+        assert!(msg.contains("2 of 4 cells failed"), "{msg}");
+        assert!(msg.contains("1/20") && msg.contains("2/20"), "{msg}");
+        assert!(!msg.contains("1/10"), "{msg}");
+        let ok = Sweep::over(vec![1u32]).run(|&w, _| w);
+        ok.log_summary("unit");
     }
 
     #[test]

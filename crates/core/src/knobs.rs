@@ -17,7 +17,10 @@
 pub struct Knob {
     /// Environment variable name (`TMPROF_*`).
     pub name: &'static str,
-    /// Value used when the variable is unset or invalid.
+    /// Value used when the variable is unset. Most knobs also fall back
+    /// to it on an invalid value; `TMPROF_WORKERS` and `TMPROF_TOPOLOGY`
+    /// reject one with an error naming the knob, the value and
+    /// [`Knob::accepts`].
     pub default: &'static str,
     /// Human-readable description of accepted values.
     pub accepts: &'static str,
@@ -49,13 +52,17 @@ pub const SCALE: Knob = Knob {
            multiplier, and sampling periods for the bench binaries.",
 };
 
-/// Worker-thread cap for the parallel sweep engine.
-pub const SWEEP_WORKERS: Knob = Knob {
-    name: "TMPROF_SWEEP_WORKERS",
+/// Worker-thread count for every `tmprof_core::pool` caller that does
+/// not pin one.
+pub const WORKERS: Knob = Knob {
+    name: "TMPROF_WORKERS",
     default: "available parallelism",
     accepts: "positive integer",
-    help: "Worker threads for experiment sweeps; 1 forces serial cells \
-           for debugging.",
+    help: "Worker threads for the experiment sweeps and the Fig. 6 hitrate \
+           replay grid (tmprof_core::pool); 1 runs everything on the \
+           calling thread, for debugging. Any value other than a positive \
+           integer is an error. The fleet runner takes its worker count \
+           from FleetConfig instead.",
 };
 
 /// Scheduling-quantum override for the simulator's batched runner.
@@ -86,16 +93,6 @@ pub const OBS_JOURNAL: Knob = Knob {
            tmprof_obs::journal; see the layering note above).",
 };
 
-/// Worker-thread cap for the parallel hitrate replay grid.
-pub const REPLAY_WORKERS: Knob = Knob {
-    name: "TMPROF_REPLAY_WORKERS",
-    default: "available parallelism",
-    accepts: "positive integer",
-    help: "Worker threads for the Fig. 6 hitrate replay grid \
-           (tmprof_policy::hitrate::hitrate_grid); 1 forces serial \
-           evaluation for debugging.",
-};
-
 /// Physical memory layout: ordered comma-separated tier names.
 pub const TOPOLOGY: Knob = Knob {
     name: "TMPROF_TOPOLOGY",
@@ -117,19 +114,6 @@ pub const DEVSKETCH_K: Knob = Knob {
            (read in tmprof_profilers::devsketch; see the layering note \
            above). Larger K reports more of the slow-tier tail at the \
            cost of modeled device SRAM.",
-};
-
-/// Worker threads for the multi-tenant fleet scheduler.
-pub const FLEET_WORKERS: Knob = Knob {
-    name: "TMPROF_FLEET_WORKERS",
-    default: "1",
-    accepts: "positive integer (1 = serial reference schedule)",
-    help: "Worker threads for the work-stealing fleet scheduler \
-           (tmprof_core::sched): per-shard scan and migration work units \
-           run on per-worker Chase-Lev deques. 1 (the default) is the \
-           authoritative serial schedule; any higher count is \
-           decision-identical to it (the fleet identity suite enforces \
-           it), only wall-clock time changes.",
 };
 
 /// Per-tenant promotion quota for fleet admission control.
@@ -174,13 +158,11 @@ pub const OBS_DIR: Knob = Knob {
 /// Every registered knob, in display order.
 pub const ALL: &[Knob] = &[
     SCALE,
-    SWEEP_WORKERS,
-    REPLAY_WORKERS,
+    WORKERS,
     SIM_BATCH,
     GATE_DECAY,
     TOPOLOGY,
     DEVSKETCH_K,
-    FLEET_WORKERS,
     ADMIT_PROMO,
     ADMIT_DEMO,
     ADMIT_BURST,

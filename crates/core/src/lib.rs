@@ -12,6 +12,8 @@
 //!   single-source variants for the paper's piecemeal comparisons.
 //! * [`daemon`] — the user-space process filter (≥5% CPU or ≥10% memory).
 //! * [`knobs`] — the registry of every `TMPROF_*` environment knob.
+//! * [`pool`] — the one worker pool the sweep engine, the replay grid and
+//!   the fleet run on.
 //! * [`gating`] — the 20%-of-max LLC/TLB-miss activity gate.
 //! * [`report`] — detection statistics, CDFs, and the `numa_maps`-style
 //!   snapshot interface.
@@ -39,10 +41,10 @@
 pub mod daemon;
 pub mod gating;
 pub mod knobs;
+pub mod pool;
 pub mod profiler;
 pub mod rank;
 pub mod report;
-pub mod sched;
 
 pub use profiler::{Tmp, TmpConfig, TmpEpochReport};
 pub use rank::{EpochProfile, RankSource, RankedPage};

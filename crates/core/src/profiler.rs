@@ -160,9 +160,9 @@ impl Tmp {
     ///
     /// Expressed through the staged close —
     /// [`Tmp::begin_epoch_close`] / [`Tmp::scan_epoch_pid`] /
-    /// [`Tmp::finish_epoch_close`] — which the fleet scheduler carves into
-    /// stealable work units; running the stages back-to-back here *is* the
-    /// serial schedule, so the two paths are identical by construction.
+    /// [`Tmp::finish_epoch_close`] — which the fleet runner steps as work
+    /// units; running the stages back-to-back here is exactly what one
+    /// fleet shard does, so the two paths are identical by construction.
     pub fn end_epoch(&mut self, machine: &mut Machine) -> TmpEpochReport {
         // 1–2. Poll, filter, and walk every tracked page table in order.
         let pids = self.begin_epoch_close(machine);
@@ -191,7 +191,7 @@ impl Tmp {
     }
 
     /// Stage 2 variant with an explicit per-unit PTE budget, for carving
-    /// one pid's scan into several stealable units. Returns `true` while
+    /// one pid's scan into several resumable units. Returns `true` while
     /// the walk stopped mid-table (more units needed to spend the rest of
     /// the pid's epoch budget).
     pub fn scan_epoch_pid_unit(

@@ -111,22 +111,18 @@ metrics! {
     SchedAdmitRejected => "sched.admit_rejected",
         "migrations blocked by per-tenant admission-control token buckets";
     SchedUnitsExecuted => "sched.units_executed",
-        "work units (chain steps) executed by the fleet scheduler";
-    SchedUnitsStolen => "sched.units_stolen",
-        "work units a fleet worker stole from another worker's deque";
-    SchedQueueDepthPeak => "sched.queue_depth_peak",
-        "deepest per-worker deque observed during a fleet run (gauge)";
+        "fleet work units (Exec, Scan, Finish steps of a shard's epoch) executed";
 }
 
 impl Metric {
     /// Whether this metric is a point-in-time gauge (written with [`set`])
     /// rather than a monotonically accumulating counter. Gauges do not
-    /// commute across threads, so [`fold_delta`] skips them when a fleet
-    /// worker's cells are folded back into the coordinator's.
+    /// commute across threads, so [`fold_delta`] skips them when a pool
+    /// worker's cells are folded back into the caller's.
     pub fn is_gauge(self) -> bool {
         matches!(
             self,
-            Metric::SimDescChunksResident | Metric::DaemonTrackedPids | Metric::SchedQueueDepthPeak
+            Metric::SimDescChunksResident | Metric::DaemonTrackedPids
         )
     }
 }
@@ -139,11 +135,11 @@ thread_local! {
 
 /// Fold a worker thread's bracketed counter deltas into the calling
 /// thread's cells. Counters commute — the sum over workers equals what a
-/// serial run would have recorded on one thread — so the fleet scheduler
-/// brackets each worker with [`Snapshot::take`]/[`Snapshot::delta_since`]
-/// and the coordinator applies the deltas here in deterministic (worker
-/// index) order. Gauges are skipped: a worker's point-in-time value has no
-/// meaningful sum.
+/// serial run would have recorded on one thread — so the worker pool
+/// (`tmprof_core::pool`) brackets each worker with
+/// [`Snapshot::take`]/[`Snapshot::delta_since`] and the caller applies the
+/// deltas here in deterministic (worker index) order. Gauges are skipped:
+/// a worker's point-in-time value has no meaningful sum.
 pub fn fold_delta(delta: &Snapshot) {
     for (m, v) in delta.iter() {
         if v != 0 && !m.is_gauge() {
@@ -353,14 +349,14 @@ mod tests {
         // A "worker" delta carrying both a counter and a gauge value.
         let mut delta = Snapshot::default();
         delta.values[Metric::SchedUnitsExecuted as usize] = 5;
-        delta.values[Metric::SchedUnitsStolen as usize] = 2;
+        delta.values[Metric::SchedAdmitRejected as usize] = 2;
         delta.values[Metric::DaemonTrackedPids as usize] = 7;
         fold_delta(&delta);
         assert_eq!(get(Metric::SchedUnitsExecuted), 8, "counters sum");
-        assert_eq!(get(Metric::SchedUnitsStolen), 2);
+        assert_eq!(get(Metric::SchedAdmitRejected), 2);
         assert_eq!(get(Metric::DaemonTrackedPids), 9, "gauge untouched");
-        assert!(Metric::SchedQueueDepthPeak.is_gauge());
-        assert!(!Metric::SchedUnitsStolen.is_gauge());
+        assert!(Metric::DaemonTrackedPids.is_gauge());
+        assert!(!Metric::SchedAdmitRejected.is_gauge());
         reset();
     }
 

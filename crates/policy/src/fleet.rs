@@ -1,12 +1,11 @@
-//! The multi-tenant fleet pipeline: sharded epochs over work-stealing
-//! workers.
+//! The multi-tenant fleet pipeline: sharded epochs over the worker pool.
 //!
 //! A production node runs the TMP daemon for every tenant at once; this
 //! module models that fleet as independent *shards* — one tenant each,
 //! with its own [`Machine`], [`Tmp`] profiler, [`HistoryPolicy`],
-//! [`PageMover`], and per-tenant [`AdmissionControl`] — and drives all of
-//! their epoch pipelines through [`tmprof_core::sched::run_chains`]. Each
-//! fleet epoch, every shard contributes a chain of work units:
+//! [`PageMover`], and per-tenant [`AdmissionControl`] — and runs all of
+//! their epoch pipelines on [`tmprof_core::pool`], one pool item per
+//! shard. Each fleet epoch, a shard steps a chain of work units, in order:
 //!
 //! 1. **Exec** — run the tenant's quantum of ops (idle tenants contribute
 //!    an empty quantum) and open the epoch close (trace poll + process
@@ -18,22 +17,23 @@
 //! 3. **Finish** — close the epoch, hand the profile to the policy, and
 //!    apply the migration batch under admission control.
 //!
-//! Shards share no mutable state, so the scheduler's per-chain
-//! program-order guarantee makes any worker count *decision-identical* to
-//! the serial reference: same migrations, same rankings, same gate flips
-//! (the `fleet_identity` proptest pins this). The serial path
-//! (`workers == 1`) runs the very same units inline and is the
-//! authoritative reference schedule.
+//! This is the paper's TMP daemon sequence (trace drain → A-bit scan →
+//! rank → migrate), so a chain's units can never run in parallel with
+//! each other: the whole chain is the unit of parallelism. Shards share
+//! no mutable state, so any worker count is *decision-identical* to one
+//! worker: same migrations, same rankings, same gate flips (the
+//! `fleet_identity` proptest pins this).
 //!
-//! Observability follows the scheduler's contract: worker-side counters
-//! fold back into the coordinator, and admission rejections — which must
-//! be journaled, but never from a worker thread — are buffered per shard
-//! and recorded here after each fleet epoch, in shard order.
+//! Observability follows the pool's contract: worker-side counters fold
+//! back into the caller, and admission rejections — which must be
+//! journaled, but never from a worker thread — are buffered per shard and
+//! recorded here after each fleet epoch, in shard order.
 
+use tmprof_core::pool;
 use tmprof_core::profiler::{Tmp, TmpConfig};
 use tmprof_core::rank::RankSource;
-use tmprof_core::sched::{self, SchedStats, UnitOutcome};
 use tmprof_obs::journal::{self, EventKind};
+use tmprof_obs::metrics::{self, Metric};
 use tmprof_sim::machine::{Machine, MachineConfig};
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tier::Tier;
@@ -55,11 +55,11 @@ pub struct FleetConfig {
     pub ibs_period: u64,
     /// Fleet epochs to run.
     pub epochs: u32,
-    /// Worker threads; `0` resolves `TMPROF_FLEET_WORKERS` at run time,
-    /// `1` is the serial reference schedule.
+    /// Worker threads the shards run on (default 1: every shard on the
+    /// calling thread). Any count makes the same decisions.
     pub workers: usize,
-    /// Carve each pid's A-bit scan into stealable units of at most this
-    /// many PTEs; `None` keeps one unit per pid.
+    /// Carve each pid's A-bit scan into units of at most this many PTEs;
+    /// `None` keeps one unit per pid.
     pub scan_unit_pte_budget: Option<u64>,
     /// Per-tenant migration quotas (default unlimited).
     pub admission: AdmissionConfig,
@@ -72,7 +72,7 @@ impl Default for FleetConfig {
             tier2_frames: 1024,
             ibs_period: 64,
             epochs: 4,
-            workers: 0,
+            workers: 1,
             scan_unit_pte_budget: None,
             // The registered TMPROF_ADMIT_* knobs; unset means unlimited,
             // which never consults a bucket.
@@ -82,7 +82,7 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Pin the worker count (benches and identity tests bypass the knob).
+    /// Set the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -140,7 +140,7 @@ pub struct ShardEpoch {
 /// How many ranked keys each [`ShardEpoch::hottest`] witness keeps.
 const HOTTEST_WITNESS: usize = 8;
 
-/// One tenant's isolated pipeline state; a `run_chains` chain.
+/// One tenant's isolated pipeline state; one pool item.
 struct Shard {
     pid: Pid,
     machine: Machine,
@@ -152,60 +152,41 @@ struct Shard {
     ops: Vec<u64>,
     capacity: usize,
     scan_budget: Option<u64>,
-    phase: Phase,
     epoch_idx: u32,
     epochs: Vec<ShardEpoch>,
 }
 
-/// Where a shard is inside the current fleet epoch.
-enum Phase {
-    /// Next unit runs the quantum and opens the epoch close.
-    Exec,
-    /// Next unit scans `pids[next]` (possibly resuming mid-table).
-    Scan { pids: Vec<Pid>, next: usize },
-}
-
 impl Shard {
-    /// Advance one work unit. The outcome's cost is the unit's *simulated*
-    /// cycle charge — the shard machine's clock delta across the unit —
-    /// which is schedule-invariant by the determinism contract, so the
-    /// scheduler's per-worker busy totals and makespan are measured in the
-    /// simulator's own currency rather than host wall-clock.
-    fn step(&mut self) -> UnitOutcome {
+    /// Step this fleet epoch's whole chain — Exec, Scan…, Finish — and
+    /// return its work-unit count and its cost: the shard machine's
+    /// *simulated* cycle delta, which no schedule can change, so the
+    /// fleet's makespan is measured in the simulator's own currency
+    /// rather than host wall-clock.
+    fn run_chain(&mut self) -> ChainStats {
         let clock_before = self.machine.clock();
-        let more = match &mut self.phase {
-            Phase::Exec => {
-                let ops = self.ops.get(self.epoch_idx as usize).copied().unwrap_or(0);
-                if ops > 0 {
-                    Runner::new(vec![(self.pid, &mut *self.stream)]).run(&mut self.machine, ops);
-                }
-                let pids = self.tmp.begin_epoch_close(&mut self.machine);
-                self.phase = Phase::Scan { pids, next: 0 };
-                true
-            }
-            Phase::Scan { pids, next } if *next < pids.len() => {
-                let pid = pids[*next];
-                match self.scan_budget {
-                    Some(budget) => {
-                        if !self.tmp.scan_epoch_pid_unit(&mut self.machine, pid, budget) {
-                            *next += 1;
-                        }
+        let ops = self.ops.get(self.epoch_idx as usize).copied().unwrap_or(0);
+        if ops > 0 {
+            Runner::new(vec![(self.pid, &mut *self.stream)]).run(&mut self.machine, ops);
+        }
+        let pids = self.tmp.begin_epoch_close(&mut self.machine);
+        let mut units = 2; // Exec + Finish
+        for pid in pids {
+            match self.scan_budget {
+                Some(budget) => loop {
+                    units += 1;
+                    if !self.tmp.scan_epoch_pid_unit(&mut self.machine, pid, budget) {
+                        break;
                     }
-                    None => {
-                        self.tmp.scan_epoch_pid(&mut self.machine, pid);
-                        *next += 1;
-                    }
+                },
+                None => {
+                    units += 1;
+                    self.tmp.scan_epoch_pid(&mut self.machine, pid);
                 }
-                true
             }
-            Phase::Scan { .. } => {
-                self.finish_epoch();
-                self.phase = Phase::Exec;
-                false
-            }
-        };
-        UnitOutcome {
-            more,
+        }
+        self.finish_epoch();
+        ChainStats {
+            units,
             cost: self.machine.clock() - clock_before,
         }
     }
@@ -239,6 +220,48 @@ impl Shard {
     }
 }
 
+/// One shard chain's accounting for one fleet epoch.
+struct ChainStats {
+    units: u64,
+    cost: u64,
+}
+
+/// One fleet epoch's accounting.
+#[derive(Clone, Debug)]
+struct EpochStats {
+    /// Work units (Exec, Scan…, Finish) executed across every shard.
+    units_executed: u64,
+    /// Simulated cycles of every unit; the same at every worker count.
+    total_cost: u64,
+    /// The epoch's critical path in simulated cycles (see [`makespan`]).
+    makespan: u64,
+}
+
+impl EpochStats {
+    fn new(chains: &[ChainStats], workers: usize) -> Self {
+        Self {
+            units_executed: chains.iter().map(|c| c.units).sum(),
+            total_cost: chains.iter().map(|c| c.cost).sum(),
+            makespan: makespan(chains.iter().map(|c| c.cost), workers),
+        }
+    }
+}
+
+/// The critical path of running chains of these costs on `workers`
+/// threads: each cost, in order, is added to the least-loaded of `workers`
+/// bins, and the fullest bin is the makespan. That is how the pool's claim
+/// counter assigns shards when host time tracks simulated cycles, and it
+/// depends on nothing but its inputs.
+fn makespan(costs: impl Iterator<Item = u64>, workers: usize) -> u64 {
+    let mut bins = vec![0u64; workers.max(1)];
+    for cost in costs {
+        if let Some(bin) = bins.iter_mut().min() {
+            *bin += cost;
+        }
+    }
+    bins.into_iter().max().unwrap_or(0)
+}
+
 /// What a fleet run hands back.
 #[derive(Clone, Debug, Default)]
 pub struct FleetReport {
@@ -247,8 +270,8 @@ pub struct FleetReport {
     pub shards: Vec<Vec<ShardEpoch>>,
     /// Per-tenant mover attribution, summed over the whole run.
     pub per_pid_moves: Vec<(usize, Vec<(Pid, PidMoveStats)>)>,
-    /// Scheduler stats, one per fleet epoch.
-    pub sched: Vec<SchedStats>,
+    /// Schedule accounting, one per fleet epoch.
+    epoch_stats: Vec<EpochStats>,
 }
 
 impl FleetReport {
@@ -270,31 +293,31 @@ impl FleetReport {
             .sum()
     }
 
-    /// Total scheduler work units executed (scan + exec + finish).
+    /// Total work units executed (exec + scan + finish).
     pub fn units_executed(&self) -> u64 {
-        self.sched.iter().map(|s| s.units_executed).sum()
+        self.epoch_stats.iter().map(|s| s.units_executed).sum()
     }
 
-    /// Total units that moved between workers by theft.
+    /// Units that moved between workers by theft: always 0, because the
+    /// pool claims whole shard chains and never steals.
     pub fn units_stolen(&self) -> u64 {
-        self.sched.iter().map(|s| s.units_stolen).sum()
+        0
     }
 
     /// Total simulated cycles of all executed units, summed over the run.
     /// Schedule-invariant: identical at every worker count.
     pub fn total_cost(&self) -> u64 {
-        self.sched.iter().map(|s| s.total_cost()).sum()
+        self.epoch_stats.iter().map(|s| s.total_cost).sum()
     }
 
-    /// The run's schedule critical path in simulated cycles: fleet epochs
-    /// are barriers, so the whole-run makespan is the sum of each epoch's
-    /// busiest-worker total.
+    /// The run's critical path in simulated cycles: fleet epochs are
+    /// barriers, so the whole-run makespan is the sum of each epoch's.
     pub fn makespan(&self) -> u64 {
-        self.sched.iter().map(|s| s.makespan()).sum()
+        self.epoch_stats.iter().map(|s| s.makespan).sum()
     }
 
-    /// `total_cost / makespan`: the schedule's speedup over the serial
-    /// reference in simulated-cycle terms (1.0 for the serial schedule).
+    /// `total_cost / makespan`: the schedule's speedup over one worker in
+    /// simulated-cycle terms (1.0 at one worker).
     pub fn schedule_speedup(&self) -> f64 {
         let makespan = self.makespan();
         if makespan == 0 {
@@ -315,7 +338,7 @@ impl FleetReport {
 pub struct FleetRunner {
     cfg: FleetConfig,
     shards: Vec<Shard>,
-    sched: Vec<SchedStats>,
+    epoch_stats: Vec<EpochStats>,
 }
 
 impl FleetRunner {
@@ -348,7 +371,6 @@ impl FleetRunner {
                     ops: t.ops,
                     capacity,
                     scan_budget: cfg.scan_unit_pte_budget,
-                    phase: Phase::Exec,
                     epoch_idx: 0,
                     epochs: Vec::new(),
                 }
@@ -357,31 +379,21 @@ impl FleetRunner {
         Self {
             cfg,
             shards,
-            sched: Vec::new(),
+            epoch_stats: Vec::new(),
         }
     }
 
-    /// Worker count in force: the config's, or the knob's when unset.
-    pub fn workers(&self) -> usize {
-        if self.cfg.workers == 0 {
-            sched::workers_from_env()
-        } else {
-            self.cfg.workers
-        }
-    }
-
-    /// Run one fleet epoch: every shard's chain over the worker pool,
-    /// then journal the buffered admission rejections in shard order.
+    /// Run one fleet epoch: every shard's chain on the worker pool, then
+    /// journal the buffered admission rejections in shard order.
     pub fn run_epoch(&mut self) {
-        let workers = self.workers();
-        let shards = std::mem::take(&mut self.shards);
-        let (shards, stats) =
-            sched::run_chains_weighted(shards, |_, s: &mut Shard| s.step(), workers);
-        self.shards = shards;
-        self.sched.push(stats);
+        let workers = self.cfg.workers;
+        let chains = pool::run(&mut self.shards, workers, |_, shard| shard.run_chain());
+        let stats = EpochStats::new(&chains, workers);
+        metrics::add(Metric::SchedUnitsExecuted, stats.units_executed);
+        self.epoch_stats.push(stats);
 
         // Deferred journaling: the rejection *events* are recorded here on
-        // the coordinator thread, in shard order, stamped with each
+        // the calling thread, in shard order, stamped with each
         // shard's own deterministic clock — never from a worker.
         for shard in &self.shards {
             if let Some(ep) = shard.epochs.last() {
@@ -416,7 +428,7 @@ impl FleetRunner {
                 .map(|(i, s)| (i, s.mover.pid_totals()))
                 .collect(),
             shards: self.shards.into_iter().map(|s| s.epochs).collect(),
-            sched: self.sched,
+            epoch_stats: self.epoch_stats,
         }
     }
 }
@@ -486,7 +498,7 @@ mod tests {
             assert!(promoted > 0, "shard {i} never promoted its hot set");
         }
         assert!(report.units_executed() > 0);
-        assert_eq!(report.units_stolen(), 0, "serial schedule never steals");
+        assert_eq!(report.units_stolen(), 0, "the pool never steals");
     }
 
     #[test]
@@ -511,6 +523,32 @@ mod tests {
                 "a parallel schedule's critical path never exceeds serial"
             );
         }
+    }
+
+    #[test]
+    fn makespan_fills_the_least_loaded_bin_in_order() {
+        // One worker carries every chain; three split them greedily in
+        // order ([10,20,30] -> [50,70,90]); spare workers leave the
+        // longest chain as the critical path.
+        let costs = [10, 20, 30, 40, 50, 60];
+        assert_eq!(makespan(costs.into_iter(), 1), 210);
+        assert_eq!(makespan(costs.into_iter(), 3), 90);
+        assert_eq!(makespan(costs.into_iter(), 8), 60);
+        assert_eq!(makespan(costs.into_iter(), 0), 210, "0 workers runs inline");
+        assert_eq!(makespan(std::iter::empty(), 2), 0);
+    }
+
+    #[test]
+    fn makespan_is_reproducible_and_one_worker_makespan_is_the_total() {
+        let run = |workers| {
+            FleetRunner::new(FleetConfig::default().with_workers(workers), tenants(5, 3)).run()
+        };
+        let (a, b) = (run(2), run(2));
+        assert_eq!(a.makespan(), b.makespan(), "no race moves the makespan");
+        assert!(a.makespan() < a.total_cost());
+        let serial = run(1);
+        assert_eq!(serial.makespan(), serial.total_cost());
+        assert!((serial.schedule_speedup() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! Hitrate for an epoch = true memory accesses to tier-1-resident pages /
 //! all true memory accesses; the run-level number is access-weighted.
 
+use tmprof_core::pool;
 use tmprof_core::rank::{EpochProfile, RankSource};
 use tmprof_sim::keymap::{KeyMap, KeySet};
 
@@ -149,10 +150,6 @@ pub struct HitrateCell {
     pub hitrate: f64,
 }
 
-/// Environment variable overriding the replay worker-thread count
-/// (registered as [`tmprof_core::knobs::REPLAY_WORKERS`]).
-pub const WORKERS_ENV: &str = tmprof_core::knobs::REPLAY_WORKERS.name;
-
 /// Shared per-run rank cache: every grid cell at (epoch, source) consults
 /// the same top-K ordering, just truncated at a different capacity — Oracle
 /// and History are the same sets offset by one epoch. So rank each epoch's
@@ -266,7 +263,7 @@ fn grid_cells(
 /// capacity ratios (1/8 … 1/128 by default).
 ///
 /// Each epoch's profile is ranked once (see [`RankCache`]) and cells fan
-/// out over a worker pool sized by `TMPROF_REPLAY_WORKERS` (default:
+/// out over [`tmprof_core::pool`], sized by `TMPROF_WORKERS` (default:
 /// available parallelism). Output order and every float are identical to
 /// [`hitrate_grid_serial`], the seed reference implementation
 /// (property-tested in `tests/props.rs`).
@@ -274,8 +271,8 @@ pub fn hitrate_grid(log: &ReplayLog, ratio_denominators: &[u32]) -> Vec<HitrateC
     hitrate_grid_full(log, ratio_denominators, &RankSource::ALL, None)
 }
 
-/// [`hitrate_grid`] with an explicit worker cap (`None` defers to the
-/// `TMPROF_REPLAY_WORKERS` knob, then to available parallelism).
+/// [`hitrate_grid`] with an explicit worker count (`None` defers to
+/// [`tmprof_core::pool::workers`]).
 pub fn hitrate_grid_with_workers(
     log: &ReplayLog,
     ratio_denominators: &[u32],
@@ -303,52 +300,16 @@ fn hitrate_grid_full(
     workers: Option<usize>,
 ) -> Vec<HitrateCell> {
     let footprint = log.footprint_pages().max(1);
-    let cells = grid_cells(footprint, ratio_denominators, sources);
+    let mut cells = grid_cells(footprint, ratio_denominators, sources);
     let max_capacity = cells.iter().map(|c| c.4).max().unwrap_or(1);
     let cache = RankCache::build(log, sources, max_capacity);
 
-    let n = cells.len();
-    let configured = workers.or_else(|| {
-        tmprof_core::knobs::REPLAY_WORKERS
-            .get_u64()
-            .map(|w| w as usize)
-    });
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    let workers = configured.unwrap_or(hw).min(n).max(1);
-
-    let mut rates: Vec<f64> = vec![0.0; n];
-    if workers == 1 {
-        for (slot, &(policy, _, si, _, capacity)) in rates.iter_mut().zip(&cells) {
-            *slot = cache.hitrate(log, policy, si, capacity);
-        }
-    } else {
-        // Same pull-from-a-shared-queue pattern as `bench::sweep` (which
-        // lives above this crate, so the pool is replicated, not reused):
-        // deterministic result order comes from indexing slots by cell,
-        // not by completion.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let slots: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (policy, _, si, _, capacity) = cells[i];
-                    let h = cache.hitrate(log, policy, si, capacity);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = h;
-                });
-            }
-        });
-        for (slot, cell) in rates.iter_mut().zip(slots) {
-            *slot = cell.into_inner().unwrap_or_else(|e| e.into_inner());
-        }
-    }
+    let workers = workers.unwrap_or_else(pool::workers);
+    let rates = pool::run(
+        &mut cells,
+        workers,
+        |_, &mut (policy, _, si, _, capacity)| cache.hitrate(log, policy, si, capacity),
+    );
 
     cells
         .into_iter()

@@ -3,8 +3,8 @@
 //! reference schedule — same migrations, same rankings, same gate flips,
 //! same admission rejections.
 //!
-//! This is the contract that makes the work-stealing pool safe to enable
-//! in production: parallelism may only change *when* work units run, never
+//! This is the contract that makes the worker pool safe to enable in
+//! production: parallelism may only change *when* work units run, never
 //! what the daemon decides.
 
 use proptest::prelude::*;

@@ -188,7 +188,7 @@ impl ABitScanner {
     }
 
     /// Scan one process with an explicit per-unit PTE budget overriding
-    /// the configured one — the fleet scheduler's stealable scan unit.
+    /// the configured one — one scan unit of a fleet shard's epoch chain.
     /// Returns `true` when the walk stopped mid-table with budget spent
     /// (another unit is needed to keep covering the address space this
     /// interval); `false` once the walk reached the end and wrapped.

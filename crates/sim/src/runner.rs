@@ -40,7 +40,7 @@ pub const DEFAULT_BATCH: u64 = 4096;
 
 /// Environment variable overriding the scheduling quantum (in ops).
 /// Values that fail to parse as a positive integer fall back to
-/// [`DEFAULT_BATCH`], mirroring `TMPROF_SWEEP_WORKERS`. Note the quantum
+/// [`DEFAULT_BATCH`]. Note the quantum
 /// changes the multiplexing interleave (it is a *scheduling* knob, not just
 /// a performance one), so recorded experiment outputs assume the default.
 pub const BATCH_ENV: &str = "TMPROF_SIM_BATCH";
