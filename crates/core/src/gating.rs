@@ -46,9 +46,7 @@ impl Default for GatingConfig {
 
 impl GatingConfig {
     /// Defaults with the decay overridden by `TMPROF_GATE_DECAY` (integer
-    /// percent, 0–100) when set. Parsed here rather than via
-    /// [`crate::knobs::Knob::get_u64`] because 0 ("no history") is a
-    /// meaningful value for this knob.
+    /// percent, 0–100) when set; 0 ("no history") is a meaningful value.
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Some(pct) = crate::knobs::GATE_DECAY

@@ -18,9 +18,9 @@ pub struct Knob {
     /// Environment variable name (`TMPROF_*`).
     pub name: &'static str,
     /// Value used when the variable is unset. Most knobs also fall back
-    /// to it on an invalid value; `TMPROF_WORKERS` and `TMPROF_TOPOLOGY`
-    /// reject one with an error naming the knob, the value and
-    /// [`Knob::accepts`].
+    /// to it on an invalid value; `TMPROF_WORKERS`, `TMPROF_TOPOLOGY` and
+    /// the `TMPROF_ADMIT_*` knobs reject one with an error naming the
+    /// knob, the value and [`Knob::accepts`].
     pub default: &'static str,
     /// Human-readable description of accepted values.
     pub accepts: &'static str,
@@ -34,14 +34,39 @@ impl Knob {
         std::env::var(self.name).ok()
     }
 
-    /// Current value parsed as a positive integer; `None` when unset,
-    /// unparsable, or zero (every numeric knob treats 0 as "unset").
-    pub fn get_u64(&self) -> Option<u64> {
-        self.get()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
+    /// Parse `raw` (surrounding whitespace ignored) as a non-negative
+    /// integer value of this knob.
+    pub fn parse_u64(&self, raw: &str) -> Result<u64, InvalidKnob> {
+        raw.trim().parse::<u64>().map_err(|_| InvalidKnob {
+            name: self.name,
+            value: raw.to_string(),
+            accepts: self.accepts,
+        })
     }
 }
+
+/// A knob value outside what the knob accepts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InvalidKnob {
+    /// The knob's environment-variable name.
+    pub name: &'static str,
+    /// The rejected value.
+    pub value: String,
+    /// What the knob accepts ([`Knob::accepts`]).
+    pub accepts: &'static str,
+}
+
+impl std::fmt::Display for InvalidKnob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?} is invalid: expected a {}",
+            self.name, self.value, self.accepts
+        )
+    }
+}
+
+impl std::error::Error for InvalidKnob {}
 
 /// Experiment scale preset used by every `tmprof-bench` binary.
 pub const SCALE: Knob = Knob {
@@ -120,30 +145,33 @@ pub const DEVSKETCH_K: Knob = Knob {
 pub const ADMIT_PROMO: Knob = Knob {
     name: "TMPROF_ADMIT_PROMO",
     default: "unset (unlimited)",
-    accepts: "positive integer (pages per tenant per epoch)",
+    accepts: "non-negative integer (pages per tenant per epoch; 0 = unlimited)",
     help: "Token-bucket promotion quota per tenant per epoch in the fleet \
            runner; refills every epoch up to the burst cap. Unset or 0 \
-           disables admission control for promotions.",
+           disables admission control for promotions. A value that is \
+           not a non-negative integer is an error.",
 };
 
 /// Per-tenant demotion quota for fleet admission control.
 pub const ADMIT_DEMO: Knob = Knob {
     name: "TMPROF_ADMIT_DEMO",
     default: "unset (unlimited)",
-    accepts: "positive integer (pages per tenant per epoch)",
+    accepts: "non-negative integer (pages per tenant per epoch; 0 = unlimited)",
     help: "Token-bucket demotion quota per tenant per epoch in the fleet \
            runner; refills every epoch up to the burst cap. Unset or 0 \
-           disables admission control for demotions.",
+           disables admission control for demotions. A value that is \
+           not a non-negative integer is an error.",
 };
 
 /// Burst multiple for the fleet admission token buckets.
 pub const ADMIT_BURST: Knob = Knob {
     name: "TMPROF_ADMIT_BURST",
     default: "1",
-    accepts: "positive integer (multiple of the per-epoch refill)",
+    accepts: "non-negative integer (multiple of the per-epoch refill; 0 = 1)",
     help: "Cap of each admission token bucket as a multiple of its \
            per-epoch refill: an idle tenant banks up to burst * quota \
-           tokens and may spend them in one epoch.",
+           tokens and may spend them in one epoch. Unset or 0 means 1; \
+           a value that is not a non-negative integer is an error.",
 };
 
 /// Output directory for per-cell sweep metrics sidecars.
@@ -220,26 +248,5 @@ mod tests {
             DEVSKETCH_K.default,
             tmprof_profilers::devsketch::DEFAULT_K.to_string()
         );
-    }
-
-    #[test]
-    fn get_u64_rejects_zero_and_garbage() {
-        // Deliberately unprefixed so the knob-registry lint's name census
-        // (which keys on TMPROF_* literals) ignores this throwaway.
-        let k = Knob {
-            name: "KNOBTEST_UNSET_FOR_GET_U64",
-            default: "",
-            accepts: "",
-            help: "",
-        };
-        assert_eq!(k.get(), None);
-        assert_eq!(k.get_u64(), None);
-        std::env::set_var(k.name, "12");
-        assert_eq!(k.get_u64(), Some(12));
-        std::env::set_var(k.name, "0");
-        assert_eq!(k.get_u64(), None);
-        std::env::set_var(k.name, "garbage");
-        assert_eq!(k.get_u64(), None);
-        std::env::remove_var(k.name);
     }
 }

@@ -28,6 +28,7 @@
 //! control — which is what keeps all 28 committed default-scale CSVs
 //! byte-for-byte stable with the `TMPROF_ADMIT_*` knobs unset.
 
+use tmprof_core::knobs::{InvalidKnob, Knob, ADMIT_BURST, ADMIT_DEMO, ADMIT_PROMO};
 use tmprof_obs::metrics::Metric as ObsMetric;
 use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::tlb::Pid;
@@ -104,14 +105,40 @@ impl AdmissionConfig {
     }
 
     /// Quotas from the registered `TMPROF_ADMIT_PROMO` /
-    /// `TMPROF_ADMIT_DEMO` / `TMPROF_ADMIT_BURST` knobs; unset (or zero)
-    /// knobs mean unlimited in that direction.
+    /// `TMPROF_ADMIT_DEMO` / `TMPROF_ADMIT_BURST` knobs. An unset or zero
+    /// quota means unlimited in that direction; an unset or zero burst
+    /// means 1.
+    ///
+    /// # Panics
+    /// With an [`InvalidKnob`] naming the knob, the value and what it
+    /// accepts when a set knob is not a non-negative integer.
     pub fn from_env() -> Self {
-        Self {
-            promo_quota: tmprof_core::knobs::ADMIT_PROMO.get_u64(),
-            demo_quota: tmprof_core::knobs::ADMIT_DEMO.get_u64(),
-            burst: tmprof_core::knobs::ADMIT_BURST.get_u64().unwrap_or(1),
-        }
+        Self::from_knob_values(
+            ADMIT_PROMO.get().as_deref(),
+            ADMIT_DEMO.get().as_deref(),
+            ADMIT_BURST.get().as_deref(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`AdmissionConfig::from_env`] on the three knobs' raw values
+    /// (`None` = unset), returning the error instead of panicking.
+    fn from_knob_values(
+        promo: Option<&str>,
+        demo: Option<&str>,
+        burst: Option<&str>,
+    ) -> Result<Self, InvalidKnob> {
+        let nonzero = |knob: &Knob, raw: Option<&str>| -> Result<Option<u64>, InvalidKnob> {
+            Ok(raw
+                .map(|v| knob.parse_u64(v))
+                .transpose()?
+                .filter(|&n| n > 0))
+        };
+        Ok(Self {
+            promo_quota: nonzero(&ADMIT_PROMO, promo)?,
+            demo_quota: nonzero(&ADMIT_DEMO, demo)?,
+            burst: nonzero(&ADMIT_BURST, burst)?.unwrap_or(1),
+        })
     }
 
     /// Whether any bucket is configured at all.
@@ -264,6 +291,52 @@ mod tests {
         assert_eq!(adm.total_rejected(), 0);
         assert!(adm.take_rejections().is_empty());
         assert!(adm.config().is_unlimited());
+    }
+
+    #[test]
+    fn admission_knobs_parse_integers_and_reject_garbage() {
+        // Unset and zero keep their documented meanings.
+        assert_eq!(
+            AdmissionConfig::from_knob_values(None, None, None),
+            Ok(AdmissionConfig::unlimited())
+        );
+        assert_eq!(
+            AdmissionConfig::from_knob_values(Some("0"), Some("0"), Some("0")),
+            Ok(AdmissionConfig::unlimited())
+        );
+        assert_eq!(
+            AdmissionConfig::from_knob_values(Some("12"), Some(" 3 "), Some("2")),
+            Ok(AdmissionConfig {
+                promo_quota: Some(12),
+                demo_quota: Some(3),
+                burst: 2,
+            })
+        );
+        // Anything else names the knob, the value and what it accepts.
+        for bad in ["garbage", "abc", "", "-2", "1.5"] {
+            let cases = [
+                (
+                    ADMIT_PROMO,
+                    AdmissionConfig::from_knob_values(Some(bad), None, None),
+                ),
+                (
+                    ADMIT_DEMO,
+                    AdmissionConfig::from_knob_values(None, Some(bad), None),
+                ),
+                (
+                    ADMIT_BURST,
+                    AdmissionConfig::from_knob_values(None, None, Some(bad)),
+                ),
+            ];
+            for (knob, parsed) in cases {
+                let err = parsed.unwrap_err();
+                assert_eq!((err.name, err.value.as_str()), (knob.name, bad));
+                let msg = err.to_string();
+                assert!(msg.contains(knob.name), "{msg}");
+                assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+                assert!(msg.contains(knob.accepts), "{msg}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,9 @@ struct Line {
     dirty: bool,
 }
 
+/// Cache lines per 4 KiB page.
+const PAGE_LINES: u64 = crate::addr::PAGE_SIZE >> LINE_SHIFT;
+
 const INVALID_LINE: Line = Line {
     tag: 0,
     stamp: 0,
@@ -50,6 +53,7 @@ pub struct FillOutcome {
 /// Lines are tracked by *physical* line number, so page migration (which
 /// changes a page's physical address) naturally invalidates nothing but maps
 /// the page to cold lines — the same effect real migration has.
+#[derive(Clone)]
 pub struct Cache {
     name: &'static str,
     sets: usize,
@@ -182,17 +186,57 @@ impl Cache {
         None
     }
 
-    /// Drop every line of a physical page (used when a page migrates, so the
-    /// new physical location starts cold, like hardware after a copy).
-    pub fn invalidate_page_lines(&mut self, page_first_line: u64) {
-        for l in page_first_line..page_first_line + (crate::addr::PAGE_SIZE >> LINE_SHIFT) {
-            self.invalidate(l);
+    /// The slots that can hold a line of the page starting at
+    /// `page_first_line`. A page's lines are consecutive line numbers, so
+    /// with at least `PAGE_LINES` sets they fill `PAGE_LINES` contiguous
+    /// sets; with fewer sets they cover every set.
+    #[inline]
+    fn page_slots(&self, page_first_line: u64) -> std::ops::Range<usize> {
+        debug_assert_eq!(page_first_line % PAGE_LINES, 0, "not a page's first line");
+        if self.sets >= PAGE_LINES as usize {
+            let start = self.set_range(page_first_line).start;
+            start..start + PAGE_LINES as usize * self.ways
+        } else {
+            0..self.lines.len()
         }
+    }
+
+    /// Drop every line of a physical page (used when a page migrates off
+    /// the frame, so the frame is cold when it is reused, like hardware
+    /// after a copy).
+    ///
+    /// One pass over the page's sets, with the same effect as
+    /// [`Cache::invalidate`] on each of its lines: a line is filled only
+    /// after it missed, so it sits in at most one way, and clearing `valid`
+    /// on every slot whose tag falls in the page drops exactly those lines.
+    /// LRU stamps, dirty bits and counters are untouched; no writeback is
+    /// reported.
+    // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` lines, or the whole array
+    pub fn invalidate_page_lines(&mut self, page_first_line: u64) {
+        let range = self.page_slots(page_first_line);
+        for slot in &mut self.lines[range] {
+            slot.valid &= slot.tag.wrapping_sub(page_first_line) >= PAGE_LINES;
+        }
+    }
+
+    /// Number of valid lines of the page starting at `page_first_line`
+    /// (diagnostics).
+    // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` lines, or the whole array
+    pub(crate) fn page_lines_cached(&self, page_first_line: u64) -> usize {
+        self.lines[self.page_slots(page_first_line)]
+            .iter()
+            .filter(|l| l.valid && l.tag.wrapping_sub(page_first_line) < PAGE_LINES)
+            .count()
+    }
+
+    /// Physical line numbers of the valid lines (diagnostics).
+    pub(crate) fn valid_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lines.iter().filter(|l| l.valid).map(|l| l.tag)
     }
 
     /// Number of valid lines (diagnostics).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.valid_lines().count()
     }
 
     /// Reset hit/miss counters (per-epoch accounting).
@@ -278,6 +322,7 @@ impl PrivateCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn geometry_zen2() {
@@ -340,6 +385,120 @@ mod tests {
         assert_eq!(c.occupancy(), 64);
         c.invalidate_page_lines(3 * 64);
         assert_eq!(c.occupancy(), 0);
+    }
+
+    /// The per-line scrub [`Cache::invalidate_page_lines`] replaced, kept
+    /// as its oracle: one [`Cache::invalidate`] per line of the page.
+    fn invalidate_page_lines_per_line(c: &mut Cache, page_first_line: u64) {
+        for l in page_first_line..page_first_line + PAGE_LINES {
+            c.invalidate(l);
+        }
+    }
+
+    /// A slot's `(tag, valid, dirty, stamp)`.
+    type Slot = (u64, bool, bool, u64);
+
+    /// Every slot, plus clock and counters.
+    fn state(c: &Cache) -> (Vec<Slot>, u64, u64, u64) {
+        let slots = c
+            .lines
+            .iter()
+            .map(|l| (l.tag, l.valid, l.dirty, l.stamp))
+            .collect();
+        (slots, c.clock, c.hits, c.misses)
+    }
+
+    #[derive(Clone, Debug)]
+    enum CacheOp {
+        /// Probe, then fill on a miss when `fill` is set.
+        Access {
+            page: u64,
+            line: u64,
+            store: bool,
+            fill: bool,
+        },
+        WritebackTouch {
+            page: u64,
+            line: u64,
+        },
+        Scrub {
+            page: u64,
+        },
+    }
+
+    /// 48 pages in two groups of 24 that share their sets even in the
+    /// 2,048-set LLC (page numbers 32 apart). Most accesses go to a page's
+    /// first 4 lines, so up to 24 lines contend for each of those sets and
+    /// every geometry sees conflict evictions, dirty victims and stale
+    /// tags in invalid ways.
+    const TEST_PAGES: u64 = 48;
+
+    fn page_first_line(page: u64) -> u64 {
+        ((page % 2) + 32 * (page / 2)) * PAGE_LINES
+    }
+
+    fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+        prop::collection::vec(
+            prop_oneof![
+                12 => (0..TEST_PAGES, line(), any::<bool>(), prop_oneof![3 => Just(true), 1 => Just(false)])
+                    .prop_map(|(page, line, store, fill)| CacheOp::Access { page, line, store, fill }),
+                2 => (0..TEST_PAGES, line())
+                    .prop_map(|(page, line)| CacheOp::WritebackTouch { page, line }),
+                1 => (0..TEST_PAGES).prop_map(|page| CacheOp::Scrub { page }),
+            ],
+            1..1000,
+        )
+    }
+
+    fn line() -> impl Strategy<Value = u64> {
+        prop_oneof![3 => 0..4u64, 1 => 0..PAGE_LINES]
+    }
+
+    /// Scrub `page` from `c` with the sweep, checking on a copy that the
+    /// per-line oracle leaves every slot, the clock and the counters the
+    /// same, and that `page_lines_cached` counted what the oracle dropped.
+    fn scrub_and_check(c: &mut Cache, page: u64) {
+        let first = page_first_line(page);
+        let mut oracle = c.clone();
+        invalidate_page_lines_per_line(&mut oracle, first);
+        assert_eq!(
+            c.page_lines_cached(first),
+            c.occupancy() - oracle.occupancy()
+        );
+        c.invalidate_page_lines(first);
+        assert!(state(c) == state(&oracle), "scrub of page {page} diverged");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The one-pass scrub leaves every slot exactly as the per-line
+        /// loop does, on the L1 (8 sets), L2 (64 sets) and LLC (2,048
+        /// sets) of the `scaled_down(16)` machine.
+        #[test]
+        fn page_sweep_matches_per_line_invalidate(ops in cache_ops()) {
+            for (size, ways) in [(4u64 << 10, 8), (32 << 10, 8), (2 << 20, 16)] {
+                let mut c = Cache::new("t", size, ways);
+                for op in &ops {
+                    match *op {
+                        CacheOp::Access { page, line, store, fill } => {
+                            let l = page_first_line(page) + line;
+                            if !c.probe(l, store) && fill {
+                                c.fill(l, store);
+                            }
+                        }
+                        CacheOp::WritebackTouch { page, line } => {
+                            c.writeback_touch(page_first_line(page) + line);
+                        }
+                        CacheOp::Scrub { page } => scrub_and_check(&mut c, page),
+                    }
+                }
+                // From the final state, scrub each page on its own.
+                for page in 0..TEST_PAGES {
+                    scrub_and_check(&mut c.clone(), page);
+                }
+            }
+        }
     }
 
     #[test]

@@ -206,6 +206,12 @@ impl FrameAllocator {
         self.free[tier.index()].recycled.push(pfn);
     }
 
+    /// Whether `pfn` is on a free list: fresh or recycled (diagnostics;
+    /// linear in the recycled frames).
+    pub fn is_free(&self, pfn: Pfn) -> bool {
+        self.free.iter().any(|f| f.contains(pfn))
+    }
+
     /// Frames currently free in `tier`.
     pub fn free_in(&self, tier: Tier) -> u64 {
         self.free[tier.index()].len()
@@ -260,7 +266,13 @@ mod tests {
         assert_eq!(fa.free_in(Tier::Tier1), 0);
         fa.free(&l, t1);
         assert_eq!(fa.free_in(Tier::Tier1), 1);
+        assert!(fa.is_free(t1));
         assert_eq!(fa.alloc_in(Tier::Tier1).unwrap(), t1);
+        assert!(!fa.is_free(t1));
+        assert!(
+            fa.is_free(l.first_frame(Tier::Tier2)),
+            "fresh frames are free"
+        );
     }
 
     #[test]

@@ -647,21 +647,25 @@ impl Machine {
 
     /// Page-migration mechanics: move (`pid`, `vpn`) into `dest` tier.
     ///
-    /// Updates the PTE, moves descriptor state, scrubs stale cache lines
-    /// for both frames, invalidates the page's (now dangling) translations
-    /// on every core, and returns `(old_pfn, new_pfn)`. The invalidation
-    /// is a *correctness* action and is modelled free (the kernel's
-    /// migration entry + local flush); the cost of the batched IPI
-    /// broadcast — the paper's one-shootdown-per-epoch design (§IV step 2,
-    /// reason 1) — is charged by the page mover via [`Machine::shootdown`]
-    /// once per batch.
+    /// Updates the PTE, moves descriptor state, scrubs the vacated frame's
+    /// lines from every cache, invalidates the page's (now dangling)
+    /// translations on every core, frees the vacated frame, and returns
+    /// `(old_pfn, new_pfn)`. The scrub is one pass over the sets the
+    /// vacated frame maps to in each core's L1 and L2 and in the LLC; the
+    /// destination needs none, because a frame on a free list is cold
+    /// (it was never mapped, or this scrub emptied it before freeing it).
+    /// The invalidation is a *correctness* action and is modelled free
+    /// (the kernel's migration entry + local flush); the cost of the
+    /// batched IPI broadcast — the paper's one-shootdown-per-epoch design
+    /// (§IV step 2, reason 1) — is charged by the page mover via
+    /// [`Machine::shootdown`] once per batch.
     pub fn migrate_page(
         &mut self,
         pid: Pid,
         vpn: Vpn,
         dest: Tier,
     ) -> Result<(Pfn, Pfn), MigrateError> {
-        let layout = self.cfg.memory.clone();
+        let layout = &self.cfg.memory;
         let idx = *self.pid_index.get(&pid).ok_or(MigrateError::NotMapped)?;
         let proc = &mut self.processes[idx];
         let pte_ref = proc
@@ -679,22 +683,52 @@ impl Machine {
         let new_pfn = self.frames.alloc_in(dest).map_err(MigrateError::NoFrames)?;
         *pte_ref = pte_ref.with_pfn(new_pfn);
         self.descs.migrate(old_pfn, new_pfn);
-        // Scrub both physical locations from the hierarchy (the copy
-        // invalidates the old lines; the new location starts cold).
-        for frame in [old_pfn, new_pfn] {
-            let first_line = frame.base().line();
-            for core in &mut self.cores {
-                core.caches.scrub_page(first_line);
-            }
-            self.llc.invalidate_page_lines(first_line);
+        debug_assert_eq!(
+            self.cached_lines_of(new_pfn),
+            0,
+            "free frame {new_pfn:?} holds cached lines"
+        );
+        // The copy invalidates the old location's lines, so the frame goes
+        // back to its free list cold.
+        let first_line = old_pfn.base().line();
+        for core in &mut self.cores {
+            core.caches.scrub_page(first_line);
         }
+        self.llc.invalidate_page_lines(first_line);
         // Correctness: the old translation must die before the frame is
         // reused. This models the migration entry + flush the kernel
         // installs; the batched IPI *cost* is charged by the mover.
         self.shootdown_silent(pid, &[vpn]);
-        self.frames.free(&layout, old_pfn);
+        self.frames.free(&self.cfg.memory, old_pfn);
         tmprof_obs::metrics::inc(ObsMetric::SimMigrations);
         Ok((old_pfn, new_pfn))
+    }
+
+    /// Every core's L1 and L2, then the LLC.
+    fn caches(&self) -> impl Iterator<Item = &Cache> {
+        self.cores
+            .iter()
+            .flat_map(|c| [&c.caches.l1d, &c.caches.l2])
+            .chain(std::iter::once(&self.llc))
+    }
+
+    /// Valid lines of frame `pfn` in any cache (the free-frame assertion).
+    fn cached_lines_of(&self, pfn: Pfn) -> usize {
+        let first_line = pfn.base().line();
+        self.caches().map(|c| c.page_lines_cached(first_line)).sum()
+    }
+
+    /// Frames with at least one valid line in some core's L1 or L2 or in
+    /// the LLC, ascending (diagnostics: no frame on a free list may appear).
+    pub fn cached_frames(&self) -> Vec<Pfn> {
+        let mut frames: Vec<Pfn> = self
+            .caches()
+            .flat_map(Cache::valid_lines)
+            .map(|line| PhysAddr(line << crate::addr::LINE_SHIFT).pfn())
+            .collect();
+        frames.sort_unstable();
+        frames.dedup();
+        frames
     }
 
     /// Execute one op on `core` on behalf of `pid`.

@@ -107,6 +107,11 @@ proptest! {
             // most one line — so memory writebacks never exceed stores.
             prop_assert!(c.tier2_writebacks <= c.stores);
             prop_assert!(c.tier2_stores <= c.stores.min(c.tier2_accesses));
+            // Free frames are cold: no cache holds a line of a frame on a
+            // free list, so a migration's destination needs no scrub.
+            for pfn in m.cached_frames() {
+                prop_assert!(!m.frames().is_free(pfn), "free {:?} is cached", pfn);
+            }
         }
         // Frame accounting: allocated == mapped pages.
         let mapped = m.process(1).unwrap().page_table.mapped_pages();
