@@ -6,8 +6,10 @@
 //! knobs next to every reproduced number. Select a preset with the
 //! `TMPROF_SCALE` environment variable (`quick`, `default`, or `full`).
 
+use tmprof_core::knobs::{self, InvalidKnob, SCALE};
+
 /// One experiment scale.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scale {
     /// Simulated cores (the paper's testbed has 6).
     pub cores: usize,
@@ -73,14 +75,37 @@ impl Scale {
         }
     }
 
-    /// Resolve from the registered [`tmprof_core::knobs::SCALE`] knob
-    /// (default: [`Scale::default_scale`]).
-    pub fn from_env() -> Self {
-        match tmprof_core::knobs::SCALE.get().as_deref() {
-            Some("quick") => Self::quick(),
-            Some("full") => Self::full(),
-            _ => Self::default_scale(),
+    /// The preset a `TMPROF_SCALE` value names: unset or `default` is
+    /// [`Scale::default_scale`], `quick` and `full` their presets.
+    pub fn preset(name: Option<&str>) -> Result<Self, InvalidKnob> {
+        match name {
+            None | Some("default") => Ok(Self::default_scale()),
+            Some("quick") => Ok(Self::quick()),
+            Some("full") => Ok(Self::full()),
+            Some(other) => Err(InvalidKnob {
+                name: SCALE.name,
+                value: other.to_string(),
+                accepts: SCALE.accepts,
+            }),
         }
+    }
+
+    /// Check the environment and resolve the [`SCALE`] knob. Every sweep
+    /// binary and tmpctl's workload commands call this first.
+    ///
+    /// # Panics
+    /// Naming every `TMPROF_*` variable that is not a registered knob, or
+    /// with the [`InvalidKnob`] of a `TMPROF_SCALE` that names no preset.
+    pub fn from_env() -> Self {
+        let unknown = knobs::unregistered(
+            std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()),
+        );
+        assert!(
+            unknown.is_empty(),
+            "unknown knob(s) {}: `tmpctl knobs` lists the registered ones",
+            unknown.join(", ")
+        );
+        Self::preset(SCALE.get().as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Total ops per epoch across `n` processes.
@@ -104,9 +129,25 @@ mod tests {
     }
 
     #[test]
+    fn preset_names_the_knob_value_and_presets_on_anything_else() {
+        assert_eq!(Scale::preset(None), Ok(Scale::default_scale()));
+        assert_eq!(Scale::preset(Some("default")), Ok(Scale::default_scale()));
+        assert_eq!(Scale::preset(Some("quick")), Ok(Scale::quick()));
+        assert_eq!(Scale::preset(Some("full")), Ok(Scale::full()));
+        for bad in ["qiuck", "", "FULL"] {
+            let err = Scale::preset(Some(bad)).unwrap_err();
+            assert_eq!((err.name, err.value.as_str()), (SCALE.name, bad));
+            let msg = err.to_string();
+            assert!(msg.contains("TMPROF_SCALE"), "{msg}");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+            assert!(msg.contains(SCALE.accepts), "{msg}");
+        }
+    }
+
+    #[test]
     fn env_fallback_is_default() {
         // Only checks the no-env path deterministically.
-        std::env::remove_var(tmprof_core::knobs::SCALE.name);
+        std::env::remove_var(SCALE.name);
         let s = Scale::from_env();
         assert_eq!(s.ops_per_epoch, Scale::default_scale().ops_per_epoch);
     }

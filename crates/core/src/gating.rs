@@ -44,22 +44,6 @@ impl Default for GatingConfig {
     }
 }
 
-impl GatingConfig {
-    /// Defaults with the decay overridden by `TMPROF_GATE_DECAY` (integer
-    /// percent, 0–100) when set; 0 ("no history") is a meaningful value.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(pct) = crate::knobs::GATE_DECAY
-            .get()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&p| p <= 100)
-        {
-            cfg.max_decay = pct as f64 / 100.0;
-        }
-        cfg
-    }
-}
-
 /// What the gate decided this interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GateDecision {
@@ -152,11 +136,6 @@ impl Gating {
         }
         self.last = decision;
         decision
-    }
-
-    /// The most recent decision.
-    pub fn last_decision(&self) -> GateDecision {
-        self.last
     }
 
     /// Running maxima (diagnostics).

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 
 use tmprof_obs::metrics::{self, Snapshot};
 
-use crate::knobs::WORKERS;
+use crate::knobs::{InvalidKnob, WORKERS};
 
 /// Run `f(i, &mut items[i])` for every item on up to `workers` threads and
 /// return the results in index order.
@@ -99,7 +99,7 @@ where
 
 /// Worker threads for callers that do not pin a count: the
 /// `TMPROF_WORKERS` knob, or the host's available parallelism when it is
-/// unset. Panics with a [`WorkersError`] on any other value.
+/// unset. Panics with an [`InvalidKnob`] on any other value.
 pub fn workers() -> usize {
     match WORKERS.get() {
         Some(raw) => parse_workers(&raw).unwrap_or_else(|e| panic!("{e}")),
@@ -108,33 +108,16 @@ pub fn workers() -> usize {
 }
 
 /// Parse a `TMPROF_WORKERS` value: a positive integer.
-pub fn parse_workers(raw: &str) -> Result<usize, WorkersError> {
+pub fn parse_workers(raw: &str) -> Result<usize, InvalidKnob> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
-        _ => Err(WorkersError {
+        _ => Err(InvalidKnob {
+            name: WORKERS.name,
             value: raw.to_string(),
+            accepts: WORKERS.accepts,
         }),
     }
 }
-
-/// A `TMPROF_WORKERS` value that is not a positive integer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkersError {
-    /// The rejected value.
-    pub value: String,
-}
-
-impl std::fmt::Display for WorkersError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}={:?} is not a worker count: expected a {}",
-            WORKERS.name, self.value, WORKERS.accepts
-        )
-    }
-}
-
-impl std::error::Error for WorkersError {}
 
 #[cfg(test)]
 mod tests {

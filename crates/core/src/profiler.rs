@@ -44,7 +44,7 @@ impl TmpConfig {
             trace: TraceConfig::ibs(base_period).at_rate(4),
             abit: ABitConfig::default(),
             filter: FilterConfig::default(),
-            gating: GatingConfig::from_env(),
+            gating: GatingConfig::default(),
             record_profiles: false,
             devsketch: None,
         }
@@ -288,16 +288,6 @@ impl Tmp {
     /// A-bit-driver totals.
     pub fn abit_stats(&self) -> ABitStats {
         self.abit.stats()
-    }
-
-    /// Access the underlying trace profiler (heatmap extraction).
-    pub fn trace_profiler(&self) -> &TraceProfiler {
-        &self.trace
-    }
-
-    /// Access the underlying A-bit scanner (heatmap extraction).
-    pub fn abit_scanner(&self) -> &ABitScanner {
-        &self.abit
     }
 
     /// Device-sketch lifetime totals (`None` when disabled).

@@ -5,8 +5,6 @@ use tmprof_sim::machine::Machine;
 use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::tlb::Pid;
 
-use crate::profiler::Tmp;
-
 /// Cumulative page-detection counts — one Table IV cell group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DetectionStats {
@@ -16,17 +14,6 @@ pub struct DetectionStats {
     pub trace: usize,
     /// Pages observed by both within the same epoch, accumulated.
     pub both: usize,
-}
-
-impl DetectionStats {
-    /// Extract from a running [`Tmp`].
-    pub fn from_tmp(tmp: &Tmp) -> Self {
-        Self {
-            abit: tmp.abit_pages_total(),
-            trace: tmp.trace_pages_total(),
-            both: tmp.both_pages_total(),
-        }
-    }
 }
 
 /// Empirical CDF over per-page access counts (Fig. 5).

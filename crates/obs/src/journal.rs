@@ -8,17 +8,12 @@
 //!
 //! The ring is thread-local (see the crate docs) and holds the most recent
 //! `capacity` events; older events are overwritten, with the total count
-//! retained so dumps report how many were dropped. Capacity comes from the
-//! `TMPROF_OBS_JOURNAL` knob at first use on each thread (default
-//! [`DEFAULT_CAPACITY`]); capacity 0 disables recording entirely. With the
-//! `obs-off` feature every entry point is an inline no-op.
+//! retained so dumps report how many were dropped. Each thread's ring
+//! starts at [`DEFAULT_CAPACITY`]; [`set_capacity`] (used by `tmpctl
+//! journal --cap`) resizes it, and capacity 0 disables recording entirely.
+//! With the `obs-off` feature every entry point is an inline no-op.
 
-/// Environment variable overriding the per-thread ring capacity. Registered
-/// as `tmprof_core::knobs::OBS_JOURNAL`; read here because this crate sits
-/// below `tmprof-core` (same layering note as the sim's batch knob).
-pub const CAP_ENV: &str = "TMPROF_OBS_JOURNAL";
-
-/// Ring capacity when the knob is unset or unparsable.
+/// Capacity of a thread's ring until [`set_capacity`] changes it.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// What happened.
@@ -94,7 +89,7 @@ impl Event {
 
 #[cfg(not(feature = "obs-off"))]
 mod ring {
-    use super::{Event, CAP_ENV, DEFAULT_CAPACITY};
+    use super::{Event, DEFAULT_CAPACITY};
     use std::cell::RefCell;
 
     pub(super) struct Ring {
@@ -113,15 +108,6 @@ mod ring {
                 next: 0,
                 total: 0,
             }
-        }
-
-        fn from_env() -> Self {
-            // tmprof-lint: allow(knob-flow) — obs stays dependency-free of core; the journal capacity is read once here and the name is pinned by the knob-registry sync test
-            let cap = std::env::var(CAP_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(DEFAULT_CAPACITY);
-            Self::with_capacity(cap)
         }
 
         // tmprof-lint: allow(panic-reachability) — ring invariant: next < cap, re-established by the wrap below
@@ -164,7 +150,11 @@ mod ring {
     }
 
     pub(super) fn with_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
-        RING.with(|slot| f(slot.borrow_mut().get_or_insert_with(Ring::from_env)))
+        RING.with(|slot| {
+            f(slot
+                .borrow_mut()
+                .get_or_insert_with(|| Ring::with_capacity(DEFAULT_CAPACITY)))
+        })
     }
 
     pub(super) fn replace(cap: usize) {
@@ -215,7 +205,7 @@ pub fn capacity() -> usize {
 }
 
 /// Replace the calling thread's ring with an empty one of capacity `cap`
-/// (tests and the CLI's `--cap` flag; overrides the environment knob).
+/// (tests and the CLI's `--cap` flag).
 pub fn set_capacity(cap: usize) {
     #[cfg(not(feature = "obs-off"))]
     ring::replace(cap);

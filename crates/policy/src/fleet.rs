@@ -74,9 +74,8 @@ impl Default for FleetConfig {
             epochs: 4,
             workers: 1,
             scan_unit_pte_budget: None,
-            // The registered TMPROF_ADMIT_* knobs; unset means unlimited,
-            // which never consults a bucket.
-            admission: AdmissionConfig::from_env(),
+            // Unlimited never consults a bucket.
+            admission: AdmissionConfig::unlimited(),
         }
     }
 }

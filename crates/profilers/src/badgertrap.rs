@@ -126,11 +126,6 @@ impl BadgerTrap {
         self.state.lock().faults.get(&key).copied().unwrap_or(0)
     }
 
-    /// All per-page fault counts (packed [`PageKey`] → count).
-    pub fn fault_counts(&self) -> KeyMap<u64, u64> {
-        self.state.lock().faults.clone()
-    }
-
     /// Total faults intercepted so far.
     pub fn total_faults(&self) -> u64 {
         self.state.lock().total_faults

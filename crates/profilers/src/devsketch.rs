@@ -17,13 +17,7 @@
 
 use tmprof_sim::addr::Pfn;
 
-/// Environment knob for the Top-K candidate-table size. Registered as
-/// `tmprof_core::knobs::DEVSKETCH_K`; read here because this crate sits
-/// below `tmprof-core` (same layering note as the sim runner's quantum
-/// knob).
-pub const K_ENV: &str = "TMPROF_DEVSKETCH_K";
-
-/// Candidate-table size when the knob is unset.
+/// Default candidate-table size ([`DevSketchConfig::default`]).
 pub const DEFAULT_K: usize = 64;
 
 /// Count-min geometry: rows of counters, each indexed by an independent
@@ -60,20 +54,6 @@ pub struct DevSketchConfig {
 impl Default for DevSketchConfig {
     fn default() -> Self {
         Self { k: DEFAULT_K }
-    }
-}
-
-impl DevSketchConfig {
-    /// Config with `k` from the `TMPROF_DEVSKETCH_K` knob (default
-    /// [`DEFAULT_K`]; `0` means unset).
-    pub fn from_env() -> Self {
-        // tmprof-lint: allow(knob-flow) — profilers reads the sketch size directly to avoid a dependency cycle with core; the name is pinned by the knob-registry sync test
-        let k = std::env::var(K_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&k| k > 0)
-            .unwrap_or(DEFAULT_K);
-        Self { k }
     }
 }
 
@@ -269,14 +249,5 @@ mod tests {
         a.feed_stream(&stream);
         b.feed_stream(&stream);
         assert_eq!(a.top_k(), b.top_k());
-    }
-
-    #[test]
-    fn from_env_defaults() {
-        // Serial test binaries may race env mutation; only assert the
-        // unset default through the public API when the var is absent.
-        if std::env::var(K_ENV).is_err() {
-            assert_eq!(DevSketchConfig::from_env().k, DEFAULT_K);
-        }
     }
 }

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::pagetable::PageTable;
     pub use crate::pte::{bits as pte_bits, Pte};
     pub use crate::rng::{Rng, Zipf};
-    pub use crate::runner::{OpStream, Runner, BATCH_ENV, DEFAULT_BATCH};
+    pub use crate::runner::{OpStream, Runner, DEFAULT_BATCH};
     pub use crate::stats::{EpochTruth, GroundTruth};
     pub use crate::tier::{FrameOutOfRange, MemTopology, Tier, TierSpec, TieredMemory};
     pub use crate::tlb::{Pid, Tlb, TlbHit};

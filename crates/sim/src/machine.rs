@@ -15,7 +15,7 @@
 //! the point of the substrate: profilers can only be as right as what the
 //! hardware exposes.
 
-use crate::addr::{phys_addr, Pfn, PhysAddr, VirtAddr, Vpn, PAGE_SIZE};
+use crate::addr::{phys_addr, Pfn, PhysAddr, VirtAddr, Vpn};
 use crate::batch::TranslateMemo;
 use crate::cache::{Cache, CacheLevel, PrivateCaches};
 use crate::counters::EventCounts;
@@ -148,17 +148,6 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// The paper's testbed, full size: 6 cores, 64 GiB in tier 1 only.
-    pub fn paper_testbed() -> Self {
-        Self {
-            cores: 6,
-            caches: CacheProfile::zen2(),
-            latency: LatencyConfig::default(),
-            memory: TieredMemory::with_frames(16 << 20, 0), // 64 GiB DRAM
-            trace_mode: TraceMode::IbsOp { period: 262_144 },
-        }
-    }
-
     /// A scaled-down machine suitable for fast experiments: smaller caches,
     /// `t1_frames`/`t2_frames` of tiered memory, IBS period `period`. The
     /// `TMPROF_TOPOLOGY` knob reshapes the layout (same totals, slow
@@ -1228,16 +1217,12 @@ impl Machine {
     pub fn first_touch_order(&self) -> &[u64] {
         &self.first_touch_log
     }
-
-    /// Bytes of tier-1 memory (diagnostics).
-    pub fn tier1_bytes(&self) -> u64 {
-        self.cfg.memory.spec(Tier::Tier1).frames * PAGE_SIZE
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
     use crate::tier::{MemTopology, TierSpec};
 
     fn small_machine() -> Machine {

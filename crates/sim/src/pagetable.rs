@@ -943,13 +943,6 @@ impl PageTable {
         }
         false
     }
-
-    /// Collect the VPNs of all present mappings (test/diagnostic helper).
-    pub fn mapped_vpns(&mut self) -> Vec<Vpn> {
-        let mut out = Vec::with_capacity(self.mapped_pages as usize);
-        self.walk_present(|vpn, _| out.push(vpn));
-        out
-    }
 }
 
 impl Default for PageTable {

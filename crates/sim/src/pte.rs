@@ -131,14 +131,6 @@ impl Pte {
         self.clear(bits::A);
         was
     }
-
-    /// Read-and-clear of the D bit (PML drains and writeback paths).
-    #[inline]
-    pub fn test_and_clear_dirty(&mut self) -> bool {
-        let was = self.dirty();
-        self.clear(bits::D);
-        was
-    }
 }
 
 impl core::fmt::Debug for Pte {

@@ -35,27 +35,10 @@ impl<F: FnMut() -> WorkOp> OpStream for F {
     }
 }
 
-/// Default scheduling quantum, in ops.
+/// Default scheduling quantum, in ops. The quantum changes the
+/// multiplexing interleave (it is a *scheduling* parameter, not just a
+/// performance one), so recorded experiment outputs assume this value.
 pub const DEFAULT_BATCH: u64 = 4096;
-
-/// Environment variable overriding the scheduling quantum (in ops).
-/// Values that fail to parse as a positive integer fall back to
-/// [`DEFAULT_BATCH`]. Note the quantum
-/// changes the multiplexing interleave (it is a *scheduling* knob, not just
-/// a performance one), so recorded experiment outputs assume the default.
-pub const BATCH_ENV: &str = "TMPROF_SIM_BATCH";
-
-/// Quantum from [`BATCH_ENV`], validated, defaulting to [`DEFAULT_BATCH`].
-fn resolve_batch() -> u64 {
-    // tmprof-lint: allow(knob-flow) — sim reads its batch toggle directly to avoid depending on core; the name is pinned by the knob-registry sync test
-    parse_batch(std::env::var(BATCH_ENV).ok())
-}
-
-fn parse_batch(raw: Option<String>) -> u64 {
-    raw.and_then(|v| v.parse::<u64>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_BATCH)
-}
 
 /// Deterministic round-robin scheduler over process streams.
 pub struct Runner<'a> {
@@ -65,17 +48,16 @@ pub struct Runner<'a> {
 
 impl<'a> Runner<'a> {
     /// Build a runner over `(pid, stream)` pairs. The scheduling quantum is
-    /// [`DEFAULT_BATCH`] unless overridden by [`BATCH_ENV`] or
-    /// [`Runner::with_batch`].
+    /// [`DEFAULT_BATCH`] unless overridden by [`Runner::with_batch`].
     pub fn new(streams: Vec<(Pid, &'a mut dyn OpStream)>) -> Self {
         assert!(!streams.is_empty(), "runner needs at least one stream");
         Self {
             streams,
-            batch: resolve_batch(),
+            batch: DEFAULT_BATCH,
         }
     }
 
-    /// Override the scheduling quantum (takes precedence over [`BATCH_ENV`]).
+    /// Override the scheduling quantum.
     pub fn with_batch(mut self, batch: u64) -> Self {
         assert!(batch > 0);
         self.batch = batch;
@@ -219,15 +201,6 @@ mod tests {
     #[should_panic(expected = "at least one stream")]
     fn empty_runner_panics() {
         let _ = Runner::new(vec![]);
-    }
-
-    #[test]
-    fn batch_env_values_are_validated() {
-        assert_eq!(parse_batch(None), DEFAULT_BATCH);
-        assert_eq!(parse_batch(Some("123".into())), 123);
-        assert_eq!(parse_batch(Some("0".into())), DEFAULT_BATCH);
-        assert_eq!(parse_batch(Some("-4".into())), DEFAULT_BATCH);
-        assert_eq!(parse_batch(Some("garbage".into())), DEFAULT_BATCH);
     }
 
     #[test]

@@ -25,8 +25,7 @@ use crate::addr::{Pfn, PAGE_SIZE};
 
 /// Environment knob selecting the machine's tier layout (comma-separated
 /// tier names, fastest first). Registered as `tmprof_core::knobs::TOPOLOGY`;
-/// read here because `tmprof-sim` sits below `tmprof-core` (same layering
-/// note as the runner's quantum knob).
+/// read here because `tmprof-sim` sits below `tmprof-core`.
 pub const TOPOLOGY_ENV: &str = "TMPROF_TOPOLOGY";
 
 /// Most tiers the env knob accepts (the named `Tier` ids go to `Tier4`).
