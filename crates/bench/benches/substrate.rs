@@ -133,9 +133,10 @@ fn bench_exec(c: &mut Criterion) {
     });
     // A full runner quantum (DEFAULT_BATCH ops) over a TLB-resident hot
     // set with occasional cold pages, stores and computes — the op mix the
-    // batched pipeline is built for. `quantum_op_loop` feeds it through
-    // the reference per-op path; `quantum_batch` hands the whole slice to
-    // `exec_batch` so the translation fast path can engage.
+    // batched pipeline is built for. `quantum_op_loop` feeds it op by op
+    // through `exec_op`; `quantum_batch` hands the whole slice to
+    // `exec_batch`, which runs the same per-op code with the process
+    // lookup hoisted.
     // Reported time is per quantum; divide by DEFAULT_BATCH for per-op cost.
     let ops = quantum_ops(DEFAULT_BATCH as usize);
     group.bench_function("quantum_op_loop", |b| {

@@ -25,7 +25,7 @@ use tmprof_profilers::pml::PmlTracker;
 use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::machine::{CacheProfile, LatencyConfig, Machine, MachineConfig};
 use tmprof_sim::runner::{OpStream, Runner};
-use tmprof_sim::tier::{Tier, TierSpec, TieredMemory};
+use tmprof_sim::tier::{MemTopology, Tier, TierSpec};
 use tmprof_sim::tlb::Pid;
 use tmprof_sim::trace_engine::TraceMode;
 use tmprof_workloads::spec::WorkloadKind;
@@ -43,7 +43,7 @@ fn asymmetric_machine(cores: usize, t1: u64, t2: u64, period: u64) -> Machine {
         cores,
         caches: CacheProfile::scaled_down(16),
         latency: LatencyConfig::default(),
-        memory: TieredMemory::new(
+        memory: MemTopology::new(
             TierSpec {
                 frames: t1,
                 load_latency: 320,

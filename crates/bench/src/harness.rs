@@ -155,7 +155,7 @@ pub fn profiling_machine_with_slack(
         frames += cfg.processes as u64 * 4 * 512;
     }
     let mut mc = MachineConfig::scaled(scale.cores, frames, 0, rate_hint_period);
-    mc.memory = tmprof_sim::tier::TieredMemory::with_frames(frames, 0);
+    mc.memory = tmprof_sim::tier::MemTopology::with_frames(frames, 0);
     Machine::new(mc)
 }
 

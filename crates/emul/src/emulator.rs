@@ -338,7 +338,7 @@ mod tests {
     fn machine() -> Machine {
         // Tier 2 at DRAM speed: slowness comes only from injected faults.
         let mut cfg = MachineConfig::scaled(1, 8, 64, 1 << 20);
-        cfg.memory = TieredMemory::new(
+        cfg.memory = MemTopology::new(
             TierSpec {
                 frames: 8,
                 load_latency: 320,

@@ -13,7 +13,7 @@ use tmprof_policy::mover::{MoverConfig, PageMover};
 use tmprof_policy::policies::{HistoryPolicy, PlacementPolicy};
 use tmprof_sim::machine::{CacheProfile, LatencyConfig, Machine, MachineConfig};
 use tmprof_sim::runner::{OpStream, Runner};
-use tmprof_sim::tier::{Tier, TierSpec, TieredMemory};
+use tmprof_sim::tier::{MemTopology, Tier, TierSpec};
 use tmprof_sim::tlb::Pid;
 use tmprof_sim::trace_engine::TraceMode;
 
@@ -68,7 +68,7 @@ pub fn emulation_machine(cores: usize, t1_frames: u64, t2_frames: u64, period: u
         cores,
         caches: CacheProfile::scaled_down(16),
         latency: LatencyConfig::default(),
-        memory: TieredMemory::new(dram(t1_frames), dram(t2_frames)),
+        memory: MemTopology::new(dram(t1_frames), dram(t2_frames)),
         trace_mode: TraceMode::IbsOp { period },
     })
 }

@@ -47,9 +47,7 @@ metrics! {
     SimBatchOps => "sim.batch_ops",
         "ops executed through Machine::exec_batch";
     SimMemoHits => "sim.memo_hits",
-        "translation-memo fast-path hits inside exec_batch";
-    SimBatchFallbacks => "sim.batch_fallbacks",
-        "exec_batch ops that fell back to the reference exec path";
+        "translations inside exec_batch served by the per-core memo (verified L1 re-hits)";
     SimShootdowns => "sim.shootdowns",
         "TLB shootdown broadcasts issued";
     SimShootdownPages => "sim.shootdown_pages",

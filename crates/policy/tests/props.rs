@@ -174,7 +174,7 @@ proptest! {
         let build = || {
             let mut m = Machine::new(MachineConfig::scaled_topology(
                 1,
-                TieredMemory::with_frames(t1_frames, t2_frames),
+                MemTopology::with_frames(t1_frames, t2_frames),
                 1 << 20,
             ));
             m.add_process(1);

@@ -1,37 +1,34 @@
 //! Batched execution: quantum-granular op execution for [`Machine`].
 //!
-//! [`Machine::exec_op`] is the *reference* execution path — one op at a
-//! time, every invariant re-derived per op. [`Machine::exec_batch`] executes
-//! a whole scheduling quantum for one process on one core and is required to
-//! be bit-identical to the equivalent `exec_op` loop (the property tests in
-//! `tests/batch_props.rs` enforce this). It gets its speed from three
-//! sources, none of which may change observable state evolution:
+//! [`Machine::exec_batch`] executes a whole scheduling quantum for one
+//! process on one core. It runs the same per-op code as
+//! [`Machine::exec_op`] — there is one op-execution path — so a quantum is
+//! bit-identical to the equivalent `exec_op` loop by construction (the
+//! property tests in `tests/batch_props.rs` check it across scans,
+//! shootdowns, migrations and epochs). What a quantum saves is per-quantum
+//! work:
 //!
-//! 1. **Hoisted invariants.** The process-table index, latency table and
-//!    engine references are resolved once per quantum instead of once per
-//!    op.
-//! 2. **A per-core translation memo.** A small direct-mapped table mapping
-//!    (`pid`, `vpn`) to the L1 DTLB slot that cached the translation on the
-//!    last walk or L2 promotion. A memo hit skips the full associative TLB
-//!    probe and replays exactly the state transition a reference L1 hit
-//!    performs ([`crate::tlb::Tlb::fast_rehit`]). Memo hints are *verified
-//!    on use* against the live TLB slot — the memo can never serve stale
-//!    translations, only waste a probe — and are additionally cleared on
-//!    every shootdown, migration, A-bit scan and epoch advance.
-//! 3. **Run-length ground-truth recording.** Consecutive accesses to the
-//!    same page within a quantum collapse into one hash-map update. Flushes
-//!    happen on page change, on any fallback to the reference path, and at
-//!    quantum end, preserving both the final counts and the maps' key
-//!    insertion order.
+//! 1. **Hoisted lookups.** The process-table index is resolved once per
+//!    quantum instead of once per op.
+//! 2. **Quantum-granular metrics.** `sim.batch_ops` and `sim.memo_hits`
+//!    are added once per quantum; nothing touches the metrics registry
+//!    per op.
 //!
-//! Anything the fast path cannot provably replay — TLB misses, huge-page
-//! regimes, clean-store D-bit write-backs, faults — falls back to the
-//! reference path for that op.
+//! The per-core [`TranslateMemo`] lives here too. It is the first step of
+//! every translation (`Machine::translate`), for `exec_op` and `exec_batch`
+//! alike: a small direct-mapped table mapping (`pid`, `vpn`) to the L1 DTLB
+//! slot that cached the translation on the last walk or L2 promotion. A
+//! memo hit skips the full associative TLB probe and performs exactly the
+//! state change of a reference L1 hit ([`crate::tlb::Tlb::fast_rehit`]).
+//! Hints are *verified on use* against the live TLB slot — the memo can
+//! never serve a stale translation, only waste a probe — and are also
+//! dropped on every shootdown, migration, A-bit scan and epoch advance.
+//! Anything `fast_rehit` cannot replay (huge-page regimes, a store through
+//! a clean entry) takes the full TLB lookup instead.
 
 use crate::addr::Vpn;
-use crate::machine::{ExecOutcome, Machine, MemAccess, WorkOp};
-use crate::pagedesc::PageKey;
-use crate::tlb::{Pid, TlbHit};
+use crate::machine::{Machine, WorkOp};
+use crate::tlb::Pid;
 use tmprof_obs::metrics::Metric;
 
 /// Memo capacity. Power of two; sized well past the whole TLB (L1 + L2)
@@ -56,6 +53,9 @@ struct MemoSlot {
 pub(crate) struct TranslateMemo {
     gen: u32,
     slots: Vec<MemoSlot>,
+    /// Translations served through the memo since the machine was built
+    /// (`exec_batch` folds its quantum's share into `sim.memo_hits`).
+    pub(crate) hits: u64,
 }
 
 impl TranslateMemo {
@@ -71,6 +71,7 @@ impl TranslateMemo {
                 };
                 MEMO_SLOTS
             ],
+            hits: 0,
         }
     }
 
@@ -110,98 +111,18 @@ impl TranslateMemo {
 impl Machine {
     /// Execute a quantum of `ops` for `pid` on `core`.
     ///
-    /// Bit-identical to `for &op in ops { machine.exec_op(core, pid, op) }`
-    /// in every observable (counters, ground truth, trace samples, TLB and
-    /// cache state, page tables), but with per-op invariants hoisted and a
-    /// translation-memo fast path for repeat touches. See the module docs.
-    // tmprof-lint: allow(panic-reachability) — core ids and proc_idx come from the scheduler contract: core < cores.len(), proc_idx from the pid_index map
+    /// Exactly `for &op in ops { machine.exec_op(core, pid, op) }`, with
+    /// the process lookup hoisted out of the loop and the quantum's metrics
+    /// added once. See the module docs.
+    // tmprof-lint: allow(panic-reachability) — core ids come from the scheduler contract: core < cores.len()
     pub fn exec_batch(&mut self, core: usize, pid: Pid, ops: &[WorkOp]) {
-        let lat = self.config().latency;
         let proc_idx = self.proc_idx(pid);
-        // Run-length ground-truth accumulator for the current page.
-        let mut pend_key = 0u64;
-        let mut pend_refs = 0u64;
-        let mut pend_mems = 0u64;
-        // Deferred pure-accumulator counters. Nothing inside the machine
-        // reads these mid-op (profilers read them between quanta) and the
-        // fallback path's own increments commute with addition, so batching
-        // them into one store per quantum is observably identical.
-        let mut retired = 0u64;
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        let mut fallbacks = 0u64;
+        let hits_before = self.cores[core].memo.hits;
         for &op in ops {
-            match op {
-                WorkOp::Compute => {
-                    retired += 1;
-                    let c = &mut self.cores[core];
-                    c.counts.cycles += lat.base_op;
-                    let _ = c.trace.offer_compute();
-                }
-                WorkOp::Mem { va, store, site } => {
-                    debug_assert!(va.is_canonical(), "non-canonical {va:?}");
-                    let vpn = va.vpn();
-                    let c = &mut self.cores[core];
-                    let hit = c
-                        .memo
-                        .probe(pid, vpn)
-                        .and_then(|slot| c.tlb.fast_rehit(slot, pid, vpn, store));
-                    if let Some(entry) = hit {
-                        retired += 1;
-                        if store {
-                            stores += 1;
-                        } else {
-                            loads += 1;
-                        }
-                        let mut out = ExecOutcome {
-                            cycles: lat.base_op,
-                            tlb: Some(TlbHit::L1),
-                            ..Default::default()
-                        };
-                        let acc = MemAccess {
-                            core,
-                            pid,
-                            va,
-                            store,
-                            site,
-                        };
-                        let is_mem = self.finish_mem(&acc, entry.pfn, &mut out);
-                        let key = PageKey { pid, vpn }.pack();
-                        if pend_refs > 0 && key != pend_key {
-                            self.truth.record_many(pend_key, pend_refs, pend_mems);
-                            pend_refs = 0;
-                            pend_mems = 0;
-                        }
-                        pend_key = key;
-                        pend_refs += 1;
-                        pend_mems += is_mem as u64;
-                    } else {
-                        // Reference path (records its own ground truth, so
-                        // flush first to preserve key insertion order).
-                        if pend_refs > 0 {
-                            self.truth.record_many(pend_key, pend_refs, pend_mems);
-                            pend_refs = 0;
-                            pend_mems = 0;
-                        }
-                        fallbacks += 1;
-                        let _ = self.exec_mem_at(core, proc_idx, pid, va, store, site);
-                    }
-                }
-            }
+            self.exec_at(core, proc_idx, pid, op);
         }
-        if pend_refs > 0 {
-            self.truth.record_many(pend_key, pend_refs, pend_mems);
-        }
-        self.processes[proc_idx].ops_executed += retired;
-        let counts = &mut self.cores[core].counts;
-        counts.retired_ops += retired;
-        counts.loads += loads;
-        counts.stores += stores;
-        // Bulk metric adds at quantum granularity: three thread-local cell
-        // updates per quantum, nothing per op (memo hits are exactly the
-        // fast-path loads + stores).
+        let memo_hits = self.cores[core].memo.hits - hits_before;
         tmprof_obs::metrics::add(Metric::SimBatchOps, ops.len() as u64);
-        tmprof_obs::metrics::add(Metric::SimMemoHits, loads + stores);
-        tmprof_obs::metrics::add(Metric::SimBatchFallbacks, fallbacks);
+        tmprof_obs::metrics::add(Metric::SimMemoHits, memo_hits);
     }
 }

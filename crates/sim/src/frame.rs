@@ -19,7 +19,7 @@
 struct _Docs;
 
 use crate::addr::Pfn;
-use crate::tier::{Tier, TieredMemory};
+use crate::tier::{MemTopology, Tier};
 
 /// Frames per 2 MiB huge page.
 pub const HUGE_FRAMES: u64 = 512;
@@ -91,7 +91,7 @@ impl FrameAllocator {
     ///
     /// Frames are handed out in ascending address order, which makes
     /// allocation deterministic and heatmaps (Figs. 3–4) readable.
-    pub fn new(layout: &TieredMemory) -> Self {
+    pub fn new(layout: &MemTopology) -> Self {
         let free: Vec<TierFree> = layout
             .tiers()
             .map(|tier| {
@@ -181,7 +181,7 @@ impl FrameAllocator {
     }
 
     /// Return a huge page's 512 frames to their tier's free list.
-    pub fn free_huge(&mut self, layout: &TieredMemory, base: Pfn) {
+    pub fn free_huge(&mut self, layout: &MemTopology, base: Pfn) {
         let tier = layout.tier_of(base);
         self.allocated[tier.index()] -= HUGE_FRAMES;
         // Push descending so the head of the recycled run stays the highest
@@ -196,7 +196,7 @@ impl FrameAllocator {
     ///
     /// The caller passes the layout so the frame is filed under the right
     /// tier; a frame freed twice is a logic error and panics in debug builds.
-    pub fn free(&mut self, layout: &TieredMemory, pfn: Pfn) {
+    pub fn free(&mut self, layout: &MemTopology, pfn: Pfn) {
         let tier = layout.tier_of(pfn);
         debug_assert!(
             !self.free[tier.index()].contains(pfn),
@@ -227,8 +227,8 @@ impl FrameAllocator {
 mod tests {
     use super::*;
 
-    fn layout() -> TieredMemory {
-        TieredMemory::with_frames(4, 8)
+    fn layout() -> MemTopology {
+        MemTopology::with_frames(4, 8)
     }
 
     #[test]
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn huge_allocation_takes_contiguous_run_from_the_top() {
-        let l = TieredMemory::with_frames(4, 1200);
+        let l = MemTopology::with_frames(4, 1200);
         let mut fa = FrameAllocator::new(&l);
         let base = fa.alloc_huge_in(Tier::Tier2).unwrap();
         // Top of tier 2 is frame 4+1200-1 = 1203; run base = 1203-511.
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn huge_allocation_fails_without_contiguity() {
-        let l = TieredMemory::with_frames(600, 0);
+        let l = MemTopology::with_frames(600, 0);
         let mut fa = FrameAllocator::new(&l);
         // Punch a hole at the top: take the highest frame via a full drain
         // of everything (easier: allocate all, free all but one at top).
@@ -327,7 +327,7 @@ mod tests {
     fn huge_allocation_spans_fresh_and_recycled_frames() {
         // Mixed-run case: part of the 512-run is fresh, the rest was freed
         // back in descending order so the dense front run stays unbroken.
-        let l = TieredMemory::with_frames(1024, 0);
+        let l = MemTopology::with_frames(1024, 0);
         let mut fa = FrameAllocator::new(&l);
         for _ in 0..600 {
             fa.alloc_in(Tier::Tier1).unwrap();
@@ -343,7 +343,7 @@ mod tests {
         // The recycled remainder still pops LIFO.
         assert_eq!(fa.alloc_in(Tier::Tier1).unwrap(), Pfn(400));
         // A recycled head that does NOT continue the fresh run fails.
-        let l2 = TieredMemory::with_frames(1024, 0);
+        let l2 = MemTopology::with_frames(1024, 0);
         let mut fa2 = FrameAllocator::new(&l2);
         for _ in 0..256 {
             fa2.alloc_in(Tier::Tier1).unwrap();
@@ -359,7 +359,7 @@ mod tests {
     fn terabyte_tier_construction_is_lazy() {
         // 2^30 frames per tier (4 TiB each of 4 KiB pages): building the
         // allocator must not materialize per-frame state.
-        let l = TieredMemory::with_frames(1 << 30, 1 << 30);
+        let l = MemTopology::with_frames(1 << 30, 1 << 30);
         let mut fa = FrameAllocator::new(&l);
         assert_eq!(fa.free_in(Tier::Tier1), 1 << 30);
         let p = fa.alloc_in(Tier::Tier1).unwrap();

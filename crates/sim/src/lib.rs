@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::rng::{Rng, Zipf};
     pub use crate::runner::{OpStream, Runner, DEFAULT_BATCH};
     pub use crate::stats::{EpochTruth, GroundTruth};
-    pub use crate::tier::{FrameOutOfRange, MemTopology, Tier, TierSpec, TieredMemory};
+    pub use crate::tier::{FrameOutOfRange, MemTopology, Tier, TierSpec};
     pub use crate::tlb::{Pid, Tlb, TlbHit};
     pub use crate::trace_engine::{TraceEngine, TraceMode, TraceSample};
 }

@@ -26,7 +26,7 @@ use crate::pagetable::PageTable;
 use crate::pml::PmlEngine;
 use crate::pte::{bits, Pte};
 use crate::stats::{EpochTruth, GroundTruth};
-use crate::tier::{Tier, TieredMemory};
+use crate::tier::{MemTopology, Tier};
 use crate::tlb::{Pid, Tlb, TlbEntry, TlbHit, TlbLevel};
 use crate::trace_engine::{TagOutcome, TraceEngine, TraceMode, TraceSample};
 use tmprof_obs::journal::EventKind as ObsEvent;
@@ -142,7 +142,7 @@ pub struct MachineConfig {
     /// Cycle-cost table.
     pub latency: LatencyConfig,
     /// Physical memory layout.
-    pub memory: TieredMemory,
+    pub memory: MemTopology,
     /// Trace-engine mode installed at reset.
     pub trace_mode: TraceMode,
 }
@@ -156,13 +156,13 @@ impl MachineConfig {
     pub fn scaled(cores: usize, t1_frames: u64, t2_frames: u64, period: u64) -> Self {
         Self::scaled_topology(
             cores,
-            TieredMemory::scaled_from_env(t1_frames, t2_frames),
+            MemTopology::scaled_from_env(t1_frames, t2_frames),
             period,
         )
     }
 
     /// A scaled-down machine over an arbitrary N-tier memory layout.
-    pub fn scaled_topology(cores: usize, memory: TieredMemory, period: u64) -> Self {
+    pub fn scaled_topology(cores: usize, memory: MemTopology, period: u64) -> Self {
         Self {
             cores,
             caches: CacheProfile::scaled_down(16),
@@ -207,17 +207,6 @@ pub struct ExecOutcome {
     pub sampled: bool,
 }
 
-/// One memory access as seen by the post-translation pipeline
-/// ([`Machine::finish_mem`]), shared by the reference and batched paths.
-#[derive(Clone, Copy)]
-pub(crate) struct MemAccess {
-    pub(crate) core: usize,
-    pub(crate) pid: Pid,
-    pub(crate) va: VirtAddr,
-    pub(crate) store: bool,
-    pub(crate) site: u32,
-}
-
 /// A protection fault delivered to the installed [`FaultPolicy`].
 #[derive(Clone, Copy, Debug)]
 pub struct PoisonFault {
@@ -256,7 +245,8 @@ pub(crate) struct Core {
     pub(crate) counts: EventCounts,
     pub(crate) trace: TraceEngine,
     pub(crate) pml: PmlEngine,
-    /// Software translation memo for the batched fast path (`batch.rs`).
+    /// Software translation memo, probed first by every translation
+    /// (`batch.rs`).
     pub(crate) memo: TranslateMemo,
 }
 
@@ -400,7 +390,7 @@ impl Machine {
     }
 
     /// Physical memory layout.
-    pub fn memory(&self) -> &TieredMemory {
+    pub fn memory(&self) -> &MemTopology {
         &self.cfg.memory
     }
 
@@ -491,7 +481,7 @@ impl Machine {
     /// A-bit driver uses (`mm_walk` + `phys_to_page`).
     pub fn scan_parts(&mut self, pid: Pid) -> Option<(&mut PageTable, &mut PageDescTable, u32)> {
         // The caller may clear A bits or poison PTEs through the returned
-        // borrows; drop the batched fast path's hints.
+        // borrows; drop the translation memo's hints.
         self.invalidate_memos();
         let epoch = self.epoch;
         let idx = *self.pid_index.get(&pid)?;
@@ -554,8 +544,8 @@ impl Machine {
         &self.frames
     }
 
-    /// Close the current epoch: bump the epoch index and return the epoch's
-    /// ground truth.
+    /// Close the current epoch: bump the epoch index, fold the epoch's
+    /// ground truth into the lifetime totals and return it.
     pub fn advance_epoch(&mut self) -> EpochTruth {
         self.invalidate_memos();
         // The bandwidth window is per epoch: every tier's byte meter
@@ -573,7 +563,7 @@ impl Machine {
 
     /// Drop every core's translation-memo hints (O(1) per core). The memo
     /// is verified on use, so this is hygiene, not correctness: it stops
-    /// the fast path from probing hints that events below have made dead.
+    /// translation from probing hints that events below have made dead.
     fn invalidate_memos(&mut self) {
         for core in &mut self.cores {
             core.memo.clear();
@@ -726,110 +716,55 @@ impl Machine {
     /// If `pid` is unknown, or a protection fault occurs with no handler
     /// installed (or the handler declines to resolve it).
     pub fn exec_op(&mut self, core: usize, pid: Pid, op: WorkOp) -> ExecOutcome {
-        let lat = self.cfg.latency;
-        match op {
-            WorkOp::Compute => {
-                let idx = self.proc_idx(pid);
-                self.processes[idx].ops_executed += 1;
-                let c = &mut self.cores[core];
-                c.counts.retired_ops += 1;
-                c.counts.cycles += lat.base_op;
-                let sampled = c.trace.offer_compute() == TagOutcome::Tagged;
-                ExecOutcome {
-                    cycles: lat.base_op,
-                    sampled,
-                    ..Default::default()
-                }
-            }
-            WorkOp::Mem { va, store, site } => self.exec_mem(core, pid, va, store, site),
-        }
-    }
-
-    #[inline]
-    fn exec_mem(
-        &mut self,
-        core_idx: usize,
-        pid: Pid,
-        va: VirtAddr,
-        store: bool,
-        site: u32,
-    ) -> ExecOutcome {
         let proc_idx = self.proc_idx(pid);
-        self.exec_mem_at(core_idx, proc_idx, pid, va, store, site)
+        self.exec_at(core, proc_idx, pid, op)
     }
 
-    /// Reference memory-op execution with the process index pre-resolved
-    /// (the batched path hoists the lookup out of its loop).
+    /// The one op-execution path, with the process index pre-resolved:
+    /// retirement, translation, the cache hierarchy, cycle charging, the
+    /// trace-sampling offer and ground truth. [`Machine::exec_op`] runs one
+    /// op through it; [`Machine::exec_batch`] runs a quantum.
     #[inline]
-    // tmprof-lint: allow(panic-reachability) — core and proc_idx are validated by exec_batch before dispatch
-    pub(crate) fn exec_mem_at(
+    // tmprof-lint: allow(panic-reachability) — core < cores.len() by the scheduler contract, and proc_idx comes from proc_idx(pid)
+    pub(crate) fn exec_at(
         &mut self,
         core_idx: usize,
         proc_idx: usize,
         pid: Pid,
-        va: VirtAddr,
-        store: bool,
-        site: u32,
+        op: WorkOp,
     ) -> ExecOutcome {
-        debug_assert!(va.is_canonical(), "non-canonical {va:?}");
         let lat = self.cfg.latency;
-        let vpn = va.vpn();
         let mut out = ExecOutcome {
             cycles: lat.base_op,
             ..Default::default()
         };
 
         // --- bookkeeping: retirement ---
-        {
-            self.processes[proc_idx].ops_executed += 1;
-            let c = &mut self.cores[core_idx].counts;
-            c.retired_ops += 1;
-            if store {
-                c.stores += 1;
-            } else {
-                c.loads += 1;
+        self.processes[proc_idx].ops_executed += 1;
+        let core = &mut self.cores[core_idx];
+        core.counts.retired_ops += 1;
+        let (va, store, site) = match op {
+            WorkOp::Compute => {
+                core.counts.cycles += lat.base_op;
+                out.sampled = core.trace.offer_compute() == TagOutcome::Tagged;
+                return out;
             }
+            WorkOp::Mem { va, store, site } => (va, store, site),
+        };
+        debug_assert!(va.is_canonical(), "non-canonical {va:?}");
+        if store {
+            core.counts.stores += 1;
+        } else {
+            core.counts.loads += 1;
         }
 
         // --- address translation ---
+        let vpn = va.vpn();
         let (pfn, tlb_hit) = self.translate(core_idx, proc_idx, pid, vpn, store, &mut out);
         out.tlb = Some(tlb_hit);
 
-        // --- cache hierarchy + trace sampling (shared with the batched
-        // fast path, which must replay them bit-for-bit) ---
-        let acc = MemAccess {
-            core: core_idx,
-            pid,
-            va,
-            store,
-            site,
-        };
-        let is_mem = self.finish_mem(&acc, pfn, &mut out);
-
-        // --- ground truth (invisible to profilers) ---
-        self.truth.record(PageKey { pid, vpn }, is_mem);
-        out
-    }
-
-    /// Everything after translation: cache hierarchy, cycle charging and
-    /// the trace-sampling offer. Both execution paths — reference and
-    /// batched — run this exact code, so their post-translation state
-    /// evolution is identical by construction. Returns whether the access
-    /// was served from memory (the caller records ground truth, since the
-    /// batched path batches those updates).
-    #[inline(always)]
-    // tmprof-lint: allow(panic-reachability) — core and proc_idx are validated by exec_batch before dispatch
-    pub(crate) fn finish_mem(&mut self, acc: &MemAccess, pfn: Pfn, out: &mut ExecOutcome) -> bool {
-        let lat = self.cfg.latency;
-        let &MemAccess {
-            core: core_idx,
-            pid,
-            va,
-            store,
-            site,
-        } = acc;
+        // --- cache hierarchy ---
         let pa = phys_addr(pfn, va.page_offset());
-
         let core = &mut self.cores[core_idx];
         let source;
         let mut tier = None;
@@ -938,7 +873,12 @@ impl Machine {
         out.sampled = core.trace.offer_mem(sample) == TagOutcome::Tagged;
 
         core.counts.cycles += out.cycles;
-        source == CacheLevel::Memory
+
+        // --- ground truth (invisible to profilers) ---
+        if source == CacheLevel::Memory {
+            self.truth.record(PageKey { pid, vpn });
+        }
+        out
     }
 
     /// Account a dirty line written back to memory (slow-tier writebacks
@@ -947,7 +887,7 @@ impl Machine {
     /// here too — asynchronously drained lines add queueing pressure even
     /// though no demand access waits on them.
     fn count_memory_writeback(
-        memory: &TieredMemory,
+        memory: &MemTopology,
         counts: &mut EventCounts,
         tier_bytes: &mut [u64],
         victim_line: u64,
@@ -975,19 +915,26 @@ impl Machine {
     ) -> (Pfn, TlbHit) {
         let lat = self.cfg.latency;
 
-        // Fast path: TLB hit (possibly with a D-bit write-back on a store
-        // through a clean translation — §II-B).
-        let hit = {
-            let core = &mut self.cores[core_idx];
-            core.tlb.access(pid, vpn, store)
-        };
-        if let Some(tr) = hit {
+        // Memo: a repeat touch of a page whose L1 slot the memo remembers
+        // skips the associative probe; the verified re-hit is exactly the
+        // state change of a reference L1 hit.
+        let core = &mut self.cores[core_idx];
+        if let Some(entry) = core
+            .memo
+            .probe(pid, vpn)
+            .and_then(|slot| core.tlb.fast_rehit(slot, pid, vpn, store))
+        {
+            core.memo.hits += 1;
+            return (entry.pfn, TlbHit::L1);
+        }
+
+        // TLB hit (possibly with a D-bit write-back on a store through a
+        // clean translation — §II-B).
+        if let Some(tr) = core.tlb.access(pid, vpn, store) {
             if tr.level == TlbHit::L2 {
-                let core = &mut self.cores[core_idx];
                 core.counts.dtlb_l1_misses += 1;
-                // The promotion placed the entry in L1: hint the batched
-                // fast path. (L1 hits skip this — the hint is already
-                // recorded, and the reference hot path stays untouched.)
+                // The promotion placed the entry in L1: hint the memo.
+                // (L1 hits skip this — the hint is already recorded.)
                 if !tr.entry.huge {
                     core.memo.remember(pid, vpn, tr.l1_slot as usize);
                 }
@@ -1396,7 +1343,6 @@ mod tests {
             vpn: Vpn(9),
         };
         let t = m.truth().current();
-        assert_eq!(t.references[&key.pack()], 5);
         assert_eq!(
             t.mem_accesses[&key.pack()],
             1,
@@ -1406,6 +1352,37 @@ mod tests {
         assert_eq!(epoch.total_mem_accesses(), 1);
         assert_eq!(m.truth().current().total_mem_accesses(), 0);
         assert_eq!(m.epoch(), 1);
+    }
+
+    #[test]
+    fn repeat_touches_translate_through_the_memo() {
+        // The memo changes no simulated state, so the identity tests would
+        // still pass without it; pin that repeat touches take it.
+        let mut m = small_machine();
+        let va = VirtAddr(0x5000);
+        m.touch(0, 1, va);
+        assert_eq!(m.cores[0].memo.hits, 0, "a first touch walks");
+        let load = WorkOp::Mem {
+            va,
+            store: false,
+            site: 0,
+        };
+        m.exec_batch(0, 1, &[load; 16]);
+        assert_eq!(m.cores[0].memo.hits, 16);
+        m.touch(0, 1, va);
+        assert_eq!(m.cores[0].memo.hits, 17);
+        let store = WorkOp::Mem {
+            va,
+            store: true,
+            site: 0,
+        };
+        let out = m.exec_op(0, 1, store);
+        assert_eq!(
+            m.cores[0].memo.hits, 17,
+            "a store through a clean entry takes the full TLB lookup"
+        );
+        assert_eq!(out.tlb, Some(TlbHit::L1));
+        assert_eq!(m.counts(0).dirty_writebacks, 1);
     }
 
     #[test]

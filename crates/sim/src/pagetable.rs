@@ -539,53 +539,8 @@ impl PageTable {
     /// `mm_walk`: visit every *present* PTE in ascending VPN order, with
     /// mutable access (the A-bit driver's `gather_a_history` callback runs
     /// here). Returns the traversal footprint for cost accounting.
-    pub fn walk_present(&mut self, mut visit: impl FnMut(Vpn, &mut Pte)) -> WalkFootprint {
-        let mut fp = WalkFootprint {
-            interior_nodes: 1,
-            ..Default::default()
-        };
-        Self::walk_node(&mut self.root, 0, &mut fp, &mut visit);
-        fp
-    }
-
-    fn walk_node(
-        node: &mut Interior,
-        prefix: u64,
-        fp: &mut WalkFootprint,
-        visit: &mut impl FnMut(Vpn, &mut Pte),
-    ) {
-        let Interior {
-            children, a_sum, ..
-        } = node;
-        for (idx, child) in children.iter_mut().enumerate() {
-            let Some(child) = child else { continue };
-            let child_prefix = (prefix << RADIX_BITS) | idx as u64;
-            match child {
-                Node::Interior(next) => {
-                    fp.interior_nodes += 1;
-                    Self::walk_node(next, child_prefix, fp, visit);
-                }
-                Node::Leaf(leaf) => {
-                    fp.leaf_tables += 1;
-                    for pi in 0..FANOUT {
-                        if leaf.ptes[pi].present() {
-                            fp.ptes_visited += 1;
-                            let vpn = Vpn((child_prefix << RADIX_BITS) | pi as u64);
-                            visit(vpn, &mut leaf.ptes[pi]);
-                            // The closure may have set or cleared A/D.
-                            leaf.sync_slot(pi);
-                        }
-                    }
-                }
-                Node::Huge(pte) => {
-                    // One PTE for the whole 2 MiB range: visited once.
-                    fp.ptes_visited += 1;
-                    let vpn = Vpn(child_prefix << RADIX_BITS);
-                    visit(vpn, pte);
-                }
-            }
-            resync_summary(a_sum, idx, child);
-        }
+    pub fn walk_present(&mut self, visit: impl FnMut(Vpn, &mut Pte)) -> WalkFootprint {
+        self.walk_present_bounded(Vpn(0), u64::MAX, visit).0
     }
 
     /// Budgeted, resumable `mm_walk`: visit up to `limit` present PTEs in

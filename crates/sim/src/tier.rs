@@ -15,7 +15,7 @@
 //! counts and latencies, contiguous PFN ranges fastest-first. The historic
 //! two-tier constructors ([`MemTopology::new`], [`MemTopology::with_frames`])
 //! are retained unchanged so every default-scale experiment reproduces
-//! byte-for-byte; `TieredMemory` remains as an alias for existing code.
+//! byte-for-byte.
 //!
 //! Zero-capacity tiers are well-defined: they own an empty PFN range, no
 //! frame ever maps to them, and lookups simply skip them — a degenerate
@@ -169,9 +169,6 @@ pub struct MemTopology {
     /// `bounds[i]` = first PFN *past* tier i (cumulative frame counts).
     bounds: Vec<u64>,
 }
-
-/// Historic name for the two-tier layout; every constructor still works.
-pub type TieredMemory = MemTopology;
 
 /// Error returned by the checked tier lookup for a frame outside physical
 /// memory (`pfn >= total_frames`, including the one-past-the-end PFN).
@@ -405,7 +402,7 @@ mod tests {
 
     #[test]
     fn frame_partition_is_contiguous() {
-        let tm = TieredMemory::with_frames(100, 900);
+        let tm = MemTopology::with_frames(100, 900);
         assert_eq!(tm.tier_of(Pfn(0)), Tier::Tier1);
         assert_eq!(tm.tier_of(Pfn(99)), Tier::Tier1);
         assert_eq!(tm.tier_of(Pfn(100)), Tier::Tier2);
@@ -416,7 +413,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond physical memory")]
     fn out_of_range_frame_panics() {
-        let tm = TieredMemory::with_frames(10, 10);
+        let tm = MemTopology::with_frames(10, 10);
         tm.tier_of(Pfn(20));
     }
 
@@ -425,7 +422,7 @@ mod tests {
         // Regression (tier-boundary sweep): pfn == total_frames is the
         // classic off-by-one; the checked lookup reports it instead of
         // crashing.
-        let tm = TieredMemory::with_frames(10, 10);
+        let tm = MemTopology::with_frames(10, 10);
         assert_eq!(tm.try_tier_of(Pfn(19)), Ok(Tier::Tier2));
         assert_eq!(
             tm.try_tier_of(Pfn(20)),
@@ -459,7 +456,7 @@ mod tests {
     fn empty_fastest_tier_is_well_defined() {
         // Degenerate single-tier topology expressed as (0, n): every frame
         // resolves to tier 2 and nothing panics at construction.
-        let tm = TieredMemory::with_frames(0, 16);
+        let tm = MemTopology::with_frames(0, 16);
         assert_eq!(tm.tier_of(Pfn(0)), Tier::Tier2);
         assert_eq!(tm.tier_of(Pfn(15)), Tier::Tier2);
         assert_eq!(tm.total_frames(), 16);
@@ -469,28 +466,28 @@ mod tests {
 
     #[test]
     fn tier2_loads_slower_than_tier1() {
-        let tm = TieredMemory::with_frames(10, 10);
+        let tm = MemTopology::with_frames(10, 10);
         assert!(tm.load_latency(Pfn(15)) > tm.load_latency(Pfn(5)));
     }
 
     #[test]
     fn nvm_is_slower_but_not_orders_of_magnitude() {
         // The paper's migration-cost argument depends on this ratio.
-        let tm = TieredMemory::with_frames(10, 10);
+        let tm = MemTopology::with_frames(10, 10);
         let ratio = tm.load_latency(Pfn(15)) as f64 / tm.load_latency(Pfn(5)) as f64;
         assert!(ratio > 1.5 && ratio < 20.0, "ratio {ratio}");
     }
 
     #[test]
     fn first_frames() {
-        let tm = TieredMemory::with_frames(64, 128);
+        let tm = MemTopology::with_frames(64, 128);
         assert_eq!(tm.first_frame(Tier::Tier1), Pfn(0));
         assert_eq!(tm.first_frame(Tier::Tier2), Pfn(64));
     }
 
     #[test]
     fn total_bytes() {
-        let tm = TieredMemory::with_frames(256, 0);
+        let tm = MemTopology::with_frames(256, 0);
         assert_eq!(tm.total_bytes(), 1 << 20);
     }
 
@@ -512,7 +509,7 @@ mod tests {
     fn default_two_tier_layout_matches_the_named_presets() {
         // with_frames is the layout all 28 committed CSVs ran under; pin it
         // to the presets so a preset tweak cannot silently drift them.
-        let tm = TieredMemory::with_frames(7, 9);
+        let tm = MemTopology::with_frames(7, 9);
         assert_eq!(*tm.spec(Tier::Tier1), TierSpec::dram(7));
         assert_eq!(*tm.spec(Tier::Tier2), TierSpec::nvm(9));
         assert_eq!(tm.spec(Tier::Tier1).load_latency, 320);

@@ -124,7 +124,7 @@ impl TlbLevel {
     }
 
     /// [`TlbLevel::lookup`], additionally reporting the index of the slot
-    /// that hit (fuel for the batched-execution translation memo).
+    /// that hit (fuel for the translation memo).
     // tmprof-lint: allow(panic-reachability) — set_range slices a full set of `ways` slots within the slots array
     pub fn lookup_slot(&mut self, pid: Pid, vpn: Vpn) -> Option<(usize, &mut TlbEntry)> {
         self.clock += 1;
@@ -145,7 +145,7 @@ impl TlbLevel {
     /// transition a [`TlbLevel::lookup`] hit performs (one clock tick, a
     /// stamp refresh) and returns a copy of the entry. Any mismatch returns
     /// `None` without touching the clock, so a subsequent full lookup sees
-    /// the same LRU state the reference path would have.
+    /// the same LRU state as if no re-hit had been tried.
     #[inline]
     // tmprof-lint: allow(panic-reachability) — idx was returned by a prior lookup_slot hit and is a valid slot index
     pub fn rehit(&mut self, idx: usize, pid: Pid, vpn: Vpn, is_store: bool) -> Option<TlbEntry> {
@@ -394,7 +394,7 @@ impl Tlb {
         self.l1.insert_slot(entry).0
     }
 
-    /// Batched-execution fast path: re-hit a previously located L1 slot.
+    /// Translation-memo re-hit of a previously located L1 slot.
     ///
     /// Succeeds only in the regime where it provably replays the reference
     /// [`Tlb::access`] bit-for-bit: no huge translation cached in either
@@ -402,7 +402,7 @@ impl Tlb {
     /// sequencing), the slot still caches (`pid`, `vpn`), and — for
     /// stores — the cached entry is already dirty (a clean-store needs the
     /// D-bit write-back path). Returns `None` with all TLB state untouched
-    /// otherwise; the caller falls back to the reference path.
+    /// otherwise; the caller then takes the full [`Tlb::access`] lookup.
     #[inline]
     pub fn fast_rehit(
         &mut self,

@@ -1,16 +1,16 @@
-//! Property proof that the batched execution pipeline is bit-identical to
-//! the op-at-a-time reference path.
+//! Property proof that quantum execution is bit-identical to op-at-a-time
+//! execution.
 //!
 //! Two machines receive the same action sequence. One executes every op
 //! through [`Machine::exec_op`]; the other hands each quantum to
 //! [`Machine::exec_batch`] in randomly sized chunks (so chunk boundaries
 //! never line up with anything meaningful). Scans, shootdowns, migrations
 //! and epoch advances are interleaved between quanta — exactly the events
-//! that invalidate the batched path's translation memo. Every observable
-//! the rest of the stack consumes must match exactly: per-core event
-//! counts, per-epoch and lifetime ground truth (including hash-map
-//! iteration order, which downstream hashing makes reproducible), trace
-//! samples, first-touch order, and frame allocation.
+//! that invalidate the translation memo. Every observable the rest of the
+//! stack consumes must match exactly: per-core event counts, per-epoch and
+//! lifetime ground truth (including hash-map iteration order, which
+//! downstream hashing makes reproducible), trace samples, first-touch
+//! order, and frame allocation.
 
 use proptest::prelude::*;
 
@@ -99,8 +99,7 @@ fn machine(thp: bool) -> Machine {
 struct Snapshot {
     per_core_counts: Vec<EventCounts>,
     /// Per-epoch truth in *iteration order* — order-sensitive on purpose.
-    epochs: Vec<Vec<(u64, u64, u64)>>,
-    current_refs: Vec<(u64, u64)>,
+    epochs: Vec<Vec<(u64, u64)>>,
     current_mems: Vec<(u64, u64)>,
     lifetime: Vec<(u64, u64)>,
     first_touch: Vec<u64>,
@@ -109,11 +108,8 @@ struct Snapshot {
     tier2_frames: u64,
 }
 
-fn epoch_rows(t: &EpochTruth) -> Vec<(u64, u64, u64)> {
-    t.references
-        .iter()
-        .map(|(&k, &r)| (k, r, t.mem_accesses.get(&k).copied().unwrap_or(0)))
-        .collect()
+fn epoch_rows(t: &EpochTruth) -> Vec<(u64, u64)> {
+    t.mem_accesses.iter().map(|(&k, &v)| (k, v)).collect()
 }
 
 fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
@@ -154,10 +150,7 @@ fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
             }
         }
     }
-    let current = m.truth().current();
-    let current_refs: Vec<(u64, u64)> = current.references.iter().map(|(&k, &v)| (k, v)).collect();
-    let current_mems: Vec<(u64, u64)> =
-        current.mem_accesses.iter().map(|(&k, &v)| (k, v)).collect();
+    let current_mems = epoch_rows(m.truth().current());
     let lifetime: Vec<(u64, u64)> = m
         .truth()
         .lifetime_mem()
@@ -174,7 +167,6 @@ fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
     Snapshot {
         per_core_counts,
         epochs,
-        current_refs,
         current_mems,
         lifetime,
         first_touch,
