@@ -23,23 +23,22 @@ pub enum CacheLevel {
     Memory,
 }
 
-#[derive(Clone, Copy)]
-struct Line {
-    tag: u64,
-    stamp: u64,
-    valid: bool,
-    dirty: bool,
-}
+/// Tag-word bit: the way holds a line.
+const VALID: u64 = 1 << 63;
+/// Tag-word bit: the line was written since it was filled.
+const DIRTY: u64 = 1 << 62;
+/// The physical line number in a tag word.
+const LINE_MASK: u64 = !(VALID | DIRTY);
+
+/// Most ways a [`Cache`] can have: a set's recency word holds one 4-bit
+/// way index per way.
+const MAX_WAYS: usize = 16;
+
+/// A one in every nibble of a word.
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
 
 /// Cache lines per 4 KiB page.
 const PAGE_LINES: u64 = crate::addr::PAGE_SIZE >> LINE_SHIFT;
-
-const INVALID_LINE: Line = Line {
-    tag: 0,
-    stamp: 0,
-    valid: false,
-    dirty: false,
-};
 
 /// Result of a single-level probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,21 +52,65 @@ pub struct FillOutcome {
 /// Lines are tracked by *physical* line number, so page migration (which
 /// changes a page's physical address) naturally invalidates nothing but maps
 /// the page to cold lines — the same effect real migration has.
+///
+/// State is one 8-byte tag word per way and one 8-byte recency word per
+/// set:
+///
+/// * a tag word is the line number plus a valid bit (bit 63) and a dirty
+///   bit (bit 62); 0 is an empty way. The array is allocated zeroed, so the
+///   host backs only the sets a run touches;
+/// * a recency word lists the set's way indices as 4-bit nibbles, most
+///   recently used first (unused high nibbles hold `0xF`). A hit or a fill
+///   moves its way to the front, so the word orders the ways by their last
+///   hit or fill — exact true LRU — and the victim of a full set is the
+///   nibble at position `ways - 1`. Hence at most 16 ways.
 #[derive(Clone)]
 pub struct Cache {
     name: &'static str,
     sets: usize,
     ways: usize,
-    lines: Vec<Line>,
-    clock: u64,
+    tags: Vec<u64>,
+    order: Vec<u64>,
     hits: u64,
     misses: u64,
 }
 
+/// The recency word of a set no access has touched: way `i` at position
+/// `i`, `0xF` in the nibbles past the last way.
+fn initial_order(ways: usize) -> u64 {
+    (0..MAX_WAYS).fold(0, |word, pos| {
+        let nibble = if pos < ways { pos as u64 } else { 0xF };
+        word | (nibble << (4 * pos))
+    })
+}
+
+/// Move `way` to the front of the recency word `order`.
+///
+/// The zero-nibble test on `order ^ way-in-every-nibble` flags the top bit
+/// of the nibble that holds `way` (borrows only flag nibbles above a true
+/// zero, and `way` appears once). The nibbles before it shift up by one.
+#[inline]
+fn to_front(order: u64, way: usize) -> u64 {
+    let x = order ^ (way as u64 * NIBBLES);
+    let flags = x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3);
+    debug_assert_ne!(flags, 0, "way {way} missing from recency word {order:#x}");
+    let through = u64::MAX >> (63 - flags.trailing_zeros());
+    (order & !through) | ((order & (through >> 4)) << 4) | way as u64
+}
+
 impl Cache {
     /// Build a cache of `size_bytes` with `ways`-way associativity.
+    ///
+    /// # Panics
+    /// If `ways` is 0 or above 16, the size holds less than one
+    /// set, or the set count is not a power of two; the message names the
+    /// cache.
     pub fn new(name: &'static str, size_bytes: u64, ways: usize) -> Self {
-        assert!(ways > 0);
+        assert!(ways > 0, "{name}: zero ways");
+        assert!(
+            ways <= MAX_WAYS,
+            "{name}: {ways} ways, but a recency word holds at most {MAX_WAYS}"
+        );
         let lines_total = (size_bytes >> LINE_SHIFT) as usize;
         assert!(lines_total >= ways, "{name}: size below one set");
         let sets = lines_total / ways;
@@ -79,8 +122,8 @@ impl Cache {
             name,
             sets,
             ways,
-            lines: vec![INVALID_LINE; sets * ways],
-            clock: 0,
+            tags: vec![0; sets * ways],
+            order: vec![initial_order(ways); sets],
             hits: 0,
             misses: 0,
         }
@@ -106,25 +149,28 @@ impl Cache {
         self.misses
     }
 
+    /// The set `line` maps to.
     #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let idx = (line as usize) & (self.sets - 1);
-        let start = idx * self.ways;
+    fn set_of(&self, line: u64) -> usize {
+        (line as usize) & (self.sets - 1)
+    }
+
+    /// The tag words of set `set`.
+    #[inline]
+    fn slots(&self, set: usize) -> std::ops::Range<usize> {
+        let start = set * self.ways;
         start..start + self.ways
     }
 
     /// Probe for `line`; on a hit, refresh LRU and (for stores) mark dirty.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
+    // tmprof-lint: allow(panic-reachability) — set_of masks the set index to sets - 1, so the set's `ways` tag words and its recency word are in bounds, and `way` is a position within that slice
     pub fn probe(&mut self, line: u64, is_store: bool) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(line);
-        if let Some(slot) = self.lines[range]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line)
-        {
-            slot.stamp = clock;
-            slot.dirty |= is_store;
+        let set = self.set_of(line);
+        let range = self.slots(set);
+        let tags = &mut self.tags[range];
+        if let Some(way) = tags.iter().position(|&t| t & !DIRTY == line | VALID) {
+            tags[way] |= DIRTY * u64::from(is_store);
+            self.order[set] = to_front(self.order[set], way);
             self.hits += 1;
             true
         } else {
@@ -133,57 +179,49 @@ impl Cache {
         }
     }
 
-    /// Install `line` after a miss, evicting the LRU way.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
+    /// Install `line` after a miss: in the first empty way, else in place
+    /// of the LRU way.
+    // tmprof-lint: allow(panic-reachability) — set_of masks the set index to sets - 1, so the set's `ways` tag words and its recency word are in bounds; `way` is a position within the set or a recency nibble, and the word holds only way indices below `ways` in its first `ways` nibbles
     pub fn fill(&mut self, line: u64, is_store: bool) -> FillOutcome {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(line);
-        let set = &mut self.lines[range];
-        let slot = if let Some(free) = set.iter_mut().find(|l| !l.valid) {
-            free
-        } else {
-            // tmprof-lint: allow(panic-reachability) — ways >= 1 is validated at construction, so a set always has an LRU victim
-            set.iter_mut().min_by_key(|l| l.stamp).expect("ways > 0")
+        debug_assert_eq!(line & !LINE_MASK, 0, "line {line:#x} overflows a tag word");
+        let set = self.set_of(line);
+        let range = self.slots(set);
+        let order = self.order[set];
+        let tags = &mut self.tags[range];
+        let way = match tags.iter().position(|&t| t & VALID == 0) {
+            Some(free) => free,
+            None => ((order >> (4 * (self.ways - 1))) & 0xF) as usize,
         };
-        let writeback = (slot.valid && slot.dirty).then_some(slot.tag);
-        *slot = Line {
-            tag: line,
-            stamp: clock,
-            valid: true,
-            dirty: is_store,
-        };
+        let old = tags[way];
+        let writeback = (old & (VALID | DIRTY) == VALID | DIRTY).then_some(old & LINE_MASK);
+        tags[way] = line | VALID | (DIRTY * u64::from(is_store));
+        self.order[set] = to_front(order, way);
         FillOutcome { writeback }
+    }
+
+    /// The tag word holding `line`, if it is cached.
+    // tmprof-lint: allow(panic-reachability) — set_of masks the set index to sets - 1, so the slice is the set's `ways` tag words
+    fn tag_of(&mut self, line: u64) -> Option<&mut u64> {
+        let range = self.slots(self.set_of(line));
+        self.tags[range]
+            .iter_mut()
+            .find(|t| **t & !DIRTY == line | VALID)
     }
 
     /// Absorb a writeback from an inner cache level: if `line` is present,
     /// mark it dirty (no demand-stat or LRU update — writebacks are not
     /// demand traffic). Returns false when the line is absent and the
     /// writeback must continue outward.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
     pub fn writeback_touch(&mut self, line: u64) -> bool {
-        let range = self.set_range(line);
-        for slot in &mut self.lines[range] {
-            if slot.valid && slot.tag == line {
-                slot.dirty = true;
-                return true;
-            }
-        }
-        false
+        self.tag_of(line).map(|t| *t |= DIRTY).is_some()
     }
 
     /// Drop `line` if cached (migration scrub / coherence). Returns whether
     /// it was present and dirty.
-    // tmprof-lint: allow(panic-reachability) — set_range masks the set index to sets - 1 and slices exactly `ways` lines
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let range = self.set_range(line);
-        for slot in &mut self.lines[range] {
-            if slot.valid && slot.tag == line {
-                slot.valid = false;
-                return Some(slot.dirty);
-            }
-        }
-        None
+        let t = self.tag_of(line)?;
+        *t &= !VALID;
+        Some(*t & DIRTY != 0)
     }
 
     /// The slots that can hold a line of the page starting at
@@ -194,10 +232,10 @@ impl Cache {
     fn page_slots(&self, page_first_line: u64) -> std::ops::Range<usize> {
         debug_assert_eq!(page_first_line % PAGE_LINES, 0, "not a page's first line");
         if self.sets >= PAGE_LINES as usize {
-            let start = self.set_range(page_first_line).start;
+            let start = self.slots(self.set_of(page_first_line)).start;
             start..start + PAGE_LINES as usize * self.ways
         } else {
-            0..self.lines.len()
+            0..self.tags.len()
         }
     }
 
@@ -207,31 +245,37 @@ impl Cache {
     ///
     /// One pass over the page's sets, with the same effect as
     /// [`Cache::invalidate`] on each of its lines: a line is filled only
-    /// after it missed, so it sits in at most one way, and clearing `valid`
-    /// on every slot whose tag falls in the page drops exactly those lines.
-    /// LRU stamps, dirty bits and counters are untouched; no writeback is
-    /// reported.
-    // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` lines, or the whole array
+    /// after it missed, so it sits in at most one way, and clearing the
+    /// valid bit of every tag word whose line falls in the page drops
+    /// exactly those lines. Recency words, dirty bits and counters are
+    /// untouched; no writeback is reported.
+    // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` tag words, or the whole array
     pub fn invalidate_page_lines(&mut self, page_first_line: u64) {
         let range = self.page_slots(page_first_line);
-        for slot in &mut self.lines[range] {
-            slot.valid &= slot.tag.wrapping_sub(page_first_line) >= PAGE_LINES;
+        for t in &mut self.tags[range] {
+            let in_page = (*t & LINE_MASK).wrapping_sub(page_first_line) < PAGE_LINES;
+            *t &= !(VALID * u64::from(in_page));
         }
     }
 
     /// Number of valid lines of the page starting at `page_first_line`
     /// (diagnostics).
-    // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` lines, or the whole array
+    // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` tag words, or the whole array
     pub(crate) fn page_lines_cached(&self, page_first_line: u64) -> usize {
-        self.lines[self.page_slots(page_first_line)]
+        self.tags[self.page_slots(page_first_line)]
             .iter()
-            .filter(|l| l.valid && l.tag.wrapping_sub(page_first_line) < PAGE_LINES)
+            .filter(|&&t| {
+                t & VALID != 0 && (t & LINE_MASK).wrapping_sub(page_first_line) < PAGE_LINES
+            })
             .count()
     }
 
     /// Physical line numbers of the valid lines (diagnostics).
     pub(crate) fn valid_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.tag)
+        self.tags
+            .iter()
+            .filter(|&&t| t & VALID != 0)
+            .map(|&t| t & LINE_MASK)
     }
 
     /// Number of valid lines (diagnostics).
@@ -272,12 +316,13 @@ impl PrivateCaches {
     }
 
     /// Run an access through L1 and L2. Returns the serving level if one of
-    /// the private levels hit (`None` means the access must go to the LLC)
-    /// plus any dirty victims the promotion displaced.
-    pub fn probe(&mut self, pa: PhysAddr, is_store: bool) -> (Option<CacheLevel>, PrivateVictims) {
+    /// the private levels hit; `None` means the access must go to the LLC.
+    /// An L2 hit promotes the line to L1, and L2 absorbs the dirty L1
+    /// victim, so no victim leaves the private levels here.
+    pub fn probe(&mut self, pa: PhysAddr, is_store: bool) -> Option<CacheLevel> {
         let line = pa.line();
         if self.l1d.probe(line, is_store) {
-            return (Some(CacheLevel::L1), PrivateVictims::default());
+            return Some(CacheLevel::L1);
         }
         if self.l2.probe(line, is_store) {
             // Promote to L1 (inclusive-ish fill path). A dirty L1 victim
@@ -287,9 +332,9 @@ impl PrivateCaches {
             if let Some(victim) = out.writeback {
                 self.l2.writeback_touch(victim);
             }
-            return (Some(CacheLevel::L2), PrivateVictims::default());
+            return Some(CacheLevel::L2);
         }
-        (None, PrivateVictims::default())
+        None
     }
 
     /// After the shared level (or memory) supplied the line, install it in
@@ -387,6 +432,23 @@ mod tests {
         assert_eq!(c.occupancy(), 0);
     }
 
+    #[test]
+    #[should_panic(expected = "LLC: 17 ways")]
+    fn more_ways_than_a_recency_word_holds_panics_naming_the_cache() {
+        Cache::new("LLC", 17 * 64 * 64, 17);
+    }
+
+    #[test]
+    fn recency_word_moves_a_way_to_the_front() {
+        assert_eq!(initial_order(16), 0xFEDC_BA98_7654_3210);
+        assert_eq!(initial_order(2), 0xFFFF_FFFF_FFFF_FF10);
+        let word = initial_order(16);
+        assert_eq!(to_front(word, 0), word);
+        assert_eq!(to_front(word, 5), 0xFEDC_BA98_7643_2105);
+        assert_eq!(to_front(word, 15), 0xEDCB_A987_6543_210F);
+        assert_eq!(to_front(initial_order(8), 7), 0xFFFF_FFFF_6543_2107);
+    }
+
     /// The per-line scrub [`Cache::invalidate_page_lines`] replaced, kept
     /// as its oracle: one [`Cache::invalidate`] per line of the page.
     fn invalidate_page_lines_per_line(c: &mut Cache, page_first_line: u64) {
@@ -395,17 +457,9 @@ mod tests {
         }
     }
 
-    /// A slot's `(tag, valid, dirty, stamp)`.
-    type Slot = (u64, bool, bool, u64);
-
-    /// Every slot, plus clock and counters.
-    fn state(c: &Cache) -> (Vec<Slot>, u64, u64, u64) {
-        let slots = c
-            .lines
-            .iter()
-            .map(|l| (l.tag, l.valid, l.dirty, l.stamp))
-            .collect();
-        (slots, c.clock, c.hits, c.misses)
+    /// Every tag word, every recency word, and the counters.
+    fn state(c: &Cache) -> (Vec<u64>, Vec<u64>, u64, u64) {
+        (c.tags.clone(), c.order.clone(), c.hits, c.misses)
     }
 
     #[derive(Clone, Debug)]
@@ -418,6 +472,10 @@ mod tests {
             fill: bool,
         },
         WritebackTouch {
+            page: u64,
+            line: u64,
+        },
+        Invalidate {
             page: u64,
             line: u64,
         },
@@ -444,6 +502,8 @@ mod tests {
                     .prop_map(|(page, line, store, fill)| CacheOp::Access { page, line, store, fill }),
                 2 => (0..TEST_PAGES, line())
                     .prop_map(|(page, line)| CacheOp::WritebackTouch { page, line }),
+                1 => (0..TEST_PAGES, line())
+                    .prop_map(|(page, line)| CacheOp::Invalidate { page, line }),
                 1 => (0..TEST_PAGES).prop_map(|page| CacheOp::Scrub { page }),
             ],
             1..1000,
@@ -455,8 +515,9 @@ mod tests {
     }
 
     /// Scrub `page` from `c` with the sweep, checking on a copy that the
-    /// per-line oracle leaves every slot, the clock and the counters the
-    /// same, and that `page_lines_cached` counted what the oracle dropped.
+    /// per-line oracle leaves every tag word, every recency word and the
+    /// counters the same, and that `page_lines_cached` counted what the
+    /// oracle dropped.
     fn scrub_and_check(c: &mut Cache, page: u64) {
         let first = page_first_line(page);
         let mut oracle = c.clone();
@@ -469,12 +530,195 @@ mod tests {
         assert!(state(c) == state(&oracle), "scrub of page {page} diverged");
     }
 
+    /// One way of the stamped oracle: a 24-byte line with a 64-bit LRU
+    /// stamp.
+    #[derive(Clone, Copy)]
+    struct Line {
+        tag: u64,
+        stamp: u64,
+        valid: bool,
+        dirty: bool,
+    }
+
+    /// The stamped cache, kept as the LRU oracle for [`Cache`]: a hit or
+    /// fill stamps its line with a global clock, and a full set evicts the
+    /// line with the smallest stamp.
+    struct StampedCache {
+        sets: usize,
+        ways: usize,
+        lines: Vec<Line>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl StampedCache {
+        fn new(size_bytes: u64, ways: usize) -> Self {
+            let sets = (size_bytes >> LINE_SHIFT) as usize / ways;
+            let empty = Line {
+                tag: 0,
+                stamp: 0,
+                valid: false,
+                dirty: false,
+            };
+            Self {
+                sets,
+                ways,
+                lines: vec![empty; sets * ways],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut [Line] {
+            let start = (line as usize & (self.sets - 1)) * self.ways;
+            &mut self.lines[start..start + self.ways]
+        }
+
+        fn probe(&mut self, line: u64, is_store: bool) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            if let Some(slot) = self.set(line).iter_mut().find(|l| l.valid && l.tag == line) {
+                slot.stamp = clock;
+                slot.dirty |= is_store;
+                self.hits += 1;
+                true
+            } else {
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn fill(&mut self, line: u64, is_store: bool) -> FillOutcome {
+            self.clock += 1;
+            let clock = self.clock;
+            let set = self.set(line);
+            let slot = match set.iter().position(|l| !l.valid) {
+                Some(free) => &mut set[free],
+                None => set.iter_mut().min_by_key(|l| l.stamp).unwrap(),
+            };
+            let writeback = (slot.valid && slot.dirty).then_some(slot.tag);
+            *slot = Line {
+                tag: line,
+                stamp: clock,
+                valid: true,
+                dirty: is_store,
+            };
+            FillOutcome { writeback }
+        }
+
+        fn writeback_touch(&mut self, line: u64) -> bool {
+            let slot = self.set(line).iter_mut().find(|l| l.valid && l.tag == line);
+            slot.map(|l| l.dirty = true).is_some()
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<bool> {
+            let slot = self
+                .set(line)
+                .iter_mut()
+                .find(|l| l.valid && l.tag == line)?;
+            slot.valid = false;
+            Some(slot.dirty)
+        }
+
+        fn invalidate_page_lines(&mut self, page_first_line: u64) {
+            for l in page_first_line..page_first_line + PAGE_LINES {
+                self.invalidate(l);
+            }
+        }
+    }
+
+    /// The valid `(line, dirty)` pairs of a cache, ascending.
+    fn contents(c: &Cache) -> Vec<(u64, bool)> {
+        let mut v: Vec<_> = c
+            .tags
+            .iter()
+            .filter(|&&t| t & VALID != 0)
+            .map(|&t| (t & LINE_MASK, t & DIRTY != 0))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn stamped_contents(c: &StampedCache) -> Vec<(u64, bool)> {
+        let mut v: Vec<_> = c
+            .lines
+            .iter()
+            .filter(|l| l.valid)
+            .map(|l| (l.tag, l.dirty))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Apply `ops` to a [`Cache`] and to the stamped oracle of the same
+    /// geometry, requiring the same outcome from every call, the same
+    /// counters after every op, and the same valid lines (with their dirty
+    /// bits) at every scrub and at the end.
+    fn check_against_stamped(ops: &[CacheOp], sets: usize, ways: usize) {
+        let size = ((sets * ways) as u64) << LINE_SHIFT;
+        let mut c = Cache::new("t", size, ways);
+        let mut r = StampedCache::new(size, ways);
+        let at = |i: usize| format!("{sets} sets x {ways} ways, op {i}");
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                CacheOp::Access {
+                    page,
+                    line,
+                    store,
+                    fill,
+                } => {
+                    let l = page_first_line(page) + line;
+                    let hit = c.probe(l, store);
+                    assert_eq!(hit, r.probe(l, store), "probe, {}", at(i));
+                    if !hit && fill {
+                        assert_eq!(c.fill(l, store), r.fill(l, store), "fill, {}", at(i));
+                    }
+                }
+                CacheOp::WritebackTouch { page, line } => {
+                    let l = page_first_line(page) + line;
+                    assert_eq!(
+                        c.writeback_touch(l),
+                        r.writeback_touch(l),
+                        "writeback_touch, {}",
+                        at(i)
+                    );
+                }
+                CacheOp::Invalidate { page, line } => {
+                    let l = page_first_line(page) + line;
+                    assert_eq!(c.invalidate(l), r.invalidate(l), "invalidate, {}", at(i));
+                }
+                CacheOp::Scrub { page } => {
+                    c.invalidate_page_lines(page_first_line(page));
+                    r.invalidate_page_lines(page_first_line(page));
+                    assert_eq!(contents(&c), stamped_contents(&r), "scrub, {}", at(i));
+                }
+            }
+            assert_eq!(
+                (c.hits(), c.misses()),
+                (r.hits, r.misses),
+                "counters, {}",
+                at(i)
+            );
+        }
+        assert_eq!(
+            contents(&c),
+            stamped_contents(&r),
+            "{sets} sets x {ways} ways, end"
+        );
+        let mut valid: Vec<u64> = c.valid_lines().collect();
+        valid.sort_unstable();
+        let want: Vec<u64> = stamped_contents(&r).iter().map(|&(l, _)| l).collect();
+        assert_eq!(valid, want, "valid_lines, {sets} sets x {ways} ways");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The one-pass scrub leaves every slot exactly as the per-line
-        /// loop does, on the L1 (8 sets), L2 (64 sets) and LLC (2,048
-        /// sets) of the `scaled_down(16)` machine.
+        /// The one-pass scrub leaves every tag word and recency word
+        /// exactly as the per-line loop does, on the L1 (8 sets), L2 (64
+        /// sets) and LLC (2,048 sets) of the `scaled_down(16)` machine.
         #[test]
         fn page_sweep_matches_per_line_invalidate(ops in cache_ops()) {
             for (size, ways) in [(4u64 << 10, 8), (32 << 10, 8), (2 << 20, 16)] {
@@ -490,6 +734,9 @@ mod tests {
                         CacheOp::WritebackTouch { page, line } => {
                             c.writeback_touch(page_first_line(page) + line);
                         }
+                        CacheOp::Invalidate { page, line } => {
+                            c.invalidate(page_first_line(page) + line);
+                        }
                         CacheOp::Scrub { page } => scrub_and_check(&mut c, page),
                     }
                 }
@@ -499,24 +746,37 @@ mod tests {
                 }
             }
         }
+
+        /// Tag and recency words are exact true LRU: every probe, fill,
+        /// writeback, invalidation and scrub gives what the stamped cache
+        /// gives, on 1-, 8-, 64- and 2,048-set caches of 2, 4, 8 and 16
+        /// ways.
+        #[test]
+        fn recency_words_match_stamped_lru(ops in cache_ops()) {
+            for sets in [1, 8, 64, 2048] {
+                for ways in [2, 4, 8, 16] {
+                    check_against_stamped(&ops, sets, ways);
+                }
+            }
+        }
     }
 
     #[test]
     fn private_hierarchy_promotes_l2_hits() {
         let mut pc = PrivateCaches::zen2();
         let pa = PhysAddr(0x1000);
-        assert_eq!(pc.probe(pa, false).0, None);
+        assert_eq!(pc.probe(pa, false), None);
         pc.fill_through(pa, false);
-        assert_eq!(pc.probe(pa, false).0, Some(CacheLevel::L1));
+        assert_eq!(pc.probe(pa, false), Some(CacheLevel::L1));
         // Evict from the 8-way L1 by filling 8 lines that conflict in its
         // 64-set index (stride 64 lines = 4096 B) but land in distinct sets
         // of the 1024-set L2, so the victim line survives in L2.
         for i in 1..=8u64 {
             pc.fill_through(PhysAddr(0x1000 + i * 4096), false);
         }
-        assert_eq!(pc.probe(pa, false).0, Some(CacheLevel::L2));
+        assert_eq!(pc.probe(pa, false), Some(CacheLevel::L2));
         // And promoted back to L1 afterwards.
-        assert_eq!(pc.probe(pa, false).0, Some(CacheLevel::L1));
+        assert_eq!(pc.probe(pa, false), Some(CacheLevel::L1));
     }
 
     #[test]
@@ -528,7 +788,7 @@ mod tests {
             pc.fill_through(PhysAddr(0x1000 + i * 4096), false);
         }
         // The dirty line now lives (dirty) in L2 only.
-        assert_eq!(pc.probe(PhysAddr(0x1000), false).0, Some(CacheLevel::L2));
+        assert_eq!(pc.probe(PhysAddr(0x1000), false), Some(CacheLevel::L2));
         assert_eq!(pc.l2.invalidate(PhysAddr(0x1000).line()), Some(true));
     }
 

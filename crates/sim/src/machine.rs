@@ -82,13 +82,22 @@ impl Default for LatencyConfig {
 }
 
 /// Cache and TLB geometry for one build of the machine.
+///
+/// Each cache holds at most 16 ways: [`Cache`] orders a set's ways in one
+/// 64-bit recency word of 4-bit way indices, and [`Machine::new`] panics,
+/// naming the cache, on a wider one. Sizes must give a power-of-two set
+/// count. [`CacheProfile::zen2`] and [`CacheProfile::scaled_down`] use 8
+/// or 16 ways.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheProfile {
     pub l1_bytes: u64,
+    /// L1D associativity, 1 to 16.
     pub l1_ways: usize,
     pub l2_bytes: u64,
+    /// L2 associativity, 1 to 16.
     pub l2_ways: usize,
     pub llc_bytes: u64,
+    /// LLC associativity, 1 to 16.
     pub llc_ways: usize,
     pub tlb_l1_entries: usize,
     pub tlb_l2_sets: usize,
@@ -768,8 +777,7 @@ impl Machine {
         let core = &mut self.cores[core_idx];
         let source;
         let mut tier = None;
-        let (private_hit, _) = core.caches.probe(pa, store);
-        if let Some(level) = private_hit {
+        if let Some(level) = core.caches.probe(pa, store) {
             source = level;
             out.cycles += match level {
                 CacheLevel::L1 => lat.l1_hit,
@@ -777,7 +785,7 @@ impl Machine {
                     core.counts.l1d_misses += 1;
                     lat.l2_hit
                 }
-                // tmprof-lint: allow(panic-reachability) — CacheHierarchy::probe only reports L1/L2 hits by construction; LLC and memory are probed on the shared path below
+                // tmprof-lint: allow(panic-reachability) — PrivateCaches::probe only reports L1/L2 hits by construction; LLC and memory are probed on the shared path below
                 _ => unreachable!("private probe beyond L2"),
             };
         } else {

@@ -96,6 +96,8 @@ const FREE: PageDesc = PageDesc {
 /// like the dense array did), but backing storage is a vector of
 /// `Option<chunk>` slots: a chunk of [`PageDescTable::chunk_frames`]
 /// descriptors is allocated the first time any frame in it is written.
+/// The last chunk holds only the frames up to the table's capacity, so a
+/// machine smaller than one chunk allocates one descriptor per frame.
 /// Reads of untouched frames return a reference to the shared all-zero
 /// descriptor without allocating. Iteration order (chunk-ascending, then
 /// frame-ascending) is identical to the dense array's PFN order.
@@ -120,7 +122,7 @@ pub struct PageDescTable {
 }
 
 /// Default frames per chunk: 4096 frames = 16 MiB of simulated memory per
-/// ~0.25 MiB chunk of descriptors.
+/// 256 KiB chunk of 64-byte descriptors.
 pub const DEFAULT_CHUNK: usize = 4096;
 
 impl PageDescTable {
@@ -179,13 +181,16 @@ impl PageDescTable {
     }
 
     /// Mutable `phys_to_page()`; materializes the covering chunk on first
-    /// touch.
+    /// touch. The last chunk stops at the last frame, so it may hold fewer
+    /// than [`Self::chunk_frames`] descriptors.
     #[inline]
     pub fn get_mut(&mut self, pfn: Pfn) -> &mut PageDesc {
         assert!(pfn.0 < self.total_frames, "pfn {pfn:?} out of range");
         let ci = (pfn.0 >> self.shift) as usize;
         if self.chunks[ci].is_none() {
-            self.chunks[ci] = Some(vec![FREE; self.chunk_frames].into_boxed_slice());
+            let base = (ci as u64) << self.shift;
+            let len = (self.total_frames - base).min(self.chunk_frames as u64) as usize;
+            self.chunks[ci] = Some(vec![FREE; len].into_boxed_slice());
             self.resident += 1;
             metrics::set(Metric::SimDescChunksResident, self.resident);
         }
@@ -484,6 +489,20 @@ mod tests {
         t.bump_abit(Pfn(99), 0);
         assert_eq!(t.get(Pfn(99)).abit_epoch, 1);
         assert_eq!(t.resident_chunks(), 1);
+        // The tail chunk stops at the last frame: 100 - 64 descriptors.
+        assert!(t.chunks[0].is_none());
+        assert_eq!(t.chunks[1].as_deref().map(<[PageDesc]>::len), Some(36));
+        // An untouched frame in it still reads the zero descriptor.
+        let cold = t.get(Pfn(64));
+        assert_eq!(
+            (cold.owner, cold.epoch_rank(), cold.abit_total),
+            (None, 0, 0)
+        );
+        // A frame past the capacity still panics, resident tail or not.
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.get(Pfn(100));
+        }));
+        assert!(past.is_err(), "Pfn(100) is out of range");
     }
 
     #[test]
