@@ -42,9 +42,9 @@ fn sparse_table(frames: u64, touched: u64) -> PageDescTable {
     let mut rng = Rng::new(11);
     for i in 0..touched {
         let pfn = Pfn(rng.below(frames));
-        t.bump_abit(pfn, 0);
+        t.bump_abit(pfn);
         if i % 3 == 0 {
-            t.bump_trace(pfn, 0);
+            t.bump_trace(pfn);
         }
     }
     t

@@ -35,7 +35,7 @@ const BUDGET: u64 = 1 << 16;
 fn base_machine(mapped: u64, hot: u64) -> (Machine, Vec<Vpn>) {
     let mut m = Machine::new(MachineConfig::scaled(2, 64, mapped + 64, 1 << 20));
     m.add_process(1);
-    let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+    let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
     for v in 0..mapped {
         pt.map(Vpn(v), Pte::new(Pfn(v), true));
     }
@@ -50,7 +50,7 @@ fn huge_machine(pages: u64, hot: u64) -> (Machine, Vec<Vpn>) {
     let spans = pages.div_ceil(HUGE_SPAN);
     let mut m = Machine::new(MachineConfig::scaled(2, 64, pages + HUGE_SPAN, 1 << 20));
     m.add_process(1);
-    let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+    let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
     for s in 0..spans {
         let mut pte = Pte::new(Pfn(s * HUGE_SPAN), true);
         pte.set(bits::PS);
@@ -67,7 +67,7 @@ fn huge_machine(pages: u64, hot: u64) -> (Machine, Vec<Vpn>) {
 /// `entry_mut` path, then run one full budgeted cursor cycle.
 fn reheat_and_cycle(m: &mut Machine, hot_vpns: &[Vpn], walk_units: u64) -> u64 {
     {
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+        let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
         for &vpn in hot_vpns {
             pt.entry_mut(vpn).expect("hot page is mapped").set(bits::A);
         }

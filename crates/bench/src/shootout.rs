@@ -20,6 +20,7 @@ use std::hash::BuildHasher;
 
 use tmprof_profilers::autonuma::{AutoNumaConfig, AutoNumaScanner};
 use tmprof_profilers::thermostat::{Thermostat, ThermostatConfig};
+use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::machine::Machine;
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tlb::Pid;
@@ -74,6 +75,13 @@ where
     traffic(&top_n(estimate, n)) as f64 / ceiling as f64
 }
 
+/// Add one epoch's per-page counts into a running total.
+fn fold_counts<S: BuildHasher>(total: &mut HashMap<u64, u64, S>, epoch: &KeyMap<u64, u64>) {
+    for (&k, &v) in epoch {
+        *total.entry(k).or_insert(0) += v;
+    }
+}
+
 fn spawn_into(
     machine: &mut Machine,
     kind: WorkloadKind,
@@ -113,15 +121,9 @@ pub fn score_tmp(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     let mut estimate: HashMap<u64, u64> = HashMap::new();
     let mut truth: HashMap<u64, u64> = HashMap::new();
     for e in &run.log.epochs {
-        for (&k, &v) in &e.profile.abit {
-            *estimate.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &e.profile.trace {
-            *estimate.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &e.truth_mem {
-            *truth.entry(k).or_insert(0) += v;
-        }
+        fold_counts(&mut estimate, &e.profile.abit);
+        fold_counts(&mut estimate, &e.profile.trace);
+        fold_counts(&mut truth, &e.truth_mem);
     }
     let n = (truth.len() / 16).max(1);
     Scorecard {
@@ -141,14 +143,14 @@ pub fn score_autonuma(kind: WorkloadKind, scale: &Scale) -> Scorecard {
         scan_size_pages: scale.abit_budget,
     });
     machine.set_fault_policy(Some(handler));
+    let mut truth: KeyMap<u64, u64> = KeyMap::default();
     for _ in 0..scale.epochs {
         for &pid in &pids {
             scanner.scan_pass(&mut machine, pid);
         }
         run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
-        machine.advance_epoch();
+        fold_counts(&mut truth, &machine.advance_epoch().mem_accesses);
     }
-    let truth = machine.truth().lifetime_mem().clone();
     let estimate = scanner.hit_counts();
     let n = (truth.len() / 16).max(1);
     Scorecard {
@@ -166,18 +168,19 @@ pub fn score_thermostat(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     let (mut gens, pids) = spawn_into(&mut machine, kind, scale);
     let (mut th, handler) = Thermostat::new(ThermostatConfig::default());
     machine.set_fault_policy(Some(handler));
-    // Warm-up epoch so pages exist before the first sample.
+    // Warm-up epoch so pages exist before the first sample; its accesses
+    // count towards the truth like every other epoch's.
     run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
-    machine.advance_epoch();
+    let mut truth: KeyMap<u64, u64> = KeyMap::default();
+    fold_counts(&mut truth, &machine.advance_epoch().mem_accesses);
     for _ in 1..scale.epochs {
         for &pid in &pids {
             th.begin_epoch(&mut machine, pid);
         }
         run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
         th.end_epoch(&mut machine);
-        machine.advance_epoch();
+        fold_counts(&mut truth, &machine.advance_epoch().mem_accesses);
     }
-    let truth = machine.truth().lifetime_mem().clone();
     // Thermostat's estimate is binary; score its hot set.
     // tmprof-lint: allow(determinism-taint) — the estimate map is probed by key against the sorted truth ranking; its iteration order is never observed
     let estimate: HashMap<u64, u64> = th.hot_pages().into_iter().map(|k| (k, 1)).collect();

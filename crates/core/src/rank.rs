@@ -224,10 +224,10 @@ mod tests {
             };
             t.set_owner(Pfn(vpn), key);
             for _ in 0..abit {
-                t.bump_abit(Pfn(vpn), 0);
+                t.bump_abit(Pfn(vpn));
             }
             for _ in 0..trace {
-                t.bump_trace(Pfn(vpn), 0);
+                t.bump_trace(Pfn(vpn));
             }
         }
         t

@@ -63,7 +63,7 @@ pub fn numa_maps(machine: &mut Machine, pid: Pid) -> String {
     use std::fmt::Write;
     let layout = machine.memory().clone();
     let mut rows: Vec<(u64, u64, String, u64, u64)> = Vec::new();
-    if let Some((pt, descs, _epoch)) = machine.scan_parts(pid) {
+    if let Some((pt, descs)) = machine.scan_parts(pid) {
         pt.walk_present(|vpn, pte| {
             let pfn = pte.pfn();
             let d = descs.get(pfn);
@@ -161,9 +161,9 @@ mod tests {
         m.touch(0, 1, VirtAddr(0x2000));
         let pfn_hot = m.frame_of(1, Vpn(2)).unwrap();
         let pfn_cold = m.frame_of(1, Vpn(1)).unwrap();
-        m.descs_mut().bump_trace(pfn_hot, 0);
-        m.descs_mut().bump_trace(pfn_hot, 0);
-        m.descs_mut().bump_abit(pfn_cold, 0);
+        m.descs_mut().bump_trace(pfn_hot);
+        m.descs_mut().bump_trace(pfn_hot);
+        m.descs_mut().bump_abit(pfn_cold);
         let top = hottest_pages(&m, 10);
         assert_eq!(top[0].0.vpn, Vpn(2));
         assert_eq!(top[0].1, 2);

@@ -42,7 +42,7 @@ fn arbitrary_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(t: &mut PageDescTable, op: Op, epoch: &mut u32) {
+fn apply(t: &mut PageDescTable, op: Op) {
     match op {
         Op::SetOwner { pfn, pid, vpn } => t.set_owner(
             Pfn(pfn),
@@ -51,17 +51,14 @@ fn apply(t: &mut PageDescTable, op: Op, epoch: &mut u32) {
                 vpn: Vpn(vpn),
             },
         ),
-        Op::BumpAbit { pfn } => t.bump_abit(Pfn(pfn), *epoch),
-        Op::BumpTrace { pfn } => t.bump_trace(Pfn(pfn), *epoch),
+        Op::BumpAbit { pfn } => t.bump_abit(Pfn(pfn)),
+        Op::BumpTrace { pfn } => t.bump_trace(Pfn(pfn)),
         Op::Migrate { from, to } => {
             if from != to {
                 t.migrate(Pfn(from), Pfn(to));
             }
         }
-        Op::ResetEpoch => {
-            t.reset_epoch();
-            *epoch += 1;
-        }
+        Op::ResetEpoch => t.reset_epoch(),
     }
 }
 
@@ -76,12 +73,11 @@ proptest! {
     #[test]
     fn dirty_capture_equals_full_scan(ops in prop::collection::vec(arbitrary_op(), 0..120)) {
         let mut t = PageDescTable::new(FRAMES);
-        let mut epoch = 0u32;
         for op in ops {
             // Check at every horizon, not just the end: a stale dirty list
             // would poison the *next* epoch's capture.
             let horizon = matches!(op, Op::ResetEpoch);
-            apply(&mut t, op, &mut epoch);
+            apply(&mut t, op);
             if horizon {
                 assert_captures_agree(&t);
                 prop_assert!(t.touched_frames().is_empty(), "horizon left touched frames");
@@ -101,9 +97,9 @@ proptest! {
         let mut t = PageDescTable::new(FRAMES);
         for (i, &(a, b)) in bumps.iter().enumerate() {
             t.set_owner(Pfn(a), PageKey { pid: 1, vpn: Vpn(a) });
-            t.bump_abit(Pfn(a), 0);
+            t.bump_abit(Pfn(a));
             if i % 2 == 0 {
-                t.bump_trace(Pfn(b), 0);
+                t.bump_trace(Pfn(b));
             }
         }
         assert_captures_agree(&t);
@@ -118,7 +114,7 @@ proptest! {
             );
         }
         for &(a, _) in &bumps {
-            t.bump_trace(Pfn(a), 1);
+            t.bump_trace(Pfn(a));
         }
         assert_captures_agree(&t);
         let p = EpochProfile::capture(&t);
@@ -134,8 +130,8 @@ proptest! {
         // agree with the full scan.
         let mut t = PageDescTable::new(FRAMES);
         t.set_owner(Pfn(0), PageKey { pid: 2, vpn: Vpn(7) });
-        t.bump_abit(Pfn(0), 0);
-        t.bump_trace(Pfn(0), 0);
+        t.bump_abit(Pfn(0));
+        t.bump_trace(Pfn(0));
         let mut cur = 0u64;
         for &(nudge, extra) in &hops {
             let dst = nudge;
@@ -143,9 +139,9 @@ proptest! {
                 t.migrate(Pfn(cur), Pfn(dst));
                 cur = dst;
             }
-            t.bump_abit(Pfn(cur), 0);
+            t.bump_abit(Pfn(cur));
             // Unrelated traffic on another frame, owned or not.
-            t.bump_trace(Pfn(extra), 0);
+            t.bump_trace(Pfn(extra));
         }
         assert_captures_agree(&t);
         t.reset_epoch();
@@ -170,7 +166,7 @@ mod unmap_huge_mid_epoch {
     fn machine_with_huge() -> Machine {
         let mut m = Machine::new(MachineConfig::scaled(1, 2048, 0, 1 << 20));
         m.add_process(1);
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+        let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
         let mut pte = Pte::new(Pfn(HUGE_BASE), true);
         pte.set(bits::PS | bits::A | bits::D);
         pt.map_huge(Vpn(HUGE_BASE), pte).expect("span is free");
@@ -195,12 +191,12 @@ mod unmap_huge_mid_epoch {
                     vpn: Vpn(HUGE_BASE + off),
                 },
             );
-            m.descs_mut().bump_abit(pfn, 0);
+            m.descs_mut().bump_abit(pfn);
             if off % 2 == 0 {
-                m.descs_mut().bump_trace(pfn, 0);
+                m.descs_mut().bump_trace(pfn);
             }
         }
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+        let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
         let old = pt.unmap_huge(Vpn(HUGE_BASE)).expect("huge entry present");
         assert!(old.huge());
 
@@ -218,7 +214,7 @@ mod unmap_huge_mid_epoch {
     #[test]
     fn scans_after_unmap_huge_observe_only_surviving_pages() {
         let mut m = machine_with_huge();
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+        let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
         pt.unmap_huge(Vpn(HUGE_BASE)).expect("huge entry present");
 
         // Packed and scalar scans agree that only the small neighbor is
@@ -249,7 +245,7 @@ mod unmap_huge_mid_epoch {
     #[test]
     fn remap_after_unmap_huge_starts_clean() {
         let mut m = machine_with_huge();
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+        let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
         pt.unmap_huge(Vpn(HUGE_BASE)).expect("huge entry present");
         // Frame reuse: a fresh 4 KiB mapping inside the old span must not
         // inherit the dead run's A/D state.

@@ -274,7 +274,7 @@ impl NvmEmulator {
         let mut protected = 0;
         for pid in pids {
             let mut vpns: Vec<Vpn> = Vec::new();
-            if let Some((pt, _descs, _epoch)) = machine.scan_parts(pid) {
+            if let Some((pt, _descs)) = machine.scan_parts(pid) {
                 pt.walk_present(|vpn, pte| {
                     let tier = layout.tier_of(pte.pfn());
                     if self.backends.for_tier(tier.index()).protects() && !pte.prot_none() {

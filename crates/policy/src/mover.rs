@@ -558,8 +558,8 @@ mod tests {
         touch_n(&mut m, 4); // 0,1 in tier1
                             // Make page 1 hot, page 0 cold.
         let pfn1 = m.frame_of(1, Vpn(1)).unwrap();
-        m.descs_mut().bump_trace(pfn1, 0);
-        m.descs_mut().bump_trace(pfn1, 0);
+        m.descs_mut().bump_trace(pfn1);
+        m.descs_mut().bump_trace(pfn1);
         let mut mover = PageMover::default();
         mover.apply(
             &mut m,

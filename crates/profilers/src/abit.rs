@@ -220,14 +220,15 @@ impl ABitScanner {
         // single pass; no intermediate (vpn, pfn) staging Vec.
         let mut keys: Vec<u64> = Vec::new();
         let mut vpns: Vec<Vpn> = Vec::new();
-        let Some((pt, descs, epoch)) = machine.scan_parts(pid) else {
+        let epoch = machine.epoch();
+        let Some((pt, descs)) = machine.scan_parts(pid) else {
             return false;
         };
         let heat = &mut self.heat;
         let mut observe = |vpn: Vpn, pte: &mut tmprof_sim::pte::Pte| {
             if pte.test_and_clear_accessed() {
                 let pfn = pte.pfn();
-                descs.bump_abit(pfn, epoch);
+                descs.bump_abit(pfn);
                 keys.push(PageKey { pid, vpn }.pack());
                 if record {
                     heat.push(AbitHeatPoint { epoch, pfn });

@@ -106,7 +106,7 @@ impl AutoNumaScanner {
         let start = self.cursors.get(&pid).copied().unwrap_or(Vpn(0));
         let mut protected: Vec<Vpn> = Vec::new();
         let budget = self.cfg.scan_size_pages;
-        let Some((pt, _descs, _epoch)) = machine.scan_parts(pid) else {
+        let Some((pt, _descs)) = machine.scan_parts(pid) else {
             return 0;
         };
         let (_fp, resume) = pt.walk_present_bounded(start, budget, |vpn, pte| {

@@ -89,7 +89,7 @@ impl BadgerTrap {
     /// instrumented.
     pub fn poison_pages(&mut self, machine: &mut Machine, pid: Pid, vpns: &[Vpn]) -> usize {
         let mut armed = Vec::new();
-        if let Some((pt, _descs, _epoch)) = machine.scan_parts(pid) {
+        if let Some((pt, _descs)) = machine.scan_parts(pid) {
             for &vpn in vpns {
                 if let Some(pte) = pt.entry_mut(vpn) {
                     if pte.present() && !pte.poisoned() {
@@ -110,7 +110,7 @@ impl BadgerTrap {
     pub fn unpoison_all(&mut self, machine: &mut Machine) {
         let poisoned = std::mem::take(&mut self.poisoned);
         for (pid, vpns) in poisoned {
-            if let Some((pt, _, _)) = machine.scan_parts(pid) {
+            if let Some((pt, _)) = machine.scan_parts(pid) {
                 for &vpn in &vpns {
                     if let Some(pte) = pt.entry_mut(vpn) {
                         pte.clear(bits::POISON);

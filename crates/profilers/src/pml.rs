@@ -156,7 +156,7 @@ mod tests {
         // the next store is a fresh 0->1 transition and is logged again.
         m.shootdown(1, &[Vpn(3)], false);
         {
-            let (pt, _, _) = m.scan_parts(1).unwrap();
+            let (pt, _) = m.scan_parts(1).unwrap();
             pt.entry_mut(Vpn(3))
                 .unwrap()
                 .clear(tmprof_sim::pte::bits::D);
@@ -199,7 +199,7 @@ mod tests {
         pml.drain(&mut m);
         m.shootdown(1, &[Vpn(1)], false);
         {
-            let (pt, _, _) = m.scan_parts(1).unwrap();
+            let (pt, _) = m.scan_parts(1).unwrap();
             pt.entry_mut(Vpn(1))
                 .unwrap()
                 .clear(tmprof_sim::pte::bits::D);

@@ -84,7 +84,7 @@ impl Thermostat {
         // Collect resident VPNs (walk is free for the experiment harness;
         // the real system samples from its page lists).
         let mut vpns = Vec::new();
-        if let Some((pt, _, _)) = machine.scan_parts(pid) {
+        if let Some((pt, _)) = machine.scan_parts(pid) {
             pt.walk_present(|vpn, _| vpns.push(vpn));
         }
         let want = ((vpns.len() as f64 * self.cfg.sample_fraction).ceil() as usize)

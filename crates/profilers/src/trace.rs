@@ -199,7 +199,7 @@ impl TraceProfiler {
                 }
                 self.stats.counted_samples += 1;
                 let pfn = s.paddr.pfn();
-                machine.descs_mut().bump_trace(pfn, epoch);
+                machine.descs_mut().bump_trace(pfn);
                 let key = PageKey {
                     pid: s.pid,
                     vpn: s.vaddr.vpn(),

@@ -244,7 +244,7 @@ fn run_scanner(ops: &[TableOp], cfg: ABitConfig, modes: &[ScanMode]) -> (Machine
     let mut m = Machine::new(MachineConfig::scaled(2, 4096, 4096, 1 << 20));
     m.add_process(1);
     {
-        let (pt, _, _) = m.scan_parts(1).expect("pid 1 exists");
+        let (pt, _) = m.scan_parts(1).expect("pid 1 exists");
         for &op in ops {
             apply(pt, op);
         }

@@ -1,7 +1,9 @@
 //! Fast hash containers for packed page keys, plus a sorted page set.
 //!
-//! Ground-truth recording and profile capture hash a `u64` page key on the
-//! simulator's per-op hot path. The std `HashMap` default (SipHash with a
+//! Profile capture, the epoch close's ground-truth map and the profilers'
+//! per-page tallies hash a `u64` page key once per observed page or
+//! sample (ground truth itself counts per frame on the per-op path, with
+//! no hashing; see `stats`). The std `HashMap` default (SipHash with a
 //! per-process random seed) is both slow for 8-byte keys and a source of
 //! run-to-run iteration-order variance. [`KeyMap`]/[`KeySet`] swap in a
 //! multiplicative Fx-style hasher: a couple of arithmetic ops per word,

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::pte::{bits as pte_bits, Pte};
     pub use crate::rng::{Rng, Zipf};
     pub use crate::runner::{OpStream, Runner, DEFAULT_BATCH};
-    pub use crate::stats::{EpochTruth, GroundTruth};
+    pub use crate::stats::EpochTruth;
     pub use crate::tier::{FrameOutOfRange, MemTopology, Tier, TierSpec};
     pub use crate::tlb::{Pid, Tlb, TlbHit};
     pub use crate::trace_engine::{TraceEngine, TraceMode, TraceSample};

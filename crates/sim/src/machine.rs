@@ -21,7 +21,7 @@ use crate::cache::{Cache, CacheLevel, PrivateCaches};
 use crate::counters::EventCounts;
 use crate::frame::{FrameAllocator, OutOfMemory};
 use crate::keymap::KeyMap;
-use crate::pagedesc::{PageDescTable, PageKey};
+use crate::pagedesc::{PageDescTable, PageKey, PID_LIMIT};
 use crate::pagetable::PageTable;
 use crate::pml::PmlEngine;
 use crate::pte::{bits, Pte};
@@ -310,7 +310,7 @@ pub struct Machine {
     pid_index: KeyMap<Pid, usize>,
     frames: FrameAllocator,
     descs: PageDescTable,
-    pub(crate) truth: GroundTruth,
+    truth: GroundTruth,
     epoch: u32,
     fault_policy: Option<Box<dyn FaultPolicy>>,
     /// Packed [`PageKey`]s in the order they were first touched (minor
@@ -352,6 +352,7 @@ impl Machine {
         let llc = Cache::new("LLC", cfg.caches.llc_bytes, cfg.caches.llc_ways);
         let frames = FrameAllocator::new(&cfg.memory);
         let descs = PageDescTable::new(cfg.memory.total_frames());
+        let truth = GroundTruth::new(cfg.memory.total_frames());
         let tier_epoch_bytes = vec![0; cfg.memory.num_tiers()];
         Self {
             cfg,
@@ -361,7 +362,7 @@ impl Machine {
             pid_index: KeyMap::default(),
             frames,
             descs,
-            truth: GroundTruth::new(),
+            truth,
             epoch: 0,
             fault_policy: None,
             first_touch_log: Vec::new(),
@@ -433,11 +434,16 @@ impl Machine {
     /// Register a new (empty) process.
     ///
     /// # Panics
-    /// If the PID is already registered.
+    /// If the PID is already registered, or is not below [`PID_LIMIT`]
+    /// (2^28, the PID field of a packed [`PageKey`]).
     pub fn add_process(&mut self, pid: Pid) {
         assert!(
             !self.pid_index.contains_key(&pid),
             "pid {pid} already exists"
+        );
+        assert!(
+            pid < PID_LIMIT,
+            "pid {pid} is not below the pid limit 2^28 ({PID_LIMIT}): a page key packs the pid into 28 bits"
         );
         let pos = self.processes.partition_point(|p| p.pid < pid);
         self.processes.insert(
@@ -485,17 +491,16 @@ impl Machine {
         self.pid_index.get(&pid).map(|&i| &self.processes[i])
     }
 
-    /// Split borrows for a software PTE scan over `pid`: page table,
-    /// descriptor table, and the current epoch. This is the entry point the
-    /// A-bit driver uses (`mm_walk` + `phys_to_page`).
-    pub fn scan_parts(&mut self, pid: Pid) -> Option<(&mut PageTable, &mut PageDescTable, u32)> {
+    /// Split borrows for a software PTE scan over `pid`: page table and
+    /// descriptor table. This is the entry point the A-bit driver uses
+    /// (`mm_walk` + `phys_to_page`).
+    pub fn scan_parts(&mut self, pid: Pid) -> Option<(&mut PageTable, &mut PageDescTable)> {
         // The caller may clear A bits or poison PTEs through the returned
         // borrows; drop the translation memo's hints.
         self.invalidate_memos();
-        let epoch = self.epoch;
         let idx = *self.pid_index.get(&pid)?;
         let proc = &mut self.processes[idx];
-        Some((&mut proc.page_table, &mut self.descs, epoch))
+        Some((&mut proc.page_table, &mut self.descs))
     }
 
     /// The per-core trace engine (driver MSR access).
@@ -542,19 +547,14 @@ impl Machine {
         &mut self.descs
     }
 
-    /// The omniscient recorder (Oracle / evaluation only — not visible to
-    /// profilers).
-    pub fn truth(&self) -> &GroundTruth {
-        &self.truth
-    }
-
     /// Frame allocator (placement inspection).
     pub fn frames(&self) -> &FrameAllocator {
         &self.frames
     }
 
-    /// Close the current epoch: bump the epoch index, fold the epoch's
-    /// ground truth into the lifetime totals and return it.
+    /// Close the current epoch: bump the epoch index and return the
+    /// epoch's ground truth (Oracle / evaluation only — profilers never
+    /// see it), leaving every frame's count at 0.
     pub fn advance_epoch(&mut self) -> EpochTruth {
         self.invalidate_memos();
         // The bandwidth window is per epoch: every tier's byte meter
@@ -635,13 +635,14 @@ impl Machine {
 
     /// Page-migration mechanics: move (`pid`, `vpn`) into `dest` tier.
     ///
-    /// Updates the PTE, moves descriptor state, scrubs the vacated frame's
-    /// lines from every cache, invalidates the page's (now dangling)
-    /// translations on every core, frees the vacated frame, and returns
-    /// `(old_pfn, new_pfn)`. The scrub is one pass over the sets the
-    /// vacated frame maps to in each core's L1 and L2 and in the LLC; the
-    /// destination needs none, because a frame on a free list is cold
-    /// (it was never mapped, or this scrub emptied it before freeing it).
+    /// Updates the PTE, moves descriptor state and the page's ground-truth
+    /// count, scrubs the vacated frame's lines from every cache,
+    /// invalidates the page's (now dangling) translations on every core,
+    /// frees the vacated frame, and returns `(old_pfn, new_pfn)`. The
+    /// scrub is one pass over the sets the vacated frame maps to in each
+    /// core's L1 and L2 and in the LLC; the destination needs none,
+    /// because a frame on a free list is cold (it was never mapped, or
+    /// this scrub emptied it before freeing it) and its truth count is 0.
     /// The invalidation is a *correctness* action and is modelled free
     /// (the kernel's migration entry + local flush); the cost of the
     /// batched IPI broadcast — the paper's one-shootdown-per-epoch design
@@ -671,6 +672,7 @@ impl Machine {
         let new_pfn = self.frames.alloc_in(dest).map_err(MigrateError::NoFrames)?;
         *pte_ref = pte_ref.with_pfn(new_pfn);
         self.descs.migrate(old_pfn, new_pfn);
+        self.truth.migrate(old_pfn, new_pfn, PageKey { pid, vpn });
         debug_assert_eq!(
             self.cached_lines_of(new_pfn),
             0,
@@ -884,7 +886,7 @@ impl Machine {
 
         // --- ground truth (invisible to profilers) ---
         if source == CacheLevel::Memory {
-            self.truth.record(PageKey { pid, vpn });
+            self.truth.record(pfn, PageKey { pid, vpn });
         }
         out
     }
@@ -1216,16 +1218,16 @@ mod tests {
         assert_eq!(m.counts(0).ptw_abit_sets, 1);
         // Clear A via scan; with the TLB entry still live, no walk happens,
         // so the bit stays clear (the paper's staleness trade-off).
-        let (pt, _, _) = m.scan_parts(1).unwrap();
+        let (pt, _) = m.scan_parts(1).unwrap();
         pt.entry_mut(Vpn(5)).unwrap().clear(bits::A);
         m.touch(0, 1, VirtAddr(0x5000));
-        let (pt, _, _) = m.scan_parts(1).unwrap();
+        let (pt, _) = m.scan_parts(1).unwrap();
         assert!(!pt.get(Vpn(5)).accessed(), "stale until TLB eviction");
         assert_eq!(m.counts(0).ptw_abit_sets, 1);
         // After a shootdown the next access walks and re-sets the bit.
         m.shootdown(1, &[Vpn(5)], false);
         m.touch(0, 1, VirtAddr(0x5000));
-        let (pt, _, _) = m.scan_parts(1).unwrap();
+        let (pt, _) = m.scan_parts(1).unwrap();
         assert!(pt.get(Vpn(5)).accessed());
         assert_eq!(m.counts(0).ptw_abit_sets, 2);
     }
@@ -1235,7 +1237,7 @@ mod tests {
         let mut m = small_machine();
         m.touch(0, 1, VirtAddr(0x7000)); // load maps it, D clear
         {
-            let (pt, _, _) = m.scan_parts(1).unwrap();
+            let (pt, _) = m.scan_parts(1).unwrap();
             assert!(!pt.get(Vpn(7)).dirty());
         }
         m.exec_op(
@@ -1249,7 +1251,7 @@ mod tests {
         );
         let dwb = m.counts(0).dirty_writebacks;
         assert_eq!(dwb, 1);
-        let (pt, _, _) = m.scan_parts(1).unwrap();
+        let (pt, _) = m.scan_parts(1).unwrap();
         assert!(pt.get(Vpn(7)).dirty());
     }
 
@@ -1304,7 +1306,7 @@ mod tests {
         m.touch(0, 1, VirtAddr(0x3000));
         let old = m.frame_of(1, Vpn(3)).unwrap();
         assert_eq!(m.memory().tier_of(old), Tier::Tier1);
-        m.descs_mut().bump_trace(old, 0);
+        m.descs_mut().bump_trace(old);
         let (from, to) = m.migrate_page(1, Vpn(3), Tier::Tier2).unwrap();
         assert_eq!(from, old);
         assert_eq!(m.memory().tier_of(to), Tier::Tier2);
@@ -1350,16 +1352,27 @@ mod tests {
             pid: 1,
             vpn: Vpn(9),
         };
-        let t = m.truth().current();
+        let epoch = m.advance_epoch();
         assert_eq!(
-            t.mem_accesses[&key.pack()],
+            epoch.mem_accesses[&key.pack()],
             1,
             "only the cold miss reaches memory"
         );
-        let epoch = m.advance_epoch();
         assert_eq!(epoch.total_mem_accesses(), 1);
-        assert_eq!(m.truth().current().total_mem_accesses(), 0);
         assert_eq!(m.epoch(), 1);
+        assert_eq!(
+            m.advance_epoch().total_mem_accesses(),
+            0,
+            "a closed epoch's counts do not carry over"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pid limit 2^28")]
+    fn add_process_rejects_a_pid_past_the_page_key_field() {
+        // pid 2^28 would pack into the same page key as pid 0.
+        let mut m = Machine::new(MachineConfig::scaled(1, 64, 0, 64));
+        m.add_process(PID_LIMIT);
     }
 
     #[test]
@@ -1444,7 +1457,7 @@ mod tests {
         let mut m = small_machine();
         m.touch(0, 1, VirtAddr(0x1000));
         m.shootdown(1, &[Vpn(1)], false);
-        let (pt, _, _) = m.scan_parts(1).unwrap();
+        let (pt, _) = m.scan_parts(1).unwrap();
         pt.entry_mut(Vpn(1)).unwrap().set(bits::POISON);
         m.touch(0, 1, VirtAddr(0x1000));
     }
@@ -1472,7 +1485,7 @@ mod tests {
         m.touch(0, 1, VirtAddr(0x1000));
         m.shootdown(1, &[Vpn(1)], false);
         {
-            let (pt, _, _) = m.scan_parts(1).unwrap();
+            let (pt, _) = m.scan_parts(1).unwrap();
             pt.entry_mut(Vpn(1)).unwrap().set(bits::POISON);
         }
         // First access faults, unpoisons, fills TLB, repoisons.

@@ -5,7 +5,8 @@
 //! address (§III-B-1). We model the same thing, but where the kernel's
 //! `mem_map` is a dense array, this table is *sparse*: descriptors live in
 //! fixed-size frame chunks materialized on first touch (the
-//! `SPARSEMEM`-section analogue), so descriptor memory scales with the
+//! `SPARSEMEM`-section analogue, `FrameChunks`, which also holds the
+//! ground-truth frame counters), so descriptor memory scales with the
 //! resident/touched frame set rather than with configured capacity — the
 //! property that lets terabyte-class footprints fit. Each descriptor
 //! accumulates the A-bit observations and trace samples that the two
@@ -26,20 +27,29 @@ pub struct PageKey {
     pub vpn: Vpn,
 }
 
+/// Bits of a packed [`PageKey`] that hold the VPN (48-bit VA, 4 KiB pages).
+const VPN_BITS: u32 = 36;
+
+/// Every PID must be below this limit (2^28): a packed [`PageKey`] keeps
+/// the PID in the 28 bits above the VPN. [`crate::machine::Machine::add_process`]
+/// refuses a PID at or past it.
+pub const PID_LIMIT: Pid = 1 << (64 - VPN_BITS);
+
 impl PageKey {
-    /// Pack into a single word. VPNs fit in 36 bits (48-bit VA, 4 KiB pages).
+    /// Pack into a single word: the PID above a 36-bit VPN.
     #[inline]
     pub fn pack(self) -> u64 {
-        debug_assert!(self.vpn.0 < (1 << 36));
-        ((self.pid as u64) << 36) | self.vpn.0
+        debug_assert!(self.vpn.0 < (1 << VPN_BITS));
+        debug_assert!(self.pid < PID_LIMIT, "pid {} is past 2^28", self.pid);
+        ((self.pid as u64) << VPN_BITS) | self.vpn.0
     }
 
     /// Reverse of [`PageKey::pack`].
     #[inline]
     pub fn unpack(raw: u64) -> Self {
         Self {
-            pid: (raw >> 36) as Pid,
-            vpn: Vpn(raw & ((1 << 36) - 1)),
+            pid: (raw >> VPN_BITS) as Pid,
+            vpn: Vpn(raw & ((1 << VPN_BITS) - 1)),
         }
     }
 }
@@ -60,8 +70,6 @@ pub struct PageDesc {
     pub abit_total: u64,
     /// Lifetime trace samples.
     pub trace_total: u64,
-    /// Epoch index when either counter was last bumped.
-    pub last_touched_epoch: u32,
 }
 
 impl PageDesc {
@@ -87,27 +95,110 @@ const FREE: PageDesc = PageDesc {
     trace_epoch: 0,
     abit_total: 0,
     trace_total: 0,
-    last_touched_epoch: 0,
 };
 
-/// The machine-wide descriptor table (`mem_map` analogue), chunked sparse.
+/// Frame-indexed storage, chunked sparse: the `SPARSEMEM`-section scheme
+/// shared by [`PageDescTable`] and the ground-truth frame counters
+/// ([`crate::stats::GroundTruth`]).
 ///
 /// Capacity is declared up front (so out-of-range PFNs still panic exactly
-/// like the dense array did), but backing storage is a vector of
-/// `Option<chunk>` slots: a chunk of [`PageDescTable::chunk_frames`]
-/// descriptors is allocated the first time any frame in it is written.
-/// The last chunk holds only the frames up to the table's capacity, so a
-/// machine smaller than one chunk allocates one descriptor per frame.
-/// Reads of untouched frames return a reference to the shared all-zero
-/// descriptor without allocating. Iteration order (chunk-ascending, then
-/// frame-ascending) is identical to the dense array's PFN order.
-pub struct PageDescTable {
-    chunks: Vec<Option<Box<[PageDesc]>>>,
+/// like a dense array), but backing storage is a vector of `Option<chunk>`
+/// slots: a chunk of `chunk_frames` default-valued slots is allocated the
+/// first time any frame in it is written. The last chunk holds only the
+/// frames up to the capacity, so a machine smaller than one chunk
+/// allocates one slot per frame. Reads never allocate. Iteration order
+/// (chunk-ascending, then frame-ascending) is the dense array's PFN order.
+pub(crate) struct FrameChunks<T> {
+    chunks: Vec<Option<Box<[T]>>>,
     /// Frames per chunk; always a power of two.
     chunk_frames: usize,
     shift: u32,
     total_frames: u64,
     resident: u64,
+    /// Gauge set to the resident chunk count when a chunk materializes.
+    gauge: Option<Metric>,
+}
+
+impl<T: Copy + Default> FrameChunks<T> {
+    /// Cover `total_frames` frames in `chunk_frames`-frame chunks (a power
+    /// of two). Allocates one empty slot per chunk, nothing per frame.
+    pub(crate) fn new(total_frames: u64, chunk_frames: usize, gauge: Option<Metric>) -> Self {
+        assert!(chunk_frames.is_power_of_two());
+        let n_chunks = (total_frames as usize).div_ceil(chunk_frames);
+        let mut chunks = Vec::with_capacity(n_chunks);
+        chunks.resize_with(n_chunks, || None);
+        Self {
+            chunks,
+            chunk_frames,
+            shift: chunk_frames.trailing_zeros(),
+            total_frames,
+            resident: 0,
+            gauge,
+        }
+    }
+
+    /// The slot of `pfn`, or `None` while its chunk was never written.
+    #[inline]
+    pub(crate) fn get(&self, pfn: Pfn) -> Option<&T> {
+        assert!(pfn.0 < self.total_frames, "pfn {pfn:?} out of range");
+        self.chunks[(pfn.0 >> self.shift) as usize]
+            .as_deref()
+            .map(|chunk| &chunk[pfn.0 as usize & (self.chunk_frames - 1)])
+    }
+
+    /// The mutable slot of `pfn`; materializes the covering chunk on first
+    /// touch.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, pfn: Pfn) -> &mut T {
+        assert!(pfn.0 < self.total_frames, "pfn {pfn:?} out of range");
+        let ci = (pfn.0 >> self.shift) as usize;
+        let offset = pfn.0 as usize & (self.chunk_frames - 1);
+        if self.chunks[ci].is_none() {
+            self.materialize(ci);
+        }
+        match &mut self.chunks[ci] {
+            Some(chunk) => &mut chunk[offset],
+            // tmprof-lint: allow(panic-reachability) — the chunk was materialized by the branch just above; get_mut cannot miss
+            None => unreachable!(),
+        }
+    }
+
+    /// Allocate chunk `ci`, stopping at the last frame.
+    #[cold]
+    // tmprof-lint: allow(panic-reachability) — get_mut, the only caller, derives ci from a pfn it asserted below total_frames, and chunks has div_ceil(total_frames, chunk_frames) slots
+    fn materialize(&mut self, ci: usize) {
+        let base = (ci as u64) << self.shift;
+        let len = (self.total_frames - base).min(self.chunk_frames as u64) as usize;
+        self.chunks[ci] = Some(vec![T::default(); len].into_boxed_slice());
+        self.resident += 1;
+        if let Some(gauge) = self.gauge {
+            metrics::set(gauge, self.resident);
+        }
+    }
+
+    /// Materialized slots as (frame, slot), ascending by PFN: only
+    /// resident chunks are visited.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Pfn, &T)> + '_ {
+        let chunk_frames = self.chunk_frames;
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, c)| c.as_deref().map(|c| (ci, c)))
+            .flat_map(move |(ci, chunk)| {
+                let base = (ci * chunk_frames) as u64;
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, slot)| (Pfn(base + i as u64), slot))
+            })
+    }
+}
+
+/// The machine-wide descriptor table (`mem_map` analogue), chunked sparse
+/// in `FrameChunks`: reads of untouched frames return a reference to the
+/// shared all-zero descriptor without allocating.
+pub struct PageDescTable {
+    descs: FrameChunks<PageDesc>,
     /// Frames that gained per-epoch observations since the last horizon
     /// (the epoch-close "dirty list"). Maintained by [`Self::bump_abit`],
     /// [`Self::bump_trace`] and [`Self::migrate`] so that profile capture
@@ -122,7 +213,8 @@ pub struct PageDescTable {
 }
 
 /// Default frames per chunk: 4096 frames = 16 MiB of simulated memory per
-/// 256 KiB chunk of 64-byte descriptors.
+/// 224 KiB chunk of 56-byte descriptors (or 32 KiB of ground-truth
+/// counters).
 pub const DEFAULT_CHUNK: usize = 4096;
 
 impl PageDescTable {
@@ -135,49 +227,41 @@ impl PageDescTable {
     /// As [`Self::new`] with an explicit chunk size (must be a power of
     /// two); used by tests and benches to pin the geometry.
     pub fn with_chunk_frames(total_frames: u64, chunk_frames: usize) -> Self {
-        assert!(chunk_frames.is_power_of_two());
-        let n_chunks = (total_frames as usize).div_ceil(chunk_frames);
-        let mut chunks = Vec::with_capacity(n_chunks);
-        chunks.resize_with(n_chunks, || None);
         Self {
-            chunks,
-            chunk_frames,
-            shift: chunk_frames.trailing_zeros(),
-            total_frames,
-            resident: 0,
+            descs: FrameChunks::new(
+                total_frames,
+                chunk_frames,
+                Some(Metric::SimDescChunksResident),
+            ),
             dirty: Vec::new(),
         }
     }
 
     /// Number of frames covered (declared capacity, not resident storage).
     pub fn len(&self) -> usize {
-        self.total_frames as usize
+        self.descs.total_frames as usize
     }
 
     /// True if the table covers no frames.
     pub fn is_empty(&self) -> bool {
-        self.total_frames == 0
+        self.descs.total_frames == 0
     }
 
     /// Chunks materialized so far.
     pub fn resident_chunks(&self) -> u64 {
-        self.resident
+        self.descs.resident
     }
 
     /// Frames per chunk.
     pub fn chunk_frames(&self) -> usize {
-        self.chunk_frames
+        self.descs.chunk_frames
     }
 
     /// `phys_to_page()`: descriptor for a frame. Reading a frame in an
     /// untouched chunk returns the shared zero descriptor (no allocation).
     #[inline]
     pub fn get(&self, pfn: Pfn) -> &PageDesc {
-        assert!(pfn.0 < self.total_frames, "pfn {pfn:?} out of range");
-        match &self.chunks[(pfn.0 >> self.shift) as usize] {
-            Some(chunk) => &chunk[pfn.0 as usize & (self.chunk_frames - 1)],
-            None => &FREE,
-        }
+        self.descs.get(pfn).unwrap_or(&FREE)
     }
 
     /// Mutable `phys_to_page()`; materializes the covering chunk on first
@@ -185,21 +269,7 @@ impl PageDescTable {
     /// than [`Self::chunk_frames`] descriptors.
     #[inline]
     pub fn get_mut(&mut self, pfn: Pfn) -> &mut PageDesc {
-        assert!(pfn.0 < self.total_frames, "pfn {pfn:?} out of range");
-        let ci = (pfn.0 >> self.shift) as usize;
-        if self.chunks[ci].is_none() {
-            let base = (ci as u64) << self.shift;
-            let len = (self.total_frames - base).min(self.chunk_frames as u64) as usize;
-            self.chunks[ci] = Some(vec![FREE; len].into_boxed_slice());
-            self.resident += 1;
-            metrics::set(Metric::SimDescChunksResident, self.resident);
-        }
-        match &mut self.chunks[ci] {
-            Some(chunk) => &mut chunk[pfn.0 as usize & (self.chunk_frames - 1)],
-            // The chunk was materialized just above.
-            // tmprof-lint: allow(panic-reachability) — the chunk was materialized by the branch just above; get_mut cannot miss
-            None => unreachable!(),
-        }
+        self.descs.get_mut(pfn)
     }
 
     /// Record that frame `pfn` now backs logical page `key`.
@@ -209,12 +279,11 @@ impl PageDescTable {
 
     /// Record an A-bit observation against a frame.
     #[inline]
-    pub fn bump_abit(&mut self, pfn: Pfn, epoch: u32) {
+    pub fn bump_abit(&mut self, pfn: Pfn) {
         let d = self.get_mut(pfn);
         let first_this_epoch = d.abit_epoch == 0 && d.trace_epoch == 0;
         d.abit_epoch += 1;
         d.abit_total += 1;
-        d.last_touched_epoch = epoch;
         if first_this_epoch {
             self.dirty.push(pfn);
         }
@@ -222,12 +291,11 @@ impl PageDescTable {
 
     /// Record a trace sample against a frame.
     #[inline]
-    pub fn bump_trace(&mut self, pfn: Pfn, epoch: u32) {
+    pub fn bump_trace(&mut self, pfn: Pfn) {
         let d = self.get_mut(pfn);
         let first_this_epoch = d.abit_epoch == 0 && d.trace_epoch == 0;
         d.trace_epoch += 1;
         d.trace_total += 1;
-        d.last_touched_epoch = epoch;
         if first_this_epoch {
             self.dirty.push(pfn);
         }
@@ -279,19 +347,7 @@ impl PageDescTable {
     /// by PFN — only resident chunks are visited, so this is
     /// O(touched frames), not O(declared capacity).
     pub fn iter_owned(&self) -> impl Iterator<Item = (Pfn, &PageDesc)> + '_ {
-        let chunk_frames = self.chunk_frames;
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| c.as_deref().map(|c| (ci, c)))
-            .flat_map(move |(ci, chunk)| {
-                let base = (ci * chunk_frames) as u64;
-                chunk
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.owner.is_some())
-                    .map(move |(i, d)| (Pfn(base + i as u64), d))
-            })
+        self.descs.iter().filter(|(_, d)| d.owner.is_some())
     }
 }
 
@@ -301,11 +357,14 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let key = PageKey {
-            pid: 12345,
-            vpn: Vpn(0xF_FFFF_FFFF),
-        };
-        assert_eq!(PageKey::unpack(key.pack()), key);
+        // The largest PID a machine accepts keeps all 28 of its bits.
+        for pid in [12345, PID_LIMIT - 1] {
+            let key = PageKey {
+                pid,
+                vpn: Vpn(0xF_FFFF_FFFF),
+            };
+            assert_eq!(PageKey::unpack(key.pack()), key);
+        }
     }
 
     #[test]
@@ -324,9 +383,9 @@ mod tests {
     #[test]
     fn bump_accumulates_epoch_and_total() {
         let mut t = PageDescTable::new(4);
-        t.bump_abit(Pfn(2), 0);
-        t.bump_abit(Pfn(2), 0);
-        t.bump_trace(Pfn(2), 0);
+        t.bump_abit(Pfn(2));
+        t.bump_abit(Pfn(2));
+        t.bump_trace(Pfn(2));
         let d = t.get(Pfn(2));
         assert_eq!(d.abit_epoch, 2);
         assert_eq!(d.trace_epoch, 1);
@@ -346,7 +405,7 @@ mod tests {
         t.get_mut(Pfn(0)).abit_epoch = u32::MAX as u64;
         t.get_mut(Pfn(1)).abit_epoch = u32::MAX as u64;
         assert_eq!(t.get(Pfn(0)).epoch_rank(), t.get(Pfn(1)).epoch_rank());
-        t.bump_abit(Pfn(1), 0);
+        t.bump_abit(Pfn(1));
         assert!(
             t.get(Pfn(1)).epoch_rank() > t.get(Pfn(0)).epoch_rank(),
             "a bump past the old ceiling must still change the ordering"
@@ -357,7 +416,7 @@ mod tests {
     #[test]
     fn reset_epoch_keeps_totals() {
         let mut t = PageDescTable::new(2);
-        t.bump_trace(Pfn(0), 0);
+        t.bump_trace(Pfn(0));
         t.reset_epoch();
         let d = t.get(Pfn(0));
         assert_eq!(d.trace_epoch, 0);
@@ -372,7 +431,7 @@ mod tests {
             vpn: Vpn(9),
         };
         t.set_owner(Pfn(1), key);
-        t.bump_abit(Pfn(1), 3);
+        t.bump_abit(Pfn(1));
         t.migrate(Pfn(1), Pfn(3));
         assert_eq!(t.get(Pfn(3)).owner, Some(key));
         assert_eq!(t.get(Pfn(3)).abit_epoch, 1);
@@ -404,16 +463,16 @@ mod tests {
     #[test]
     fn touched_frames_covers_exactly_the_observed_frames() {
         let mut t = PageDescTable::new(16);
-        t.bump_abit(Pfn(3), 0);
-        t.bump_abit(Pfn(3), 0); // second bump must not duplicate
-        t.bump_trace(Pfn(7), 0);
-        t.bump_trace(Pfn(1), 0);
+        t.bump_abit(Pfn(3));
+        t.bump_abit(Pfn(3)); // second bump must not duplicate
+        t.bump_trace(Pfn(7));
+        t.bump_trace(Pfn(1));
         assert_eq!(t.touched_frames(), vec![Pfn(1), Pfn(3), Pfn(7)]);
         t.reset_epoch();
         assert!(t.touched_frames().is_empty());
         // Counters actually cleared, and fresh bumps repopulate the list.
         assert_eq!(t.get(Pfn(3)).abit_epoch, 0);
-        t.bump_trace(Pfn(3), 1);
+        t.bump_trace(Pfn(3));
         assert_eq!(t.touched_frames(), vec![Pfn(3)]);
     }
 
@@ -425,7 +484,7 @@ mod tests {
             vpn: Vpn(4),
         };
         t.set_owner(Pfn(2), key);
-        t.bump_abit(Pfn(2), 0);
+        t.bump_abit(Pfn(2));
         t.migrate(Pfn(2), Pfn(6));
         // The stats moved: the destination is touched, the source is stale.
         assert_eq!(t.touched_frames(), vec![Pfn(6)]);
@@ -439,8 +498,8 @@ mod tests {
     fn reset_epoch_via_dirty_list_matches_full_reset() {
         let mut t = PageDescTable::new(64);
         for pfn in [0u64, 5, 9, 31, 63] {
-            t.bump_abit(Pfn(pfn), 0);
-            t.bump_trace(Pfn(pfn), 0);
+            t.bump_abit(Pfn(pfn));
+            t.bump_trace(Pfn(pfn));
         }
         t.reset_epoch();
         for pfn in 0..64u64 {
@@ -462,11 +521,11 @@ mod tests {
         assert_eq!(t.len(), 1 << 30);
         assert_eq!(t.get(Pfn((1 << 30) - 1)).epoch_rank(), 0);
         assert_eq!(t.resident_chunks(), 0, "reads must not allocate");
-        t.bump_abit(Pfn(1 << 29), 0);
+        t.bump_abit(Pfn(1 << 29));
         assert_eq!(t.resident_chunks(), 1);
-        t.bump_abit(Pfn((1 << 29) + 1), 0);
+        t.bump_abit(Pfn((1 << 29) + 1));
         assert_eq!(t.resident_chunks(), 1, "same chunk re-used");
-        t.bump_trace(Pfn(0), 0);
+        t.bump_trace(Pfn(0));
         assert_eq!(t.resident_chunks(), 2);
         assert_eq!(
             t.touched_frames(),
@@ -486,12 +545,15 @@ mod tests {
     #[test]
     fn capacity_not_a_chunk_multiple_covers_the_tail() {
         let mut t = PageDescTable::with_chunk_frames(100, 64);
-        t.bump_abit(Pfn(99), 0);
+        t.bump_abit(Pfn(99));
         assert_eq!(t.get(Pfn(99)).abit_epoch, 1);
         assert_eq!(t.resident_chunks(), 1);
         // The tail chunk stops at the last frame: 100 - 64 descriptors.
-        assert!(t.chunks[0].is_none());
-        assert_eq!(t.chunks[1].as_deref().map(<[PageDesc]>::len), Some(36));
+        assert!(t.descs.chunks[0].is_none());
+        assert_eq!(
+            t.descs.chunks[1].as_deref().map(<[PageDesc]>::len),
+            Some(36)
+        );
         // An untouched frame in it still reads the zero descriptor.
         let cold = t.get(Pfn(64));
         assert_eq!(
@@ -520,18 +582,16 @@ mod tests {
                 let pfn = Pfn(rng.next_u64() % FRAMES);
                 match rng.next_u64() % 4 {
                     0 => {
-                        t.bump_abit(pfn, round);
+                        t.bump_abit(pfn);
                         let d = &mut model[pfn.0 as usize];
                         d.abit_epoch += 1;
                         d.abit_total += 1;
-                        d.last_touched_epoch = round;
                     }
                     1 => {
-                        t.bump_trace(pfn, round);
+                        t.bump_trace(pfn);
                         let d = &mut model[pfn.0 as usize];
                         d.trace_epoch += 1;
                         d.trace_total += 1;
-                        d.last_touched_epoch = round;
                     }
                     2 => {
                         let key = PageKey {

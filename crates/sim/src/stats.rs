@@ -1,19 +1,27 @@
 //! Ground-truth access accounting.
 //!
-//! The simulator — unlike real hardware — can afford omniscience: it records
+//! The simulator — unlike real hardware — can afford omniscience: it counts
 //! exactly how many times each logical page is accessed at the memory level
 //! (LLC misses). This is what the paper's Oracle policy "assumes knowledge
 //! of" (Table II), and what the Fig. 6 hitrate replay uses as the
 //! denominator. None of this information is visible to the profilers, which
-//! see only their own sampled views.
+//! see only their own sampled views: the counters are private fields of
+//! `GroundTruth`, which only the machine holds, and they leave it only as
+//! the [`EpochTruth`] that `Machine::advance_epoch` returns.
+//!
+//! Counting is per physical frame, as a device-side access counter does
+//! it (NeoMem): an LLC miss adds one to its frame's counter in a lazily
+//! materialized frame chunk, an array increment rather than a hash probe.
+//! The page key comes from the access, not from the frame's descriptor
+//! (THP tail frames have no owner), and is listed with the frame when the
+//! frame's count leaves 0; the epoch close turns the listed frames' counts
+//! into the per-page map.
 
+use crate::addr::Pfn;
 use crate::keymap::KeyMap;
-use crate::pagedesc::PageKey;
+use crate::pagedesc::{FrameChunks, PageKey, DEFAULT_CHUNK};
 
 /// One epoch's true per-page memory-level access counts.
-///
-/// Counts live in a [`KeyMap`]: `record` runs on the simulator's per-op
-/// path, so the map hash must be cheap (and deterministic for replays).
 #[derive(Clone, Debug, Default)]
 pub struct EpochTruth {
     /// Memory-level accesses (LLC misses) per packed [`PageKey`].
@@ -27,48 +35,69 @@ impl EpochTruth {
     }
 }
 
-/// The machine's omniscient recorder: memory-level accesses per page for
-/// the open epoch, plus the lifetime total over every closed epoch.
-#[derive(Debug, Default)]
-pub struct GroundTruth {
-    current: EpochTruth,
-    /// Memory-level accesses per page over every closed epoch, folded in
-    /// by [`GroundTruth::take_epoch`].
-    lifetime_mem: KeyMap<u64, u64>,
+/// The machine's omniscient recorder: memory-level accesses per frame in
+/// the open epoch.
+pub(crate) struct GroundTruth {
+    /// Memory-level accesses per frame this epoch. A free frame's count
+    /// is always 0: migration moves a page's count with the page.
+    counts: FrameChunks<u64>,
+    /// `(frame, packed page key)` for every frame whose count left 0 this
+    /// epoch, oldest first. A frame that a migration vacated and another
+    /// page reached later in the epoch is listed twice; its newest entry
+    /// names the page whose accesses the count now holds.
+    touched: Vec<(Pfn, u64)>,
 }
 
 impl GroundTruth {
-    /// Fresh recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one memory-level access (an LLC miss) to `key`.
-    #[inline]
-    pub fn record(&mut self, key: PageKey) {
-        *self.current.mem_accesses.entry(key.pack()).or_insert(0) += 1;
-    }
-
-    /// Close the epoch: fold its counts into the lifetime totals, return
-    /// its truth and start a fresh one.
-    pub fn take_epoch(&mut self) -> EpochTruth {
-        let epoch = std::mem::take(&mut self.current);
-        for (&key, &n) in &epoch.mem_accesses {
-            *self.lifetime_mem.entry(key).or_insert(0) += n;
+    /// Counters for `total_frames` frames. Allocates nothing per frame.
+    pub(crate) fn new(total_frames: u64) -> Self {
+        Self {
+            counts: FrameChunks::new(total_frames, DEFAULT_CHUNK, None),
+            touched: Vec::new(),
         }
-        epoch
     }
 
-    /// Peek at the in-progress epoch.
-    pub fn current(&self) -> &EpochTruth {
-        &self.current
+    /// Record one memory-level access (an LLC miss) to `key`, served by
+    /// frame `pfn`.
+    #[inline]
+    pub(crate) fn record(&mut self, pfn: Pfn, key: PageKey) {
+        let count = self.counts.get_mut(pfn);
+        if *count == 0 {
+            self.touched.push((pfn, key.pack()));
+        }
+        *count += 1;
     }
 
-    /// Lifetime memory-level accesses per packed page key, over closed
-    /// epochs only: the open epoch joins at the next
-    /// [`crate::machine::Machine::advance_epoch`].
-    pub fn lifetime_mem(&self) -> &KeyMap<u64, u64> {
-        &self.lifetime_mem
+    /// Page migration: `key`'s open-epoch count moves from frame `from` to
+    /// the free frame `to`.
+    pub(crate) fn migrate(&mut self, from: Pfn, to: Pfn, key: PageKey) {
+        debug_assert_eq!(self.count(to), 0, "free frame {to:?} has a truth count");
+        let count = self.count(from);
+        if count > 0 {
+            *self.counts.get_mut(from) = 0;
+            *self.counts.get_mut(to) = count;
+            self.touched.push((to, key.pack()));
+        }
+    }
+
+    /// Open-epoch count of frame `pfn`.
+    fn count(&self, pfn: Pfn) -> u64 {
+        self.counts.get(pfn).copied().unwrap_or(0)
+    }
+
+    /// Close the epoch: return its per-page counts and zero every frame.
+    pub(crate) fn take_epoch(&mut self) -> EpochTruth {
+        let touched = std::mem::take(&mut self.touched);
+        let mut mem_accesses = KeyMap::with_capacity_and_hasher(touched.len(), Default::default());
+        // Newest first, so a frame listed twice is credited to the page
+        // that reached it last; its older entry then reads 0.
+        for &(pfn, key) in touched.iter().rev() {
+            let count = std::mem::take(self.counts.get_mut(pfn));
+            if count > 0 {
+                *mem_accesses.entry(key).or_insert(0) += count;
+            }
+        }
+        EpochTruth { mem_accesses }
     }
 }
 
@@ -88,11 +117,11 @@ mod tests {
     fn records_references_and_memory_separately() {
         // Only memory-level accesses reach the recorder (cache hits are
         // never recorded), each counted against its own page.
-        let mut gt = GroundTruth::new();
-        gt.record(key(1));
-        gt.record(key(1));
-        gt.record(key(2));
-        let t = gt.current();
+        let mut gt = GroundTruth::new(16);
+        gt.record(Pfn(4), key(1));
+        gt.record(Pfn(4), key(1));
+        gt.record(Pfn(9), key(2));
+        let t = gt.take_epoch();
         assert_eq!(t.mem_accesses.len(), 2);
         assert_eq!(t.mem_accesses[&key(1).pack()], 2);
         assert_eq!(t.mem_accesses[&key(2).pack()], 1);
@@ -101,41 +130,31 @@ mod tests {
     }
 
     #[test]
-    fn take_epoch_resets_current_but_keeps_lifetime() {
-        let mut gt = GroundTruth::new();
-        gt.record(key(1));
-        gt.record(key(2));
-        assert!(
-            gt.lifetime_mem().is_empty(),
-            "the open epoch joins the lifetime only when it closes"
-        );
+    fn take_epoch_returns_the_epoch_and_starts_fresh() {
+        let mut gt = GroundTruth::new(16);
+        gt.record(Pfn(1), key(1));
+        gt.record(Pfn(2), key(2));
         let e1 = gt.take_epoch();
         assert_eq!(e1.total_mem_accesses(), 2);
-        assert_eq!(gt.current().total_mem_accesses(), 0);
-        gt.record(key(1));
-        gt.record(key(1));
-        gt.record(key(3));
-        assert_eq!(gt.lifetime_mem()[&key(1).pack()], 1);
-        assert!(!gt.lifetime_mem().contains_key(&key(3).pack()));
+        gt.record(Pfn(1), key(1));
+        gt.record(Pfn(1), key(1));
+        gt.record(Pfn(3), key(3));
         let e2 = gt.take_epoch();
-        // The lifetime is exactly the sum of the closed epochs.
-        let mut sum: KeyMap<u64, u64> = KeyMap::default();
-        for epoch in [&e1, &e2] {
-            for (&k, &n) in &epoch.mem_accesses {
-                *sum.entry(k).or_insert(0) += n;
-            }
-        }
-        assert_eq!(gt.lifetime_mem(), &sum);
-        assert_eq!(gt.lifetime_mem()[&key(1).pack()], 3);
+        // Every frame restarts at 0: an epoch holds only its own accesses.
+        assert_eq!(e2.mem_accesses[&key(1).pack()], 2);
+        assert!(!e2.mem_accesses.contains_key(&key(2).pack()));
+        assert_eq!(e2.total_mem_accesses(), 3);
+        assert_eq!(gt.take_epoch().total_mem_accesses(), 0);
+        assert!((0..16).all(|pfn| gt.count(Pfn(pfn)) == 0));
     }
 
     #[test]
     fn pages_touched_counts_distinct_pages() {
-        let mut gt = GroundTruth::new();
+        let mut gt = GroundTruth::new(16);
         for v in 0..10 {
-            gt.record(key(v));
-            gt.record(key(v));
+            gt.record(Pfn(v), key(v));
+            gt.record(Pfn(v), key(v));
         }
-        assert_eq!(gt.current().mem_accesses.len(), 10);
+        assert_eq!(gt.take_epoch().mem_accesses.len(), 10);
     }
 }

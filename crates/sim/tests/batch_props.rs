@@ -1,5 +1,5 @@
 //! Property proof that quantum execution is bit-identical to op-at-a-time
-//! execution.
+//! execution, and that ground truth is exactly the memory-level accesses.
 //!
 //! Two machines receive the same action sequence. One executes every op
 //! through [`Machine::exec_op`]; the other hands each quantum to
@@ -7,10 +7,16 @@
 //! never line up with anything meaningful). Scans, shootdowns, migrations
 //! and epoch advances are interleaved between quanta — exactly the events
 //! that invalidate the translation memo. Every observable the rest of the
-//! stack consumes must match exactly: per-core event counts, per-epoch and
-//! lifetime ground truth (including hash-map iteration order, which
-//! downstream hashing makes reproducible), trace samples, first-touch
-//! order, and frame allocation.
+//! stack consumes must match exactly: per-core event counts, per-epoch
+//! ground truth (including hash-map iteration order, which downstream
+//! hashing makes reproducible), trace samples, first-touch order, and
+//! frame allocation.
+//!
+//! The truth oracle runs the same action sequences through `exec_op` alone
+//! and tallies, per page, every outcome served from memory: each epoch's
+//! ground truth must equal that tally, across migrations that move a
+//! page's count to another frame and first touches that reuse the frame
+//! a migration vacated.
 
 use proptest::prelude::*;
 
@@ -99,9 +105,8 @@ fn machine(thp: bool) -> Machine {
 struct Snapshot {
     per_core_counts: Vec<EventCounts>,
     /// Per-epoch truth in *iteration order* — order-sensitive on purpose.
+    /// The last entry is the epoch still open when the actions ran out.
     epochs: Vec<Vec<(u64, u64)>>,
-    current_mems: Vec<(u64, u64)>,
-    lifetime: Vec<(u64, u64)>,
     first_touch: Vec<u64>,
     traces: Vec<Vec<TraceSample>>,
     tier1_frames: u64,
@@ -110,6 +115,30 @@ struct Snapshot {
 
 fn epoch_rows(t: &EpochTruth) -> Vec<(u64, u64)> {
     t.mem_accesses.iter().map(|(&k, &v)| (k, v)).collect()
+}
+
+/// Apply one of the events interleaved between quanta: an A-bit scan, a
+/// shootdown or a migration.
+fn apply_event(m: &mut Machine, event: &Action) {
+    match event {
+        Action::Scan => {
+            if let Some((pt, descs)) = m.scan_parts(1) {
+                pt.walk_present(|_, pte| {
+                    if pte.test_and_clear_accessed() {
+                        descs.bump_abit(pte.pfn());
+                    }
+                });
+            }
+        }
+        Action::Shootdown { page } => {
+            m.shootdown(1, &[Vpn(*page as u64)], true);
+        }
+        Action::Migrate { page, to_tier2 } => {
+            let dest = if *to_tier2 { Tier::Tier2 } else { Tier::Tier1 };
+            let _ = m.migrate_page(1, Vpn(*page as u64), dest);
+        }
+        Action::Quantum { .. } | Action::Epoch => unreachable!("not an event: {event:?}"),
+    }
 }
 
 fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
@@ -129,34 +158,13 @@ fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
                     }
                 }
             }
-            Action::Scan => {
-                if let Some((pt, descs, epoch)) = m.scan_parts(1) {
-                    pt.walk_present(|_, pte| {
-                        if pte.test_and_clear_accessed() {
-                            descs.bump_abit(pte.pfn(), epoch);
-                        }
-                    });
-                }
-            }
-            Action::Shootdown { page } => {
-                m.shootdown(1, &[Vpn(*page as u64)], true);
-            }
-            Action::Migrate { page, to_tier2 } => {
-                let dest = if *to_tier2 { Tier::Tier2 } else { Tier::Tier1 };
-                let _ = m.migrate_page(1, Vpn(*page as u64), dest);
-            }
             Action::Epoch => {
                 epochs.push(epoch_rows(&m.advance_epoch()));
             }
+            event => apply_event(&mut m, event),
         }
     }
-    let current_mems = epoch_rows(m.truth().current());
-    let lifetime: Vec<(u64, u64)> = m
-        .truth()
-        .lifetime_mem()
-        .iter()
-        .map(|(&k, &v)| (k, v))
-        .collect();
+    epochs.push(epoch_rows(&m.advance_epoch()));
     let per_core_counts: Vec<EventCounts> = m.counts_iter().cloned().collect();
     let first_touch = m.first_touch_order().to_vec();
     let tier1_frames = m.frames().allocated_in(Tier::Tier1);
@@ -167,8 +175,6 @@ fn run(actions: &[Action], thp: bool, batched: bool) -> Snapshot {
     Snapshot {
         per_core_counts,
         epochs,
-        current_mems,
-        lifetime,
         first_touch,
         traces,
         tier1_frames,
@@ -192,4 +198,82 @@ proptest! {
         let batch = run(&ops, true, true);
         prop_assert_eq!(reference, batch);
     }
+}
+
+/// Packed ground-truth key of page `vpn` of pid 1.
+fn key(vpn: u64) -> u64 {
+    PageKey {
+        pid: 1,
+        vpn: Vpn(vpn),
+    }
+    .pack()
+}
+
+/// Run `actions` op at a time and require every closed epoch's ground truth
+/// to equal a tally of the outcomes served from memory, per page.
+fn check_truth_against_memory_outcomes(actions: &[Action], thp: bool) {
+    let mut m = machine(thp);
+    let mut tally: KeyMap<u64, u64> = KeyMap::default();
+    let mut epoch = 0;
+    for action in actions {
+        match action {
+            Action::Quantum { core, ops, .. } => {
+                for op in ops.iter().map(BOp::work) {
+                    let out = m.exec_op(*core as usize, 1, op);
+                    if let (WorkOp::Mem { va, .. }, Some(CacheLevel::Memory)) = (op, out.source) {
+                        *tally.entry(key(va.vpn().0)).or_insert(0) += 1;
+                    }
+                }
+            }
+            Action::Epoch => {
+                assert_eq!(m.advance_epoch().mem_accesses, tally, "epoch {epoch}");
+                tally.clear();
+                epoch += 1;
+            }
+            event => apply_event(&mut m, event),
+        }
+    }
+    assert_eq!(m.advance_epoch().mem_accesses, tally, "last epoch");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ground_truth_equals_the_memory_level_tally(ops in actions()) {
+        check_truth_against_memory_outcomes(&ops, false);
+    }
+
+    #[test]
+    fn ground_truth_equals_the_memory_level_tally_with_thp(ops in actions()) {
+        check_truth_against_memory_outcomes(&ops, true);
+    }
+}
+
+#[test]
+fn a_frame_vacated_and_reused_mid_epoch_counts_both_pages() {
+    // Page A reaches memory and migrates; page B's first touch takes the
+    // frame A vacated and reaches memory in the same epoch. The frame's
+    // count must go to B, and A's must follow A.
+    let mut m = machine(false);
+    let load_from_memory = |m: &mut Machine, page: u64, line: u64| {
+        let op = WorkOp::Mem {
+            va: VirtAddr(page * PAGE_SIZE + line * LINE_SIZE),
+            store: false,
+            site: 0,
+        };
+        assert_eq!(m.exec_op(0, 1, op).source, Some(CacheLevel::Memory));
+    };
+    for line in 0..3 {
+        load_from_memory(&mut m, 1, line);
+    }
+    let (vacated, _) = m.migrate_page(1, Vpn(1), Tier::Tier2).expect("A migrates");
+    for line in 0..2 {
+        load_from_memory(&mut m, 2, line);
+    }
+    assert_eq!(m.frame_of(1, Vpn(2)), Some(vacated), "B reuses A's frame");
+    load_from_memory(&mut m, 1, 3);
+    let truth = m.advance_epoch().mem_accesses;
+    let want: KeyMap<u64, u64> = [(key(1), 4), (key(2), 2)].into_iter().collect();
+    assert_eq!(truth, want);
 }

@@ -69,10 +69,10 @@ proptest! {
                     m.exec_op(core as usize, 1, WorkOp::Compute);
                 }
                 Action::Scan => {
-                    let (pt, descs, epoch) = m.scan_parts(1).unwrap();
+                    let (pt, descs) = m.scan_parts(1).unwrap();
                     pt.walk_present(|_, pte| {
                         if pte.test_and_clear_accessed() {
-                            descs.bump_abit(pte.pfn(), epoch);
+                            descs.bump_abit(pte.pfn());
                         }
                     });
                 }
@@ -141,10 +141,10 @@ proptest! {
                         m.exec_op(core as usize, 1, WorkOp::Compute);
                     }
                     Action::Scan => {
-                        let (pt, descs, epoch) = m.scan_parts(1).unwrap();
+                        let (pt, descs) = m.scan_parts(1).unwrap();
                         pt.walk_present(|_, pte| {
                             if pte.test_and_clear_accessed() {
-                                descs.bump_abit(pte.pfn(), epoch);
+                                descs.bump_abit(pte.pfn());
                             }
                         });
                     }

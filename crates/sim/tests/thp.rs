@@ -62,7 +62,7 @@ fn a_bit_granularity_is_2mib() {
             m.touch(0, 1, VirtAddr((r * HUGE_SPAN + i) * PAGE_SIZE));
         }
     }
-    let (pt, _descs, _epoch) = m.scan_parts(1).unwrap();
+    let (pt, _descs) = m.scan_parts(1).unwrap();
     let mut set_bits = 0;
     let fp = pt.walk_present(|_, pte| {
         assert!(pte.huge());
@@ -110,7 +110,7 @@ fn store_through_huge_entry_sets_shared_d_bit() {
             site: 0,
         },
     );
-    let (pt, _, _) = m.scan_parts(1).unwrap();
+    let (pt, _) = m.scan_parts(1).unwrap();
     let pte = pt.get(Vpn(3)); // any page in the region sees the shared bits
     assert!(pte.huge());
     assert!(pte.dirty(), "D bit is region-wide");

@@ -4,6 +4,7 @@
 use tmprof_bench::harness::{profiling_machine, run_workload, scaled_config, ProfMode, RunOptions};
 use tmprof_bench::scale::Scale;
 use tmprof_core::rank::RankSource;
+use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::machine::Machine;
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tlb::Pid;
@@ -64,6 +65,7 @@ fn lifetime_truth(kind: WorkloadKind) -> Vec<(u64, u64)> {
     for &pid in &pids {
         machine.add_process(pid);
     }
+    let mut lifetime: KeyMap<u64, u64> = KeyMap::default();
     for _ in 0..scale.epochs {
         let streams: Vec<(Pid, &mut dyn OpStream)> = gens
             .iter_mut()
@@ -71,14 +73,11 @@ fn lifetime_truth(kind: WorkloadKind) -> Vec<(u64, u64)> {
             .map(|(i, g)| (pids[i], &mut **g as &mut dyn OpStream))
             .collect();
         Runner::new(streams).run(&mut machine, scale.ops_per_epoch);
-        machine.advance_epoch();
+        for (&k, &c) in &machine.advance_epoch().mem_accesses {
+            *lifetime.entry(k).or_insert(0) += c;
+        }
     }
-    let mut v: Vec<(u64, u64)> = machine
-        .truth()
-        .lifetime_mem()
-        .iter()
-        .map(|(&k, &c)| (k, c))
-        .collect();
+    let mut v: Vec<(u64, u64)> = lifetime.into_iter().collect();
     v.sort_unstable();
     v
 }
