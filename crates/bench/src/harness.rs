@@ -112,8 +112,6 @@ pub struct WorkloadRun {
     pub kind: WorkloadKind,
     /// Cumulative detection counts (Table IV cells).
     pub detection: DetectionStats,
-    /// Naive cumulative-intersection variant of "Both" (DESIGN.md §7).
-    pub both_cumulative: usize,
     /// Final aggregate PMU counters.
     pub counts: EventCounts,
     /// Per-epoch profiles + ground truth, for the Fig. 6 replay.
@@ -268,15 +266,10 @@ pub fn run_workload(kind: WorkloadKind, opts: &RunOptions) -> WorkloadRun {
         trace: trace.as_ref().map_or(0, |t| t.seen_pages().len()),
         both: both_seen.len(),
     };
-    let both_cumulative = match (&abit, &trace) {
-        (Some(a), Some(t)) => a.seen_pages().intersection_count(t.seen_pages()),
-        _ => 0,
-    };
 
     WorkloadRun {
         kind,
         detection,
-        both_cumulative,
         counts: machine.aggregate_counts(),
         heat_trace: trace
             .as_ref()

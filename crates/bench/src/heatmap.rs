@@ -14,7 +14,6 @@ pub struct Heatmap {
     cells: Vec<Vec<u64>>,
     epochs: usize,
     buckets: usize,
-    frames_per_bucket: u64,
 }
 
 impl Heatmap {
@@ -38,18 +37,12 @@ impl Heatmap {
             cells,
             epochs,
             buckets,
-            frames_per_bucket,
         }
     }
 
     /// Grid dimensions (buckets, epochs).
     pub fn dims(&self) -> (usize, usize) {
         (self.buckets, self.epochs)
-    }
-
-    /// Frames represented by one address row.
-    pub fn frames_per_bucket(&self) -> u64 {
-        self.frames_per_bucket
     }
 
     /// Raw cell value.

@@ -2,9 +2,10 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (see
 //! DESIGN.md §5 for the experiment index) and hosts the Criterion
-//! microbenchmarks. Each `src/bin/*` binary reproduces one artifact:
+//! microbenchmarks. The `experiments` binary runs every experiment, or the
+//! ones it names (`experiments fig5_cdf`); each reproduces one artifact:
 //!
-//! | binary | artifact |
+//! | experiment | artifact |
 //! |---|---|
 //! | `fig2_ptw_ratio` | Fig. 2 — PTW vs cache-miss event ratio |
 //! | `table4_detected_pages` | Table IV — pages detected per method/rate |

@@ -48,7 +48,7 @@ impl Scale {
         }
     }
 
-    /// The default used by the experiment binaries (~tens of seconds for
+    /// The default used by the experiments (~tens of seconds for
     /// the full workload sweep).
     pub fn default_scale() -> Self {
         Self {
@@ -90,8 +90,8 @@ impl Scale {
         }
     }
 
-    /// Check the environment and resolve the [`SCALE`] knob. Every sweep
-    /// binary and tmpctl's workload commands call this first.
+    /// Check the environment and resolve the [`SCALE`] knob. The
+    /// `experiments` binary and tmpctl's workload commands call this first.
     ///
     /// # Panics
     /// Naming every `TMPROF_*` variable that is not a registered knob, or

@@ -1,8 +1,8 @@
-//! Shared parallel sweep engine for the experiment binaries.
+//! Shared parallel sweep engine for the experiments.
 //!
-//! Every `src/bin/*` artifact runs a grid of (workload × configuration)
-//! cells. This module centralizes the fan-out that used to be hand-rolled
-//! per binary:
+//! Every experiment runs a grid of (workload × configuration) cells. This
+//! module centralizes the fan-out that used to be hand-rolled per
+//! experiment:
 //!
 //! * cells run on [`tmprof_core::pool`], whose worker threads claim cells
 //!   one at a time (bounded by [`Sweep::workers`] or the `TMPROF_WORKERS`
@@ -10,7 +10,7 @@
 //! * each cell is timed individually;
 //! * a panicking cell is captured as a [`CellFailure`] instead of tearing
 //!   down the whole sweep — every other cell still completes, and
-//!   [`SweepResults::log_summary`] then fails the binary naming every
+//!   [`SweepResults::log_summary`] then fails the run naming every
 //!   failed cell.
 //!
 //! Results come back in deterministic row-major grid order (workload-major,
@@ -276,8 +276,8 @@ where
     /// # Panics
     ///
     /// After printing every failure, panics with a message naming the
-    /// failed cells. The binaries call this before their first CSV write,
-    /// so a failed cell writes no partial CSV and exits non-zero.
+    /// failed cells. Every sweep calls this before its results are read,
+    /// so a failed cell writes no partial CSV and the run exits non-zero.
     pub fn log_summary(&self, name: &str) {
         let slowest = self.cells.iter().max_by_key(|c| c.elapsed);
         let slowest = slowest

@@ -1,8 +1,10 @@
-//! Aligned text tables and CSV emitters for experiment output.
+//! Aligned text tables, CSV emitters and the one writer of result files.
 //!
-//! Every experiment binary prints a human-readable table to stdout (the
-//! shape the paper's tables have) and can dump the same data as CSV for
-//! plotting.
+//! Every experiment prints a human-readable table to stdout (the shape
+//! the paper's tables have) and writes the same data as CSV for plotting
+//! through [`write_result`].
+
+use std::path::{Path, PathBuf};
 
 /// A simple column-aligned table builder.
 pub struct Table {
@@ -31,16 +33,6 @@ impl Table {
         );
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with padded columns (first column left-aligned, the rest
@@ -102,14 +94,28 @@ impl Table {
         out
     }
 
-    /// Write the CSV next to the repo's results (creates `results/`).
-    pub fn write_csv(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        std::fs::write(&path, self.to_csv())?;
-        Ok(path)
+    /// Write the CSV as `results/<name>.csv` through [`write_result`].
+    pub fn write_csv(&self, name: &str) -> PathBuf {
+        write_result(&format!("{name}.csv"), &self.to_csv())
     }
+}
+
+/// Write `contents` to `results/<file>` (creating `results/`) and return
+/// the path written.
+///
+/// # Panics
+/// Naming the path and the io error, when the file cannot be written: a
+/// lost result file stops the run instead of leaving a stale copy.
+pub fn write_result(file: &str, contents: &str) -> PathBuf {
+    write_under(Path::new("results"), file, contents)
+}
+
+fn write_under(dir: &Path, file: &str, contents: &str) -> PathBuf {
+    let path = dir.join(file);
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+        panic!("cannot write {}: {e}", path.display());
+    }
+    path
 }
 
 /// Format a float with `digits` decimals.
@@ -153,6 +159,26 @@ mod tests {
         t.row(vec!["a,b", "plain"]);
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\",plain"));
+    }
+
+    #[test]
+    fn write_fails_loudly_naming_the_path() {
+        let blocker =
+            std::env::temp_dir().join(format!("tmprof-results-blocker-{}", std::process::id()));
+        std::fs::write(
+            &blocker,
+            "a regular file where the results directory belongs",
+        )
+        .unwrap();
+        let err = std::panic::catch_unwind(|| write_under(&blocker, "x.csv", "k,v\n")).unwrap_err();
+        std::fs::remove_file(&blocker).ok();
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            msg.contains(&blocker.join("x.csv").display().to_string()),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! Hand-rolled (the workspace's external-crate budget is documented in
 //! DESIGN.md §6): subcommand + `--flag value` pairs + `--switch` booleans,
-//! with typed accessors and helpful errors.
+//! with typed accessors and helpful errors. A flag the command does not
+//! take and a value outside what a flag accepts are errors, never a
+//! silent default.
 
-use std::collections::HashMap;
-
-/// A parsed command line: subcommand plus options.
+/// A parsed command line: subcommand plus options, in the order given.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parsed {
     pub command: String,
-    options: HashMap<String, String>,
+    options: Vec<(String, String)>,
     switches: Vec<String>,
 }
 
@@ -23,11 +23,18 @@ pub enum ArgError {
     MissingValue(String),
     /// Positional argument where none is accepted.
     UnexpectedPositional(String),
-    /// A value failed to parse.
+    /// A value failed to parse or is out of range.
     BadValue {
         flag: String,
         value: String,
-        expected: &'static str,
+        expected: String,
+    },
+    /// A flag the command does not take.
+    UnknownFlag {
+        command: String,
+        flag: String,
+        value: Option<String>,
+        accepted: Vec<String>,
     },
 }
 
@@ -43,7 +50,23 @@ impl std::fmt::Display for ArgError {
                 flag,
                 value,
                 expected,
-            } => write!(f, "--{flag}: {value:?} is not a valid {expected}"),
+            } => write!(f, "--{flag}: {value:?} is not {expected}"),
+            ArgError::UnknownFlag {
+                command,
+                flag,
+                value,
+                accepted,
+            } => {
+                write!(f, "`{command}` takes no --{flag}")?;
+                if let Some(v) = value {
+                    write!(f, " (given {v:?})")?;
+                }
+                if accepted.is_empty() {
+                    write!(f, "; it takes no flags")
+                } else {
+                    write!(f, "; it takes --{}", accepted.join(", --"))
+                }
+            }
         }
     }
 }
@@ -60,22 +83,21 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, ArgError
     if command.starts_with('-') {
         return Err(ArgError::NoCommand);
     }
-    // tmprof-lint: allow(determinism-taint) — options are looked up by flag name only; the map's iteration order never reaches the journal or output
-    let mut options = HashMap::new();
+    let mut options = Vec::new();
     let mut switches = Vec::new();
     while let Some(arg) = iter.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(ArgError::UnexpectedPositional(arg));
         };
         if let Some((k, v)) = name.split_once('=') {
-            options.insert(k.to_string(), v.to_string());
+            options.push((k.to_string(), v.to_string()));
         } else if SWITCHES.contains(&name) {
             switches.push(name.to_string());
         } else {
             let value = iter
                 .next()
                 .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
-            options.insert(name.to_string(), value);
+            options.push((name.to_string(), value));
         }
     }
     Ok(Parsed {
@@ -86,9 +108,33 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, ArgError
 }
 
 impl Parsed {
-    /// String option.
+    /// String option (the last one, when a flag is repeated).
     pub fn get(&self, flag: &str) -> Option<&str> {
-        self.options.get(flag).map(|s| s.as_str())
+        self.options
+            .iter()
+            .rev()
+            .find(|(k, _)| k == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Refuse the first option or switch not in `accepted`.
+    pub fn only(&self, accepted: &[&str]) -> Result<(), ArgError> {
+        let given = self
+            .options
+            .iter()
+            .map(|(k, v)| (k, Some(v)))
+            .chain(self.switches.iter().map(|k| (k, None)));
+        for (flag, value) in given {
+            if !accepted.contains(&flag.as_str()) {
+                return Err(ArgError::UnknownFlag {
+                    command: self.command.clone(),
+                    flag: flag.clone(),
+                    value: value.cloned(),
+                    accepted: accepted.iter().map(|a| a.to_string()).collect(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Boolean switch.
@@ -98,26 +144,66 @@ impl Parsed {
 
     /// Typed option with a default.
     pub fn get_u64(&self, flag: &str, default: u64) -> Result<u64, ArgError> {
-        match self.options.get(flag) {
+        match self.get(flag) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: v.clone(),
-                expected: "integer",
-            }),
+            Some(v) => v.parse().map_err(|_| bad(flag, v, "an integer")),
+        }
+    }
+
+    /// Integer option that must be at least 1, with a default.
+    pub fn get_positive(&self, flag: &str, default: u64) -> Result<u64, ArgError> {
+        match self.get(flag) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| bad(flag, v, "a positive integer")),
+        }
+    }
+
+    /// Comma-separated list of integers that must each be at least 1.
+    pub fn get_positive_list(&self, flag: &str) -> Result<Option<Vec<u32>>, ArgError> {
+        let Some(v) = self.get(flag) else {
+            return Ok(None);
+        };
+        v.split(',')
+            .map(|s| s.trim().parse().ok().filter(|&n| n >= 1))
+            .collect::<Option<Vec<u32>>>()
+            .map(Some)
+            .ok_or_else(|| bad(flag, v, "a comma-separated list of positive integers"))
+    }
+
+    /// One of `choices`; the first is the default.
+    pub fn get_choice(
+        &self,
+        flag: &str,
+        choices: &[&'static str],
+    ) -> Result<&'static str, ArgError> {
+        match self.get(flag) {
+            None => Ok(choices[0]),
+            Some(v) => choices
+                .iter()
+                .find(|&&c| c == v)
+                .copied()
+                .ok_or_else(|| bad(flag, v, &format!("one of {}", choices.join(", ")))),
         }
     }
 
     /// Typed f64 option with a default.
     pub fn get_f64(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
-        match self.options.get(flag) {
+        match self.get(flag) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: v.clone(),
-                expected: "number",
-            }),
+            Some(v) => v.parse().map_err(|_| bad(flag, v, "a number")),
         }
+    }
+}
+
+fn bad(flag: &str, value: &str, expected: &str) -> ArgError {
+    ArgError::BadValue {
+        flag: flag.to_string(),
+        value: value.to_string(),
+        expected: expected.to_string(),
     }
 }
 

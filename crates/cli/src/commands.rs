@@ -61,14 +61,14 @@ fn options_from(parsed: &Parsed) -> Result<(WorkloadKind, RunOptions), CliError>
     scale.ops_per_epoch = parsed.get_u64("ops", scale.ops_per_epoch)?;
     let mut opts = RunOptions::new(scale)
         .dense()
-        .with_rate(parsed.get_u64("rate", 4)?);
+        .with_rate(parsed.get_positive("rate", 4)?);
     if parsed.switch("thp") {
         opts = opts.with_thp();
     }
     if parsed.switch("pebs") {
         opts.pebs = true;
     }
-    opts.mode = match parsed.get("mode").unwrap_or("both") {
+    opts.mode = match parsed.get_choice("mode", &["both", "abit", "trace", "none"])? {
         "abit" => ProfMode::ABitOnly,
         "trace" => ProfMode::TraceOnly,
         "none" => ProfMode::None,
@@ -76,6 +76,9 @@ fn options_from(parsed: &Parsed) -> Result<(WorkloadKind, RunOptions), CliError>
     };
     Ok((kind, opts))
 }
+
+/// The flags every command that profiles a workload takes.
+const RUN_FLAGS: [&str; 7] = ["workload", "rate", "mode", "epochs", "ops", "thp", "pebs"];
 
 /// `tmpctl workloads` — list the Table III suite.
 pub fn cmd_workloads() -> String {
@@ -138,15 +141,14 @@ pub fn cmd_profile(parsed: &Parsed) -> Result<String, CliError> {
 /// `tmpctl heatmap --workload W [--source ibs|abit] [--buckets N]`
 pub fn cmd_heatmap(parsed: &Parsed) -> Result<String, CliError> {
     let (kind, opts) = options_from(parsed)?;
-    let opts = opts.recording();
-    let run = run_workload(kind, &opts);
-    let source = parsed.get("source").unwrap_or("ibs");
+    let source = parsed.get_choice("source", &["ibs", "abit"])?;
+    let buckets = parsed.get_positive("buckets", 24)? as usize;
+    let run = run_workload(kind, &opts.recording());
     let points = if source == "abit" {
         run.heat_abit.clone()
     } else {
         run.heat_trace.clone()
     };
-    let buckets = parsed.get_u64("buckets", 24)? as usize;
     let hm = Heatmap::build(points, run.epochs as usize, run.total_frames, buckets);
     Ok(format!(
         "{} heatmap of {} ({} observations)\n{}",
@@ -160,15 +162,11 @@ pub fn cmd_heatmap(parsed: &Parsed) -> Result<String, CliError> {
 /// `tmpctl hitrate --workload W [--ratio-denoms 8,16,...]`
 pub fn cmd_hitrate(parsed: &Parsed) -> Result<String, CliError> {
     let (kind, opts) = options_from(parsed)?;
+    let denoms = parsed
+        .get_positive_list("ratio-denoms")?
+        .unwrap_or_else(|| PAPER_RATIOS.to_vec());
     let run = run_workload(kind, &opts);
     let footprint = run.log.footprint_pages().max(1);
-    let denoms: Vec<u32> = match parsed.get("ratio-denoms") {
-        Some(spec) => spec
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect(),
-        None => PAPER_RATIOS.to_vec(),
-    };
     let mut table = Table::new(vec![
         "tier1 ratio",
         "Oracle/TMP",
@@ -231,7 +229,7 @@ pub fn cmd_emulate(parsed: &Parsed) -> Result<String, CliError> {
     use tmprof_sim::tlb::Pid;
 
     let kind = workload_by_name(parsed.get("workload").unwrap_or("datacaching"))?;
-    let slow_ratio = parsed.get_u64("ratio", 15)?;
+    let slow_ratio = parsed.get_positive("ratio", 15)?;
     let scale = Scale::from_env();
     let one = |policy: EmulPolicy| {
         let cfg = tmprof_bench::harness::scaled_config(kind, &scale).scaled_footprint(1, 2);
@@ -387,25 +385,33 @@ COMMANDS:
   knobs                          list TMPROF_* environment knobs
   help                           this text
 
+heatmap, hitrate, metrics and journal also take profile's flags. A flag
+a command does not take, or a value it does not accept, is an error.
 Scale presets via TMPROF_SCALE=quick|default|full.
 "
     .to_string()
 }
 
-/// Dispatch a parsed command line.
+/// Dispatch a parsed command line, refusing any flag the command does
+/// not take.
 pub fn dispatch(parsed: &Parsed) -> Result<String, CliError> {
-    match parsed.command.as_str() {
-        "workloads" => Ok(cmd_workloads()),
-        "profile" => cmd_profile(parsed),
-        "heatmap" => cmd_heatmap(parsed),
-        "hitrate" => cmd_hitrate(parsed),
-        "emulate" => cmd_emulate(parsed),
-        "metrics" => cmd_metrics(parsed),
-        "journal" => cmd_journal(parsed),
-        "knobs" => Ok(cmd_knobs()),
-        "help" => Ok(cmd_help()),
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+    type Command = fn(&Parsed) -> Result<String, CliError>;
+    // (command, whether it takes `RUN_FLAGS`, the flags only it takes)
+    let (run, runs_workload, own): (Command, bool, &[&str]) = match parsed.command.as_str() {
+        "workloads" => (|_| Ok(cmd_workloads()), false, &[]),
+        "profile" => (cmd_profile, true, &[]),
+        "heatmap" => (cmd_heatmap, true, &["source", "buckets"]),
+        "hitrate" => (cmd_hitrate, true, &["ratio-denoms"]),
+        "emulate" => (cmd_emulate, false, &["workload", "ratio"]),
+        "metrics" => (cmd_metrics, true, &["csv", "json"]),
+        "journal" => (cmd_journal, true, &["cap", "csv", "json"]),
+        "knobs" => (|_| Ok(cmd_knobs()), false, &[]),
+        "help" => (|_| Ok(cmd_help()), false, &[]),
+        other => return Err(CliError::UnknownCommand(other.to_string())),
+    };
+    let shared: &[&str] = if runs_workload { &RUN_FLAGS } else { &[] };
+    parsed.only(&[shared, own].concat())?;
+    run(parsed)
 }
 
 #[cfg(test)]
@@ -550,5 +556,83 @@ mod tests {
         assert!(out.contains("1/8"));
         assert!(out.contains("1/64"));
         assert!(!out.contains("1/16"), "unrequested ratio printed");
+    }
+
+    /// `args` must fail with an argument error naming every one of
+    /// `needles`.
+    fn refused(args: &[&str], needles: &[&str]) {
+        let err = match run(args) {
+            Err(CliError::Args(e)) => e.to_string(),
+            other => panic!("{args:?} gave {other:?}, not an argument error"),
+        };
+        for needle in needles {
+            assert!(err.contains(needle), "{args:?}: {err:?} lacks {needle:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_flag_is_refused() {
+        refused(
+            &["profile", "--epoch", "2"],
+            &["--epoch", "\"2\"", "--epochs", "--rate"],
+        );
+        refused(&["emulate", "--rate", "8"], &["--rate", "--ratio"]);
+        refused(&["knobs", "--csv"], &["--csv", "no flags"]);
+    }
+
+    #[test]
+    fn misspelt_mode_is_refused() {
+        refused(
+            &["profile", "--mode", "abiit"],
+            &["--mode", "abiit", "both, abit, trace, none"],
+        );
+    }
+
+    #[test]
+    fn misspelt_heatmap_source_is_refused() {
+        refused(
+            &["heatmap", "--source", "abti"],
+            &["--source", "abti", "ibs, abit"],
+        );
+    }
+
+    #[test]
+    fn non_integer_ratio_denominator_is_refused() {
+        refused(
+            &["hitrate", "--ratio-denoms", "8,x,16"],
+            &["--ratio-denoms", "8,x,16", "positive integers"],
+        );
+    }
+
+    #[test]
+    fn zero_ratio_denominator_is_refused() {
+        refused(
+            &["hitrate", "--ratio-denoms", "0"],
+            &["--ratio-denoms", "\"0\"", "positive integers"],
+        );
+    }
+
+    #[test]
+    fn zero_emulation_ratio_is_refused() {
+        refused(
+            &["emulate", "--ratio", "0"],
+            &["--ratio", "\"0\"", "a positive integer"],
+        );
+    }
+
+    #[test]
+    fn zero_sampling_rate_is_refused() {
+        refused(
+            &["profile", "--rate", "0"],
+            &["--rate", "\"0\"", "a positive integer"],
+        );
+    }
+
+    #[test]
+    fn zero_heatmap_buckets_are_refused() {
+        refused(
+            &["heatmap", "--buckets", "0"],
+            &["--buckets", "\"0\"", "a positive integer"],
+        );
     }
 }

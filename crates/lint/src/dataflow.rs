@@ -59,6 +59,11 @@ pub const TAINT_SINKS: &[(&str, &str, &str)] = &[
         "write_csv",
         "results CSV writer",
     ),
+    (
+        "crates/bench/src/table.rs",
+        "write_result",
+        "results file writer",
+    ),
     ("crates/core/src/rank.rs", "ranked", "hotness ranking"),
     ("crates/core/src/rank.rs", "top_k", "hotness ranking"),
     ("crates/core/src/rank.rs", "ranked_pages", "hotness ranking"),

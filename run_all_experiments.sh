@@ -5,13 +5,5 @@ set -euo pipefail
 cd "$(dirname "$0")"
 out="results/experiments_${TMPROF_SCALE:-default}.txt"
 mkdir -p results
-{
-  for bin in fig2_ptw_ratio table4_detected_pages fig3_heatmap_ibs \
-             fig4_heatmap_abit fig5_cdf fig6_hitrate overhead_table \
-             speedup_emulation profiler_shootout write_policy_ablation epoch_sensitivity thp_ablation; do
-    echo "=== $bin ==="
-    cargo run --release -p tmprof-bench --bin "$bin"
-    echo
-  done
-} | tee "$out"
+cargo run --release -p tmprof-bench --bin experiments | tee "$out"
 echo "Transcript written to $out"
