@@ -21,11 +21,12 @@ use tmprof_sim::runner::OpStream;
 use tmprof_sim::tlb::Pid;
 use tmprof_workloads::spec::WorkloadKind;
 
-/// Epoch lengths in ops-per-stream, shortest to longest.
-const EPOCH_LENGTHS: [u64; 4] = [1 << 15, 1 << 17, 1 << 19, 1 << 21];
-
-/// Total ops per stream (shared across lengths so runs are comparable).
-const TOTAL_OPS: u64 = 1 << 22;
+/// Epoch lengths in ops per stream, shortest to longest: the scale's
+/// epoch × {1/16, 1/4, 1, 4} (2^15 … 2^21 at default scale).
+fn epoch_lengths(scale: &Scale) -> [u64; 4] {
+    let e = scale.ops_per_epoch;
+    [e / 16, e / 4, e, e * 4]
+}
 
 struct Cell {
     hitrate: f64,
@@ -49,7 +50,10 @@ fn run_one(kind: WorkloadKind, scale: &Scale, epoch_ops: u64) -> Cell {
     let mut tmp = Tmp::new(TmpConfig::paper_defaults(scale.dense_period), &mut machine);
     let mut policy = HistoryPolicy::new(RankSource::Combined);
     let mut runner = EpochRunner::with_machine_capacity(&machine, PageMover::default());
-    let epochs = (TOTAL_OPS / epoch_ops).max(2) as u32;
+    // Every length shares one op budget per stream, so runs are
+    // comparable; at least 2 epochs, so a steady state exists.
+    let budget = scale.epochs as u64 * scale.ops_per_epoch;
+    let epochs = (budget / epoch_ops).max(2) as u32;
     for _ in 0..epochs {
         let mut streams: Vec<(Pid, &mut dyn OpStream)> = gens
             .iter_mut()
@@ -59,10 +63,11 @@ fn run_one(kind: WorkloadKind, scale: &Scale, epoch_ops: u64) -> Cell {
         runner.run_epoch(&mut machine, &mut tmp, &mut policy, &mut streams, epoch_ops);
     }
     let promoted: u64 = runner.metrics().iter().map(|m| m.moves.promoted).sum();
-    let total_ops = TOTAL_OPS * pids.len() as u64;
+    // The ops this cell ran: past the budget when 2 epochs overshoot it.
+    let ran = epochs as u64 * epoch_ops * pids.len() as u64;
     Cell {
         hitrate: runner.steady_state_hitrate(),
-        promoted_per_mop: promoted as f64 / (total_ops as f64 / 1e6),
+        promoted_per_mop: promoted as f64 / (ran as f64 / 1e6),
     }
 }
 
@@ -75,7 +80,8 @@ pub fn run(shared: &crate::Shared) {
         WorkloadKind::WebServing,     // stable hot set
     ];
 
-    let cells = Sweep::grid(workloads.to_vec(), EPOCH_LENGTHS.to_vec())
+    let lengths = epoch_lengths(&shared.scale);
+    let cells = Sweep::grid(workloads.to_vec(), lengths.to_vec())
         .run(|&kind, &len| run_one(kind, &shared.scale, len));
     cells.log_summary("epoch_sensitivity");
 
@@ -86,7 +92,7 @@ pub fn run(shared: &crate::Shared) {
         "promotions / Mop",
     ]);
     for kind in workloads {
-        for len in EPOCH_LENGTHS {
+        for len in lengths {
             let cell = cells.value(&kind, &len);
             table.row(vec![
                 kind.name().to_string(),

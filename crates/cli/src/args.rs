@@ -150,16 +150,21 @@ impl Parsed {
         }
     }
 
-    /// Integer option that must be at least 1, with a default.
-    pub fn get_positive(&self, flag: &str, default: u64) -> Result<u64, ArgError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| bad(flag, v, "a positive integer")),
-        }
+    /// Integer option that must be at least 1 and fit in `T`, with a
+    /// default.
+    pub fn get_positive<T: TryFrom<u64>>(&self, flag: &str, default: T) -> Result<T, ArgError> {
+        let Some(v) = self.get(flag) else {
+            return Ok(default);
+        };
+        let n = v
+            .parse::<u64>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| bad(flag, v, "a positive integer"))?;
+        T::try_from(n).map_err(|_| {
+            let ty = std::any::type_name::<T>();
+            bad(flag, v, &format!("a positive integer that fits in {ty}"))
+        })
     }
 
     /// Comma-separated list of integers that must each be at least 1.

@@ -57,8 +57,8 @@ pub fn workload_by_name(name: &str) -> Result<WorkloadKind, CliError> {
 fn options_from(parsed: &Parsed) -> Result<(WorkloadKind, RunOptions), CliError> {
     let kind = workload_by_name(parsed.get("workload").unwrap_or("gups"))?;
     let mut scale = Scale::from_env();
-    scale.epochs = parsed.get_u64("epochs", scale.epochs as u64)? as u32;
-    scale.ops_per_epoch = parsed.get_u64("ops", scale.ops_per_epoch)?;
+    scale.epochs = parsed.get_positive("epochs", scale.epochs)?;
+    scale.ops_per_epoch = parsed.get_positive("ops", scale.ops_per_epoch)?;
     let mut opts = RunOptions::new(scale)
         .dense()
         .with_rate(parsed.get_positive("rate", 4)?);
@@ -142,7 +142,7 @@ pub fn cmd_profile(parsed: &Parsed) -> Result<String, CliError> {
 pub fn cmd_heatmap(parsed: &Parsed) -> Result<String, CliError> {
     let (kind, opts) = options_from(parsed)?;
     let source = parsed.get_choice("source", &["ibs", "abit"])?;
-    let buckets = parsed.get_positive("buckets", 24)? as usize;
+    let buckets = parsed.get_positive("buckets", 24usize)?;
     let run = run_workload(kind, &opts.recording());
     let points = if source == "abit" {
         run.heat_abit.clone()
@@ -229,7 +229,7 @@ pub fn cmd_emulate(parsed: &Parsed) -> Result<String, CliError> {
     use tmprof_sim::tlb::Pid;
 
     let kind = workload_by_name(parsed.get("workload").unwrap_or("datacaching"))?;
-    let slow_ratio = parsed.get_positive("ratio", 15)?;
+    let slow_ratio = parsed.get_positive("ratio", 15u64)?;
     let scale = Scale::from_env();
     let one = |policy: EmulPolicy| {
         let cfg = tmprof_bench::harness::scaled_config(kind, &scale).scaled_footprint(1, 2);
@@ -633,6 +633,43 @@ mod tests {
         refused(
             &["heatmap", "--buckets", "0"],
             &["--buckets", "\"0\"", "a positive integer"],
+        );
+    }
+
+    #[test]
+    fn zero_heatmap_epochs_are_refused() {
+        refused(
+            &["heatmap", "--workload", "gups", "--epochs", "0"],
+            &["--epochs", "\"0\"", "a positive integer"],
+        );
+    }
+
+    #[test]
+    fn zero_hitrate_epochs_and_ops_are_refused() {
+        refused(
+            &["hitrate", "--epochs", "0"],
+            &["--epochs", "\"0\"", "a positive integer"],
+        );
+        refused(
+            &["hitrate", "--ops", "0"],
+            &["--ops", "\"0\"", "a positive integer"],
+        );
+    }
+
+    #[test]
+    fn epochs_past_u32_are_refused() {
+        // u32::MAX + 2, which an `as u32` cast would read as 1.
+        refused(
+            &["profile", "--epochs", "4294967297"],
+            &["--epochs", "\"4294967297\"", "fits in u32"],
+        );
+    }
+
+    #[test]
+    fn zero_profile_ops_are_refused() {
+        refused(
+            &["profile", "--ops", "0"],
+            &["--ops", "\"0\"", "a positive integer"],
         );
     }
 }

@@ -268,12 +268,9 @@ mod tests {
     fn reachability_follows_cross_file_edges() {
         let w = ws(&[
             (
-                "crates/sim/src/batch.rs",
-                "impl Machine { pub fn exec_batch(&mut self) { self.translate(); } }",
-            ),
-            (
                 "crates/sim/src/machine.rs",
-                "impl Machine { pub fn translate(&mut self) { walk_to(); } }",
+                "impl Machine { pub fn exec_batch(&mut self) { self.translate(); }\n\
+                 pub fn translate(&mut self) { walk_to(); } }",
             ),
             (
                 "crates/sim/src/pagetable.rs",

@@ -40,7 +40,7 @@ use crate::symbols::{FnId, Workspace};
 /// scanner's scan and scalar reference), epoch close, and the hotness
 /// ranking.
 pub const HOT_ENTRIES: &[(&str, &str)] = &[
-    ("crates/sim/src/batch.rs", "exec_batch"),
+    ("crates/sim/src/machine.rs", "exec_batch"),
     ("crates/profilers/src/abit.rs", "scan_process"),
     ("crates/profilers/src/abit.rs", "scan_process_scalar"),
     ("crates/sim/src/pagetable.rs", "scan_accessed_bounded"),
@@ -484,12 +484,9 @@ mod tests {
     fn transitive_unwrap_is_reported_with_a_witness_path() {
         let (ws, g) = build(&[
             (
-                "crates/sim/src/batch.rs",
-                "impl Machine { pub fn exec_batch(&mut self) { self.translate(); } }",
-            ),
-            (
                 "crates/sim/src/machine.rs",
-                "impl Machine { pub fn translate(&mut self) { deep(); } }",
+                "impl Machine { pub fn exec_batch(&mut self) { self.translate(); }\n\
+                 pub fn translate(&mut self) { deep(); } }",
             ),
             (
                 "crates/sim/src/pagetable.rs",
@@ -508,7 +505,7 @@ mod tests {
     fn unreachable_panics_and_test_code_are_silent() {
         let (ws, g) = build(&[
             (
-                "crates/sim/src/batch.rs",
+                "crates/sim/src/machine.rs",
                 "impl Machine { pub fn exec_batch(&mut self) {} }",
             ),
             (
@@ -523,7 +520,7 @@ mod tests {
     #[test]
     fn masked_indices_are_skipped_and_unmasked_group_per_fn() {
         let (ws, g) = build(&[(
-            "crates/sim/src/batch.rs",
+            "crates/sim/src/machine.rs",
             "impl Machine { pub fn exec_batch(&mut self, v: &[u64], i: usize) -> u64 {\n\
                let a = v[i & 63];\n\
                let b = v[i];\n\

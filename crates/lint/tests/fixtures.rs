@@ -94,7 +94,7 @@ fn test_code_unwrap_is_exempt_from_panic_reachability() {
     let violations = lint(&fixture_root("violating"));
     // machine.rs has an unwrap inside #[cfg(test)]; only the non-test
     // unwrap (line 4) and panic (line 6), both reachable from the
-    // exec_batch entry in batch.rs, may fire.
+    // exec_batch entry beside them, may fire.
     let machine: Vec<u32> = violations
         .iter()
         .filter(|v| v.file == "crates/sim/src/machine.rs")

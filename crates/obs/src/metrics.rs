@@ -46,8 +46,6 @@ metrics! {
     // -- sim: machine + batched exec path -------------------------------
     SimBatchOps => "sim.batch_ops",
         "ops executed through Machine::exec_batch";
-    SimMemoHits => "sim.memo_hits",
-        "translations inside exec_batch served by the per-core memo (verified L1 re-hits)";
     SimShootdowns => "sim.shootdowns",
         "TLB shootdown broadcasts issued";
     SimShootdownPages => "sim.shootdown_pages",

@@ -32,7 +32,6 @@
 //! ```
 
 pub mod addr;
-pub mod batch;
 pub mod cache;
 pub mod counters;
 pub mod frame;

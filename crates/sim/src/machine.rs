@@ -6,9 +6,10 @@
 //! PML engines, PMU counters, and an omniscient ground-truth recorder.
 //!
 //! The execution model is op-granular: callers feed [`WorkOp`]s to
-//! [`Machine::exec_op`] (usually through `runner::Runner`, which handles
-//! scheduling), and the machine plays each op through translation and the
-//! cache hierarchy, charging a cycle cost assembled from [`LatencyConfig`].
+//! [`Machine::exec_op`], or a quantum at a time to [`Machine::exec_batch`]
+//! (usually through `runner::Runner`, which handles scheduling), and the
+//! machine plays each op through translation and the cache hierarchy,
+//! charging a cycle cost assembled from [`LatencyConfig`].
 //! Everything the paper's profiling mechanisms observe — A/D bit updates,
 //! TLB fills, LLC miss data sources, sample records — is produced here as a
 //! side effect of ordinary execution, never synthesized separately. That is
@@ -16,7 +17,6 @@
 //! hardware exposes.
 
 use crate::addr::{phys_addr, Pfn, PhysAddr, VirtAddr, Vpn};
-use crate::batch::TranslateMemo;
 use crate::cache::{Cache, CacheLevel, PrivateCaches};
 use crate::counters::EventCounts;
 use crate::frame::{FrameAllocator, OutOfMemory};
@@ -248,15 +248,12 @@ pub trait FaultPolicy: Send {
     fn handle(&mut self, fault: &PoisonFault) -> FaultAction;
 }
 
-pub(crate) struct Core {
-    pub(crate) caches: PrivateCaches,
-    pub(crate) tlb: Tlb,
-    pub(crate) counts: EventCounts,
-    pub(crate) trace: TraceEngine,
-    pub(crate) pml: PmlEngine,
-    /// Software translation memo, probed first by every translation
-    /// (`batch.rs`).
-    pub(crate) memo: TranslateMemo,
+struct Core {
+    caches: PrivateCaches,
+    tlb: Tlb,
+    counts: EventCounts,
+    trace: TraceEngine,
+    pml: PmlEngine,
 }
 
 /// One simulated process: an address space plus usage accounting.
@@ -301,12 +298,12 @@ impl std::error::Error for MigrateError {}
 /// The simulated machine. See the module docs for the execution model.
 pub struct Machine {
     cfg: MachineConfig,
-    pub(crate) cores: Vec<Core>,
+    cores: Vec<Core>,
     llc: Cache,
     /// Processes sorted by PID; `pid_index` maps PID -> position. A dense
     /// vec + fast-hash index keeps the per-op process lookup off the
     /// `BTreeMap` pointer-chase that used to dominate `exec_op`.
-    pub(crate) processes: Vec<Process>,
+    processes: Vec<Process>,
     pid_index: KeyMap<Pid, usize>,
     frames: FrameAllocator,
     descs: PageDescTable,
@@ -346,7 +343,6 @@ impl Machine {
                 counts: EventCounts::default(),
                 trace: TraceEngine::new(cfg.trace_mode),
                 pml: PmlEngine::new(),
-                memo: TranslateMemo::new(),
             })
             .collect();
         let llc = Cache::new("LLC", cfg.caches.llc_bytes, cfg.caches.llc_ways);
@@ -463,7 +459,7 @@ impl Machine {
 
     /// Position of `pid` in the dense process table.
     #[inline]
-    pub(crate) fn proc_idx(&self, pid: Pid) -> usize {
+    fn proc_idx(&self, pid: Pid) -> usize {
         // tmprof-lint: allow(panic-reachability) — callers pass PIDs they registered via add_process; an unknown PID is a harness bug, not a runtime condition
         *self.pid_index.get(&pid).expect("unknown pid")
     }
@@ -495,9 +491,6 @@ impl Machine {
     /// descriptor table. This is the entry point the A-bit driver uses
     /// (`mm_walk` + `phys_to_page`).
     pub fn scan_parts(&mut self, pid: Pid) -> Option<(&mut PageTable, &mut PageDescTable)> {
-        // The caller may clear A bits or poison PTEs through the returned
-        // borrows; drop the translation memo's hints.
-        self.invalidate_memos();
         let idx = *self.pid_index.get(&pid)?;
         let proc = &mut self.processes[idx];
         Some((&mut proc.page_table, &mut self.descs))
@@ -556,7 +549,6 @@ impl Machine {
     /// epoch's ground truth (Oracle / evaluation only — profilers never
     /// see it), leaving every frame's count at 0.
     pub fn advance_epoch(&mut self) -> EpochTruth {
-        self.invalidate_memos();
         // The bandwidth window is per epoch: every tier's byte meter
         // restarts at the horizon.
         for b in &mut self.tier_epoch_bytes {
@@ -568,15 +560,6 @@ impl Machine {
         self.epoch += 1;
         tmprof_obs::journal::record(ObsEvent::EpochStart, clock, self.epoch, 0, 0);
         self.truth.take_epoch()
-    }
-
-    /// Drop every core's translation-memo hints (O(1) per core). The memo
-    /// is verified on use, so this is hygiene, not correctness: it stops
-    /// translation from probing hints that events below have made dead.
-    fn invalidate_memos(&mut self) {
-        for core in &mut self.cores {
-            core.memo.clear();
-        }
     }
 
     /// Charge profiling work to a core's clock (scan costs, drain interrupts).
@@ -597,7 +580,6 @@ impl Machine {
         let ipi = self.cfg.latency.shootdown_ipi;
         let mut charged = 0;
         for core in &mut self.cores {
-            core.memo.clear();
             for &vpn in vpns {
                 core.tlb.invalidate_page(pid, vpn);
             }
@@ -626,7 +608,6 @@ impl Machine {
     /// runtimes being compared.
     pub fn shootdown_silent(&mut self, pid: Pid, vpns: &[Vpn]) {
         for core in &mut self.cores {
-            core.memo.clear();
             for &vpn in vpns {
                 core.tlb.invalidate_page(pid, vpn);
             }
@@ -731,19 +712,30 @@ impl Machine {
         self.exec_at(core, proc_idx, pid, op)
     }
 
+    /// Execute a scheduling quantum of `ops` on `core` on behalf of `pid`.
+    ///
+    /// Exactly `for &op in ops { machine.exec_op(core, pid, op) }`, with the
+    /// process lookup resolved once and `sim.batch_ops` added once per
+    /// quantum; `tests/batch_props.rs` checks the identity across scans,
+    /// shootdowns, migrations and epochs.
+    ///
+    /// # Panics
+    /// As [`Machine::exec_op`].
+    pub fn exec_batch(&mut self, core: usize, pid: Pid, ops: &[WorkOp]) {
+        let proc_idx = self.proc_idx(pid);
+        for &op in ops {
+            self.exec_at(core, proc_idx, pid, op);
+        }
+        tmprof_obs::metrics::add(ObsMetric::SimBatchOps, ops.len() as u64);
+    }
+
     /// The one op-execution path, with the process index pre-resolved:
     /// retirement, translation, the cache hierarchy, cycle charging, the
     /// trace-sampling offer and ground truth. [`Machine::exec_op`] runs one
     /// op through it; [`Machine::exec_batch`] runs a quantum.
     #[inline]
     // tmprof-lint: allow(panic-reachability) — core < cores.len() by the scheduler contract, and proc_idx comes from proc_idx(pid)
-    pub(crate) fn exec_at(
-        &mut self,
-        core_idx: usize,
-        proc_idx: usize,
-        pid: Pid,
-        op: WorkOp,
-    ) -> ExecOutcome {
+    fn exec_at(&mut self, core_idx: usize, proc_idx: usize, pid: Pid, op: WorkOp) -> ExecOutcome {
         let lat = self.cfg.latency;
         let mut out = ExecOutcome {
             cycles: lat.base_op,
@@ -925,29 +917,12 @@ impl Machine {
     ) -> (Pfn, TlbHit) {
         let lat = self.cfg.latency;
 
-        // Memo: a repeat touch of a page whose L1 slot the memo remembers
-        // skips the associative probe; the verified re-hit is exactly the
-        // state change of a reference L1 hit.
-        let core = &mut self.cores[core_idx];
-        if let Some(entry) = core
-            .memo
-            .probe(pid, vpn)
-            .and_then(|slot| core.tlb.fast_rehit(slot, pid, vpn, store))
-        {
-            core.memo.hits += 1;
-            return (entry.pfn, TlbHit::L1);
-        }
-
         // TLB hit (possibly with a D-bit write-back on a store through a
         // clean translation — §II-B).
+        let core = &mut self.cores[core_idx];
         if let Some(tr) = core.tlb.access(pid, vpn, store) {
             if tr.level == TlbHit::L2 {
                 core.counts.dtlb_l1_misses += 1;
-                // The promotion placed the entry in L1: hint the memo.
-                // (L1 hits skip this — the hint is already recorded.)
-                if !tr.entry.huge {
-                    core.memo.remember(pid, vpn, tr.l1_slot as usize);
-                }
             }
             let pfn = tr.entry.frame_for(vpn);
             if tr.needs_dirty_writeback {
@@ -1023,10 +998,7 @@ impl Machine {
                         if newly_dirty {
                             core.pml.record_dirty(pfn);
                         }
-                        let l1_slot = core.tlb.fill(entry);
-                        if !entry.huge {
-                            core.memo.remember(pid, vpn, l1_slot);
-                        }
+                        core.tlb.fill(entry);
                         return (pfn, TlbHit::Miss);
                     }
                     snapshot
@@ -1211,10 +1183,12 @@ mod tests {
         let counts = m.counts(0);
         assert_eq!(counts.ptw_walks, 1);
         assert_eq!(counts.ptw_abit_sets, 1);
-        // TLB-hit accesses never touch the A bit.
+        // Repeat touches hit the L1 DTLB, so they never walk and never
+        // touch the A bit.
         for _ in 0..10 {
-            m.touch(0, 1, VirtAddr(0x5000));
+            assert_eq!(m.touch(0, 1, VirtAddr(0x5000)).tlb, Some(TlbHit::L1));
         }
+        assert_eq!(m.counts(0).ptw_walks, 1);
         assert_eq!(m.counts(0).ptw_abit_sets, 1);
         // Clear A via scan; with the TLB entry still live, no walk happens,
         // so the bit stays clear (the paper's staleness trade-off).
@@ -1240,7 +1214,8 @@ mod tests {
             let (pt, _) = m.scan_parts(1).unwrap();
             assert!(!pt.get(Vpn(7)).dirty());
         }
-        m.exec_op(
+        let dwb = m.counts(0).dirty_writebacks;
+        let out = m.exec_op(
             0,
             1,
             WorkOp::Mem {
@@ -1249,8 +1224,8 @@ mod tests {
                 site: 0,
             },
         );
-        let dwb = m.counts(0).dirty_writebacks;
-        assert_eq!(dwb, 1);
+        assert_eq!(out.tlb, Some(TlbHit::L1), "no walk: the clean entry hits");
+        assert_eq!(m.counts(0).dirty_writebacks, dwb + 1);
         let (pt, _) = m.scan_parts(1).unwrap();
         assert!(pt.get(Vpn(7)).dirty());
     }
@@ -1373,37 +1348,6 @@ mod tests {
         // pid 2^28 would pack into the same page key as pid 0.
         let mut m = Machine::new(MachineConfig::scaled(1, 64, 0, 64));
         m.add_process(PID_LIMIT);
-    }
-
-    #[test]
-    fn repeat_touches_translate_through_the_memo() {
-        // The memo changes no simulated state, so the identity tests would
-        // still pass without it; pin that repeat touches take it.
-        let mut m = small_machine();
-        let va = VirtAddr(0x5000);
-        m.touch(0, 1, va);
-        assert_eq!(m.cores[0].memo.hits, 0, "a first touch walks");
-        let load = WorkOp::Mem {
-            va,
-            store: false,
-            site: 0,
-        };
-        m.exec_batch(0, 1, &[load; 16]);
-        assert_eq!(m.cores[0].memo.hits, 16);
-        m.touch(0, 1, va);
-        assert_eq!(m.cores[0].memo.hits, 17);
-        let store = WorkOp::Mem {
-            va,
-            store: true,
-            site: 0,
-        };
-        let out = m.exec_op(0, 1, store);
-        assert_eq!(
-            m.cores[0].memo.hits, 17,
-            "a store through a clean entry takes the full TLB lookup"
-        );
-        assert_eq!(out.tlb, Some(TlbHit::L1));
-        assert_eq!(m.counts(0).dirty_writebacks, 1);
     }
 
     #[test]

@@ -119,66 +119,29 @@ impl TlbLevel {
     }
 
     /// Probe for a translation; a hit refreshes LRU state.
-    pub fn lookup(&mut self, pid: Pid, vpn: Vpn) -> Option<&mut TlbEntry> {
-        self.lookup_slot(pid, vpn).map(|(_, e)| e)
-    }
-
-    /// [`TlbLevel::lookup`], additionally reporting the index of the slot
-    /// that hit (fuel for the translation memo).
     // tmprof-lint: allow(panic-reachability) — set_range slices a full set of `ways` slots within the slots array
-    pub fn lookup_slot(&mut self, pid: Pid, vpn: Vpn) -> Option<(usize, &mut TlbEntry)> {
+    pub fn lookup(&mut self, pid: Pid, vpn: Vpn) -> Option<&mut TlbEntry> {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(pid, vpn);
-        let base = range.start;
-        let (i, slot) = self.slots[range]
+        let slot = self.slots[range]
             .iter_mut()
-            .enumerate()
-            .find(|(_, s)| s.valid && s.entry.pid == pid && s.entry.vpn == vpn)?;
+            .find(|s| s.valid && s.entry.pid == pid && s.entry.vpn == vpn)?;
         slot.stamp = clock;
-        Some((base + i, &mut slot.entry))
-    }
-
-    /// Fast-path re-hit of a previously located slot. If `idx` still caches
-    /// a 4 KiB translation for (`pid`, `vpn`) — and, for stores, one whose
-    /// dirty bit is already cached — this replays *exactly* the state
-    /// transition a [`TlbLevel::lookup`] hit performs (one clock tick, a
-    /// stamp refresh) and returns a copy of the entry. Any mismatch returns
-    /// `None` without touching the clock, so a subsequent full lookup sees
-    /// the same LRU state as if no re-hit had been tried.
-    #[inline]
-    // tmprof-lint: allow(panic-reachability) — idx was returned by a prior lookup_slot hit and is a valid slot index
-    pub fn rehit(&mut self, idx: usize, pid: Pid, vpn: Vpn, is_store: bool) -> Option<TlbEntry> {
-        let slot = &mut self.slots[idx];
-        let e = &slot.entry;
-        if slot.valid && e.pid == pid && e.vpn == vpn && !e.huge && (!is_store || e.dirty) {
-            self.clock += 1;
-            slot.stamp = self.clock;
-            Some(slot.entry)
-        } else {
-            None
-        }
+        Some(&mut slot.entry)
     }
 
     /// Install a translation, evicting the set's LRU entry if needed.
     /// Returns the evicted entry, if one was displaced.
-    pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
-        self.insert_slot(entry).1
-    }
-
-    /// [`TlbLevel::insert`], additionally reporting the slot index the entry
-    /// was installed into. Entries never move between slots once installed,
-    /// so the index stays valid until the entry is evicted or invalidated.
     ///
     /// A single pass over the set finds (in priority order) an existing
     /// mapping for the same page, the first invalid slot, and the LRU
     /// victim — the same selection the original three-scan version made.
     // tmprof-lint: allow(panic-reachability) — set_range slices a full set of `ways` slots; in-set offsets come from enumerate
-    pub fn insert_slot(&mut self, entry: TlbEntry) -> (usize, Option<TlbEntry>) {
+    pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(entry.pid, entry.vpn);
-        let base = range.start;
         let set = &mut self.slots[range];
         let mut invalid: Option<usize> = None;
         let mut lru = 0usize;
@@ -206,7 +169,7 @@ impl TlbLevel {
                 stamp: clock,
                 valid: true,
             };
-            return (base + i, None);
+            return None;
         }
         self.huge_entries += entry.huge as usize;
         if let Some(i) = invalid {
@@ -215,7 +178,7 @@ impl TlbLevel {
                 stamp: clock,
                 valid: true,
             };
-            return (base + i, None);
+            return None;
         }
         let victim = &mut set[lru];
         debug_assert!(victim.valid, "ways > 0");
@@ -226,7 +189,7 @@ impl TlbLevel {
             valid: true,
         };
         self.huge_entries -= evicted.huge as usize;
-        (base + lru, Some(evicted))
+        Some(evicted)
     }
 
     /// Drop the translation for (`pid`, `vpn`) if cached. Returns whether an
@@ -297,9 +260,6 @@ pub struct Translation {
     /// True if this access was a store through a clean cached entry, which
     /// forces a D-bit write-back to the PTE without a walk.
     pub needs_dirty_writeback: bool,
-    /// L1 slot the entry occupies after this access (hit slot for L1 hits,
-    /// promotion slot for L2 hits) — fuel for the translation memo.
-    pub l1_slot: u32,
 }
 
 impl Tlb {
@@ -344,7 +304,7 @@ impl Tlb {
         is_store: bool,
         want_huge: bool,
     ) -> Option<Translation> {
-        if let Some((slot, entry)) = self.l1.lookup_slot(pid, vpn) {
+        if let Some(entry) = self.l1.lookup(pid, vpn) {
             if entry.huge != want_huge {
                 return None;
             }
@@ -364,7 +324,6 @@ impl Tlb {
                 entry,
                 level: TlbHit::L1,
                 needs_dirty_writeback: needs_wb,
-                l1_slot: slot as u32,
             });
         }
         if let Some(entry) = self.l2.lookup(pid, vpn) {
@@ -376,45 +335,20 @@ impl Tlb {
                 entry.dirty = true;
             }
             let entry = *entry;
-            let (slot, _) = self.l1.insert_slot(entry);
+            self.l1.insert(entry);
             return Some(Translation {
                 entry,
                 level: TlbHit::L2,
                 needs_dirty_writeback: needs_wb,
-                l1_slot: slot as u32,
             });
         }
         None
     }
 
-    /// Install a freshly walked translation into both levels. Returns the
-    /// L1 slot the entry landed in (translation-memo fuel).
-    pub fn fill(&mut self, entry: TlbEntry) -> usize {
+    /// Install a freshly walked translation into both levels.
+    pub fn fill(&mut self, entry: TlbEntry) {
         self.l2.insert(entry);
-        self.l1.insert_slot(entry).0
-    }
-
-    /// Translation-memo re-hit of a previously located L1 slot.
-    ///
-    /// Succeeds only in the regime where it provably replays the reference
-    /// [`Tlb::access`] bit-for-bit: no huge translation cached in either
-    /// level (a huge entry would change the probe order and clock
-    /// sequencing), the slot still caches (`pid`, `vpn`), and — for
-    /// stores — the cached entry is already dirty (a clean-store needs the
-    /// D-bit write-back path). Returns `None` with all TLB state untouched
-    /// otherwise; the caller then takes the full [`Tlb::access`] lookup.
-    #[inline]
-    pub fn fast_rehit(
-        &mut self,
-        idx: usize,
-        pid: Pid,
-        vpn: Vpn,
-        is_store: bool,
-    ) -> Option<TlbEntry> {
-        if self.l1.holds_huge() || self.l2.holds_huge() {
-            return None;
-        }
-        self.l1.rehit(idx, pid, vpn, is_store)
+        self.l1.insert(entry);
     }
 
     /// Invalidate one page in both levels (the per-page half of a TLB

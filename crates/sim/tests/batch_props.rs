@@ -5,12 +5,12 @@
 //! through [`Machine::exec_op`]; the other hands each quantum to
 //! [`Machine::exec_batch`] in randomly sized chunks (so chunk boundaries
 //! never line up with anything meaningful). Scans, shootdowns, migrations
-//! and epoch advances are interleaved between quanta — exactly the events
-//! that invalidate the translation memo. Every observable the rest of the
-//! stack consumes must match exactly: per-core event counts, per-epoch
-//! ground truth (including hash-map iteration order, which downstream
-//! hashing makes reproducible), trace samples, first-touch order, and
-//! frame allocation.
+//! and epoch advances are interleaved between quanta — the events that
+//! change PTE bits, cached translations or frames under a running stream.
+//! Every observable the rest of the stack consumes must match exactly:
+//! per-core event counts, per-epoch ground truth (including hash-map
+//! iteration order, which downstream hashing makes reproducible), trace
+//! samples, first-touch order, and frame allocation.
 //!
 //! The truth oracle runs the same action sequences through `exec_op` alone
 //! and tallies, per page, every outcome served from memory: each epoch's
