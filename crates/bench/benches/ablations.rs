@@ -38,7 +38,13 @@ fn ablation_shootdown(c: &mut Criterion) {
     group.sample_size(20);
     for (label, cfg) in [
         ("off_paper_default", ABitConfig::unbounded()),
-        ("on", ABitConfig::unbounded().with_shootdown()),
+        (
+            "on",
+            ABitConfig {
+                shootdown: true,
+                ..ABitConfig::unbounded()
+            },
+        ),
     ] {
         group.bench_function(label, |b| {
             b.iter_batched(

@@ -87,10 +87,16 @@ fn bench_fleet_grid(c: &mut Criterion) {
             // Untimed: the schedule's simulated-cycle accounting for this
             // cell — the throughput numbers EXPERIMENTS.md reports.
             let report = build(n, ops, w).run();
+            let moved: u64 = report
+                .shards
+                .iter()
+                .flatten()
+                .map(|e| e.moves.promoted + e.moves.demoted)
+                .sum();
             println!(
                 "fleet_grid {n}x{w}w: units={} moved={} total_cycles={} makespan={} sched_speedup={:.2}",
                 report.units_executed(),
-                report.pages_moved(),
+                moved,
                 report.total_cost(),
                 report.makespan(),
                 report.schedule_speedup(),

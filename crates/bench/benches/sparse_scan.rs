@@ -72,7 +72,10 @@ fn reheat_and_cycle(m: &mut Machine, hot_vpns: &[Vpn], walk_units: u64) -> u64 {
             pt.entry_mut(vpn).expect("hot page is mapped").set(bits::A);
         }
     }
-    let mut sc = ABitScanner::new(ABitConfig::default().with_budget(BUDGET));
+    let mut sc = ABitScanner::new(ABitConfig {
+        scan_budget: Some(BUDGET),
+        ..ABitConfig::default()
+    });
     for _ in 0..walk_units.div_ceil(BUDGET) {
         sc.scan_process(m, 1);
     }

@@ -20,7 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tmprof_core::profiler::{Tmp, TmpConfig};
 use tmprof_core::rank::RankSource;
 use tmprof_policy::hitrate::{
-    hitrate_grid, hitrate_grid_with_sources, ReplayEpoch, ReplayLog, PAPER_RATIOS,
+    hitrate_grid, hitrate_grid_full, ReplayEpoch, ReplayLog, PAPER_RATIOS,
 };
 use tmprof_profilers::devsketch::DevSketchConfig;
 use tmprof_sim::prelude::*;
@@ -69,7 +69,7 @@ fn record_run(memory: MemTopology, devsketch: bool) -> ReplayLog {
     m.add_process(1);
     let mut cfg = TmpConfig::paper_defaults(256);
     if devsketch {
-        cfg = cfg.with_devsketch(DevSketchConfig::default());
+        cfg.devsketch = Some(DevSketchConfig::default());
     }
     let mut tmp = Tmp::new(cfg, &mut m);
     let mut rng = Rng::new(17);
@@ -123,7 +123,7 @@ fn bench_topology_grid(c: &mut Criterion) {
         group.bench_function(format!("{label}_4sources"), |b| {
             b.iter(|| {
                 black_box(
-                    hitrate_grid_with_sources(&log, &PAPER_RATIOS, &RankSource::ALL_WITH_DEVSKETCH)
+                    hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL_WITH_DEVSKETCH, None)
                         .len(),
                 )
             });

@@ -40,16 +40,6 @@ impl Heatmap {
         }
     }
 
-    /// Grid dimensions (buckets, epochs).
-    pub fn dims(&self) -> (usize, usize) {
-        (self.buckets, self.epochs)
-    }
-
-    /// Raw cell value.
-    pub fn cell(&self, bucket: usize, epoch: usize) -> u64 {
-        self.cells[bucket][epoch]
-    }
-
     /// Total observations binned.
     pub fn total(&self) -> u64 {
         self.cells.iter().flatten().sum()
@@ -112,10 +102,10 @@ mod tests {
     fn bins_points_into_grid() {
         let points = vec![(0u32, Pfn(0)), (0, Pfn(1)), (1, Pfn(50)), (2, Pfn(99))];
         let hm = Heatmap::build(points, 3, 100, 10);
-        assert_eq!(hm.dims(), (10, 3));
-        assert_eq!(hm.cell(0, 0), 2);
-        assert_eq!(hm.cell(5, 1), 1);
-        assert_eq!(hm.cell(9, 2), 1);
+        assert_eq!((hm.buckets, hm.epochs), (10, 3));
+        assert_eq!(hm.cells[0][0], 2);
+        assert_eq!(hm.cells[5][1], 1);
+        assert_eq!(hm.cells[9][2], 1);
         assert_eq!(hm.total(), 4);
     }
 
@@ -123,7 +113,7 @@ mod tests {
     fn out_of_range_points_clamp() {
         let points = vec![(99u32, Pfn(0))];
         let hm = Heatmap::build(points, 4, 16, 4);
-        assert_eq!(hm.cell(0, 3), 1);
+        assert_eq!(hm.cells[0][3], 1);
     }
 
     #[test]

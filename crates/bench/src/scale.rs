@@ -107,16 +107,18 @@ impl Scale {
         );
         Self::preset(SCALE.get().as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// Total ops per epoch across `n` processes.
-    pub fn epoch_ops_total(&self, processes: usize) -> u64 {
-        self.ops_per_epoch * processes as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Scale {
+        /// Total ops per epoch across `n` processes.
+        fn epoch_ops_total(&self, processes: usize) -> u64 {
+            self.ops_per_epoch * processes as u64
+        }
+    }
 
     #[test]
     fn presets_are_ordered_by_size() {

@@ -5,8 +5,8 @@
 //! experiment:
 //!
 //! * cells run on [`tmprof_core::pool`], whose worker threads claim cells
-//!   one at a time (bounded by [`Sweep::workers`] or the `TMPROF_WORKERS`
-//!   environment variable, defaulting to the machine's parallelism);
+//!   one at a time (bounded by the `TMPROF_WORKERS` environment variable,
+//!   defaulting to the machine's parallelism; the unit tests pin a count);
 //! * each cell is timed individually;
 //! * a panicking cell is captured as a [`CellFailure`] instead of tearing
 //!   down the whole sweep — every other cell still completes, and
@@ -56,12 +56,6 @@ impl<W, P> Sweep<W, P> {
             params: params.into(),
             workers: None,
         }
-    }
-
-    /// Cap the worker pool (overrides `TMPROF_WORKERS`).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n.max(1));
-        self
     }
 }
 
@@ -172,21 +166,6 @@ where
         self.cells.is_empty()
     }
 
-    /// Worker threads the sweep actually used.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// End-to-end wall time of the sweep.
-    pub fn wall_time(&self) -> Duration {
-        self.wall_time
-    }
-
-    /// All cells, successes and failures, in grid order.
-    pub fn cells(&self) -> &[SweepCell<W, P, T>] {
-        &self.cells
-    }
-
     /// Successful cells in grid order.
     pub fn successes(&self) -> impl Iterator<Item = (&W, &P, &T)> {
         self.cells
@@ -247,15 +226,6 @@ where
             }
         }
         out
-    }
-
-    /// Sum of all cells' metric deltas (the whole sweep's footprint).
-    pub fn metrics_total(&self) -> Snapshot {
-        let mut total = Snapshot::default();
-        for c in &self.cells {
-            total.merge(&c.metrics);
-        }
-        total
     }
 
     /// Write the per-cell metrics sidecar into `dir` as
@@ -340,6 +310,14 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    impl<W, P> Sweep<W, P> {
+        /// Cap the worker pool (overrides `TMPROF_WORKERS`).
+        fn workers(mut self, n: usize) -> Self {
+            self.workers = Some(n.max(1));
+            self
+        }
+    }
+
     #[test]
     fn grid_covers_every_cell_in_row_major_order() {
         let results = Sweep::grid(vec!["a", "b", "c"], vec![1u64, 2]).run(|w, p| format!("{w}{p}"));
@@ -410,7 +388,7 @@ mod tests {
                 LIVE.fetch_sub(1, Ordering::SeqCst);
                 w * 2 + p
             });
-        assert_eq!(results.workers(), 2);
+        assert_eq!(results.workers, 2);
         assert!(PEAK.load(Ordering::SeqCst) <= 2);
         let seen: HashSet<u32> = results.successes().map(|(_, _, &v)| v).collect();
         assert_eq!(seen.len(), 8);
@@ -426,11 +404,16 @@ mod tests {
             add(Metric::SimBatchOps, 10 * w);
             w
         });
-        for cell in results.cells() {
+        for cell in &results.cells {
             assert_eq!(cell.metrics.get(Metric::SimBatchOps), 10 * cell.workload);
             assert_eq!(cell.metrics.iter_nonzero().count(), 1);
         }
-        assert_eq!(results.metrics_total().get(Metric::SimBatchOps), 60);
+        let total: u64 = results
+            .cells
+            .iter()
+            .map(|c| c.metrics.get(Metric::SimBatchOps))
+            .sum();
+        assert_eq!(total, 60);
         let csv = results.metrics_csv();
         assert!(csv.starts_with("workload,param,metric,value\n"));
         assert!(csv.contains("2,(),sim.batch_ops,20\n"));
@@ -459,9 +442,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(4 * w as u64));
             w
         });
-        for cell in results.cells() {
+        for cell in &results.cells {
             assert!(cell.elapsed >= Duration::from_millis(3));
         }
-        assert!(results.wall_time() >= Duration::from_millis(3));
+        assert!(results.wall_time >= Duration::from_millis(3));
     }
 }

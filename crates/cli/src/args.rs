@@ -194,14 +194,6 @@ impl Parsed {
                 .ok_or_else(|| bad(flag, v, &format!("one of {}", choices.join(", ")))),
         }
     }
-
-    /// Typed f64 option with a default.
-    pub fn get_f64(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| bad(flag, v, "a number")),
-        }
-    }
 }
 
 fn bad(flag: &str, value: &str, expected: &str) -> ArgError {
@@ -279,6 +271,5 @@ mod tests {
     fn defaults_apply_when_absent() {
         let parsed = p(&["profile"]).unwrap();
         assert_eq!(parsed.get_u64("rate", 4).unwrap(), 4);
-        assert_eq!(parsed.get_f64("ratio", 0.125).unwrap(), 0.125);
     }
 }

@@ -31,16 +31,6 @@ impl Default for FilterConfig {
     }
 }
 
-impl FilterConfig {
-    /// Restrictive mode keeping at most `n` PIDs.
-    pub fn restrictive(n: usize) -> Self {
-        Self {
-            max_tracked: Some(n),
-            ..Self::default()
-        }
-    }
-}
-
 /// Per-process usage observed over one evaluation interval.
 #[derive(Clone, Copy, Debug)]
 pub struct ProcessUsage {
@@ -72,11 +62,6 @@ impl ProcessFilter {
     /// Configuration in force.
     pub fn config(&self) -> &FilterConfig {
         &self.cfg
-    }
-
-    /// Number of re-evaluations performed.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
     }
 
     /// Compute each process's usage over the interval since the last call.
@@ -226,7 +211,10 @@ mod tests {
         run_ops(&mut m, 1, 500);
         run_ops(&mut m, 2, 300);
         run_ops(&mut m, 3, 200);
-        let mut f = ProcessFilter::new(FilterConfig::restrictive(1));
+        let mut f = ProcessFilter::new(FilterConfig {
+            max_tracked: Some(1),
+            ..FilterConfig::default()
+        });
         let tracked = f.tracked_pids(&m);
         assert_eq!(tracked, vec![1], "heaviest CPU consumer kept");
     }
@@ -237,6 +225,6 @@ mod tests {
         let mut f = ProcessFilter::new(FilterConfig::default());
         let tracked = f.tracked_pids(&m);
         assert!(tracked.is_empty());
-        assert_eq!(f.evaluations(), 1);
+        assert_eq!(f.evaluations, 1);
     }
 }

@@ -137,11 +137,6 @@ impl Gating {
         self.last = decision;
         decision
     }
-
-    /// Running maxima (diagnostics).
-    pub fn maxima(&self) -> (f64, f64) {
-        (self.max_llc, self.max_tlb)
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +295,7 @@ mod tests {
         idle_memory(&mut m, 30_000);
         let d = g.evaluate(&m);
         assert!(!d.trace_active);
-        let (max_llc, _) = g.maxima();
+        let max_llc = g.max_llc;
         assert!(max_llc > 0.0);
     }
 }

@@ -26,8 +26,6 @@ pub struct TmpConfig {
     pub abit: ABitConfig,
     pub filter: FilterConfig,
     pub gating: GatingConfig,
-    /// Keep every epoch's [`EpochProfile`] for offline replay (Fig. 6).
-    pub record_profiles: bool,
     /// Device-side hot-page sketch over the slow-tier access stream
     /// (`RankSource::DevSketch`). `None` — the paper's baseline — leaves
     /// the machine's device stream off, so the default profiler is
@@ -45,21 +43,8 @@ impl TmpConfig {
             abit: ABitConfig::default(),
             filter: FilterConfig::default(),
             gating: GatingConfig::default(),
-            record_profiles: false,
             devsketch: None,
         }
-    }
-
-    /// Record per-epoch profiles for replay.
-    pub fn recording_profiles(mut self) -> Self {
-        self.record_profiles = true;
-        self
-    }
-
-    /// Enable the device-side hot-page sketch.
-    pub fn with_devsketch(mut self, cfg: DevSketchConfig) -> Self {
-        self.devsketch = Some(cfg);
-        self
     }
 }
 
@@ -85,7 +70,6 @@ pub struct TmpEpochReport {
 
 /// The composed profiler.
 pub struct Tmp {
-    cfg: TmpConfig,
     trace: TraceProfiler,
     abit: ABitScanner,
     filter: ProcessFilter,
@@ -96,7 +80,6 @@ pub struct Tmp {
     /// Device-side hot-page tracker; present iff `cfg.devsketch` is set,
     /// in which case the machine's device stream is armed.
     sketch: Option<DevSketch>,
-    profiles: Vec<EpochProfile>,
     epochs_closed: u32,
 }
 
@@ -109,14 +92,12 @@ impl Tmp {
         let sketch = cfg.devsketch.map(DevSketch::new);
         machine.set_device_stream(sketch.is_some());
         Self {
-            cfg,
             trace,
             abit,
             filter: ProcessFilter::new(cfg.filter),
             gating,
             both_seen: PageSet::new(),
             sketch,
-            profiles: Vec::new(),
             epochs_closed: 0,
         }
     }
@@ -213,9 +194,6 @@ impl Tmp {
         //    folding in the device sketch's Top-K (empty when disabled).
         let mut profile = EpochProfile::capture(machine.descs());
         profile.devsketch = self.drain_device_sketch(machine);
-        if self.cfg.record_profiles {
-            self.profiles.push(profile.clone());
-        }
 
         // 4. Per-epoch detection sets (Table IV accounting).
         let abit_set = self.abit.take_epoch_pages();
@@ -248,36 +226,30 @@ impl Tmp {
     }
 
     /// Cumulative pages detected by the A-bit driver (Table IV column).
+    // tmprof-lint: allow(dead-surface) — the cumulative-set check of tests/integration_pipeline.rs and profiler::tests::both_accounting_accumulates
     pub fn abit_pages_total(&self) -> usize {
         self.abit.seen_pages().len()
     }
 
     /// Cumulative pages detected by the trace driver (Table IV column).
+    // tmprof-lint: allow(dead-surface) — the cumulative-set check of tests/integration_pipeline.rs and profiler::tests::both_accounting_accumulates
     pub fn trace_pages_total(&self) -> usize {
         self.trace.seen_pages().len()
     }
 
     /// Cumulative same-epoch both-detected pages (Table IV "Both").
+    // tmprof-lint: allow(dead-surface) — the cumulative-set check of tests/integration_pipeline.rs and profiler::tests::both_accounting_accumulates
     pub fn both_pages_total(&self) -> usize {
         self.both_seen.len()
     }
 
     /// Naive intersection of the cumulative sets (the alternative "Both"
     /// interpretation; DESIGN.md §7).
+    // tmprof-lint: allow(dead-surface) — the cumulative-set check of tests/integration_pipeline.rs and profiler::tests::both_accounting_accumulates
     pub fn both_pages_cumulative_intersection(&self) -> usize {
         self.trace
             .seen_pages()
             .intersection_count(self.abit.seen_pages())
-    }
-
-    /// Recorded per-epoch profiles (empty unless configured).
-    pub fn profiles(&self) -> &[EpochProfile] {
-        &self.profiles
-    }
-
-    /// Epochs closed so far.
-    pub fn epochs_closed(&self) -> u32 {
-        self.epochs_closed
     }
 
     /// Trace-driver totals.
@@ -288,11 +260,6 @@ impl Tmp {
     /// A-bit-driver totals.
     pub fn abit_stats(&self) -> ABitStats {
         self.abit.stats()
-    }
-
-    /// Device-sketch lifetime totals (`None` when disabled).
-    pub fn devsketch_stats(&self) -> Option<tmprof_profilers::devsketch::DevSketchStats> {
-        self.sketch.as_ref().map(|s| s.stats())
     }
 }
 
@@ -334,7 +301,7 @@ mod tests {
         assert!(report.truth.total_mem_accesses() > 0);
         assert!(!report.profile.ranked(RankSource::Combined).is_empty());
         assert_eq!(m.epoch(), 1);
-        assert_eq!(tmp.epochs_closed(), 1);
+        assert_eq!(tmp.epochs_closed, 1);
     }
 
     #[test]
@@ -360,17 +327,6 @@ mod tests {
         assert!(tmp.both_pages_total() <= tmp.trace_pages_total());
         // Same-epoch coincidence is at most the cumulative intersection.
         assert!(tmp.both_pages_total() <= tmp.both_pages_cumulative_intersection());
-    }
-
-    #[test]
-    fn recorded_profiles_accumulate_when_enabled() {
-        let mut m = machine();
-        let mut tmp = Tmp::new(TmpConfig::paper_defaults(64).recording_profiles(), &mut m);
-        strided(&mut m, 32, 5_000);
-        tmp.end_epoch(&mut m);
-        strided(&mut m, 32, 5_000);
-        tmp.end_epoch(&mut m);
-        assert_eq!(tmp.profiles().len(), 2);
     }
 
     #[test]
@@ -405,21 +361,23 @@ mod tests {
         let report = tmp.end_epoch(&mut m);
         assert!(report.profile.devsketch.is_empty());
         assert!(report.profile.ranked(RankSource::DevSketch).is_empty());
-        assert!(tmp.devsketch_stats().is_none());
+        assert!(tmp.sketch.is_none());
     }
 
     #[test]
     fn devsketch_reports_slow_tier_pages() {
         let mut m = machine();
-        let cfg = TmpConfig::paper_defaults(64)
-            .with_devsketch(tmprof_profilers::devsketch::DevSketchConfig { k: 16 });
+        let cfg = TmpConfig {
+            devsketch: Some(DevSketchConfig { k: 16 }),
+            ..TmpConfig::paper_defaults(64)
+        };
         let mut tmp = Tmp::new(cfg, &mut m);
         strided(&mut m, 600, 30_000);
         let report = tmp.end_epoch(&mut m);
         let ranked = report.profile.ranked(RankSource::DevSketch);
         assert!(!ranked.is_empty(), "device saw the slow-tier overflow");
         assert!(ranked.len() <= 16, "Top-K bounds the report");
-        let stats = tmp.devsketch_stats().expect("sketch enabled");
+        let stats = tmp.sketch.as_ref().expect("sketch enabled").stats();
         assert!(stats.fed > 0);
         assert_eq!(stats.epochs, 1);
         // Next epoch with a fast-tier-resident working set: nothing

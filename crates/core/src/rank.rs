@@ -9,7 +9,6 @@
 //! TMP combined).
 
 use tmprof_sim::keymap::KeyMap;
-use tmprof_sim::machine::Machine;
 use tmprof_sim::pagedesc::{PageDescTable, PageKey};
 
 /// Which profiling statistics feed the rank.
@@ -101,6 +100,7 @@ impl EpochProfile {
     /// Reference implementation of [`Self::capture`]: a full scan over
     /// every owned frame. O(total frames); kept for the dirty-list
     /// equivalence tests and as the semantic definition of a capture.
+    // tmprof-lint: allow(dead-surface) — identity oracle of core/tests/dirty_props.rs (dirty_capture_equals_full_scan and its siblings)
     pub fn capture_full_scan(descs: &PageDescTable) -> Self {
         let mut out = Self::default();
         for (_pfn, d) in descs.iter_owned() {
@@ -192,6 +192,7 @@ impl EpochProfile {
 
     /// Number of pages observed by each source and by both
     /// (the per-epoch contribution to Table IV's columns).
+    // tmprof-lint: allow(dead-surface) — the Table IV partition checked by rank::tests::detection_counts_partition_the_combined_set and core/tests/props.rs
     pub fn detection_counts(&self) -> (usize, usize, usize) {
         let both = self
             .abit
@@ -200,13 +201,6 @@ impl EpochProfile {
             .count();
         (self.abit.len(), self.trace.len(), both)
     }
-}
-
-/// Rank every owned page directly from the live descriptor table, hottest
-/// first (the policy-facing interface: "a simple list of pages ranked by
-/// hotness", §I).
-pub fn ranked_pages(machine: &Machine, source: RankSource) -> Vec<RankedPage> {
-    EpochProfile::capture(machine.descs()).ranked(source)
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 //! `numa_maps`-style textual snapshot (paper §III-B-3).
 
 use tmprof_sim::machine::Machine;
-use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::tlb::Pid;
 
 /// Cumulative page-detection counts — one Table IV cell group.
@@ -80,19 +79,11 @@ pub fn numa_maps(machine: &mut Machine, pid: Pid) -> String {
     out
 }
 
-/// Top-N summary of the hottest pages under the combined rank (the
-/// "simple list of pages ranked by hotness" the policy engine consumes).
-pub fn hottest_pages(machine: &Machine, n: usize) -> Vec<(PageKey, u64)> {
-    crate::rank::ranked_pages(machine, crate::rank::RankSource::Combined)
-        .into_iter()
-        .take(n)
-        .map(|r| (r.key, r.rank))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::{EpochProfile, RankSource};
+    use tmprof_sim::pagedesc::PageKey;
     use tmprof_sim::prelude::*;
 
     #[test]
@@ -151,6 +142,16 @@ mod tests {
         let mut m = Machine::new(MachineConfig::scaled(1, 4, 4, 1 << 20));
         let text = numa_maps(&mut m, 42);
         assert!(text.contains("0 mapped pages"));
+    }
+
+    /// Top-N pages under the combined rank, with their rank values.
+    fn hottest_pages(machine: &Machine, n: usize) -> Vec<(PageKey, u64)> {
+        EpochProfile::capture(machine.descs())
+            .ranked(RankSource::Combined)
+            .into_iter()
+            .take(n)
+            .map(|r| (r.key, r.rank))
+            .collect()
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //! calibrated constants — 50 µs per page migration, 10 µs per slow access
 //! after a protection fault, +13 µs when the slow page is hot.
 //!
-//! With N-tier topologies the framework generalizes through the
-//! [`TierBackend`] trait: each tier gets a backend that decides whether
-//! its resident pages are protected by the periodic pass and what fault
-//! latency an access pays. The classic [`NvmEmulator::new`] path — DRAM
-//! unprotected, every slower tier behind the paper's NVM constants — is
-//! bit-identical to the historic two-tier emulator.
+//! With N-tier topologies, the fastest tier plays DRAM and every slower
+//! tier plays NVM: the periodic pass protects every page outside the
+//! fastest tier, and a trapped access pays the NVM constants unless its
+//! frame has since moved into the fastest tier.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -28,7 +26,7 @@ use tmprof_sim::addr::Vpn;
 use tmprof_sim::machine::{FaultAction, FaultPolicy, Machine, PoisonFault};
 use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::pte::bits;
-use tmprof_sim::tier::MemTopology;
+use tmprof_sim::tier::Tier;
 use tmprof_sim::tlb::Pid;
 
 /// The paper's emulation timing constants, converted to core cycles.
@@ -73,90 +71,16 @@ impl EmulConfig {
     }
 }
 
-/// One tier's emulation behavior: whether the periodic pass protects its
-/// resident pages and what latency a trapped access pays. Backends are
-/// stateless; timing constants come from the [`EmulConfig`] at fault time.
-pub trait TierBackend: Send + Sync {
-    /// Display label (`tmpctl`-style reporting).
-    fn label(&self) -> &'static str;
-    /// Whether the periodic pass sets PROT_NONE on this tier's pages.
-    fn protects(&self) -> bool;
-    /// Injected cycles for a trapped access (`hot` = the page is in the
-    /// current hot classification and pays the contention penalty).
-    fn fault_latency(&self, cfg: &EmulConfig, hot: bool) -> u64;
-}
-
-/// DRAM: ordinary memory, never protected, never slowed.
-pub struct DramBackend;
-
-impl TierBackend for DramBackend {
-    fn label(&self) -> &'static str {
-        "dram"
-    }
-    fn protects(&self) -> bool {
-        false
-    }
-    fn fault_latency(&self, _cfg: &EmulConfig, _hot: bool) -> u64 {
-        0
-    }
-}
-
-/// CXL-attached far memory: protected, but a fault costs half the Optane
-/// constants — an expander is a coherent hop away, not a media stall.
-pub struct CxlBackend;
-
-impl TierBackend for CxlBackend {
-    fn label(&self) -> &'static str {
-        "cxl"
-    }
-    fn protects(&self) -> bool {
-        true
-    }
-    fn fault_latency(&self, cfg: &EmulConfig, hot: bool) -> u64 {
-        cfg.slow_access_cycles() / 2 + if hot { cfg.hot_penalty_cycles() / 2 } else { 0 }
-    }
-}
-
-/// Optane-like NVM: the paper's calibrated constants.
-pub struct NvmBackend;
-
-impl TierBackend for NvmBackend {
-    fn label(&self) -> &'static str {
-        "nvm"
-    }
-    fn protects(&self) -> bool {
-        true
-    }
-    fn fault_latency(&self, cfg: &EmulConfig, hot: bool) -> u64 {
-        cfg.slow_access_cycles() + if hot { cfg.hot_penalty_cycles() } else { 0 }
-    }
-}
-
-/// Per-tier backend table, indexed by tier position; lookups past the end
-/// clamp to the last entry, so the classic `[DRAM, NVM]` table covers any
-/// number of slow tiers (every one behaves like NVM — the historic
-/// two-tier semantics, unchanged).
-struct Backends(Vec<Box<dyn TierBackend>>);
-
-impl Backends {
-    fn for_tier(&self, index: usize) -> &dyn TierBackend {
-        &*self.0[index.min(self.0.len() - 1)]
-    }
-}
-
 #[derive(Default)]
 struct EmuState {
     /// Pages currently classified hot (packed keys).
     hot: HashSet<u64>,
-    /// Layout snapshot taken at each protection pass; the handler resolves
-    /// the faulting tier against it. `None` only before the first pass —
-    /// and no page is protected before the first pass, so no fault can
-    /// observe it.
-    layout: Option<MemTopology>,
+    /// Frames below this PFN are the fastest tier's (tiers are contiguous
+    /// PFN ranges, fastest first), as of the last protection pass. Zero
+    /// before the first pass, when no page is protected yet.
+    fast_frames: u64,
     /// Faults taken against slow pages.
     slow_faults: u64,
-    /// Faults per tier index (slot 0, DRAM, stays zero).
-    faults_by_tier: Vec<u64>,
     /// Of those, faults that also paid the hot penalty.
     hot_faults: u64,
     /// Total injected cycles.
@@ -166,12 +90,10 @@ struct EmuState {
 /// The trap-handler half installed into the machine.
 pub struct EmuHandler {
     cfg: EmulConfig,
-    backends: Arc<Backends>,
     state: Arc<Mutex<EmuState>>,
 }
 
 impl FaultPolicy for EmuHandler {
-    // tmprof-lint: allow(panic-reachability) — `faults_by_tier` is resized to `tier_index + 1` immediately before the index, and the sentinel `usize::MAX` branch never reaches it
     fn handle(&mut self, fault: &PoisonFault) -> FaultAction {
         let key = PageKey {
             pid: fault.pid,
@@ -180,27 +102,22 @@ impl FaultPolicy for EmuHandler {
         .pack();
         let mut st = self.state.lock();
         st.slow_faults += 1;
-        // Resolve the faulting tier; only protected (slow) pages trap, and
-        // protection snapshots the layout first, so the lookups succeed.
-        let tier_index = st
-            .layout
-            .as_ref()
-            .and_then(|l| l.try_tier_of(fault.pte.pfn()).ok())
-            .map_or(usize::MAX, |t| t.index());
-        if st.faults_by_tier.len() <= tier_index && tier_index != usize::MAX {
-            st.faults_by_tier.resize(tier_index + 1, 0);
-        }
-        if tier_index != usize::MAX {
-            st.faults_by_tier[tier_index] += 1;
-        }
         let hot = st.hot.contains(&key);
         if hot {
             st.hot_faults += 1;
         }
-        let extra = self
-            .backends
-            .for_tier(tier_index)
-            .fault_latency(&self.cfg, hot);
+        // A page protected in a slow tier may have been promoted since; a
+        // fault on a fastest-tier frame is ordinary DRAM and costs nothing.
+        let extra = if fault.pte.pfn().0 < st.fast_frames {
+            0
+        } else {
+            self.cfg.slow_access_cycles()
+                + if hot {
+                    self.cfg.hot_penalty_cycles()
+                } else {
+                    0
+                }
+        };
         st.injected_cycles += extra;
         // Grant access until the next periodic re-protection pass.
         FaultAction {
@@ -214,43 +131,21 @@ impl FaultPolicy for EmuHandler {
 /// The framework half: periodic re-protection + hot-set maintenance.
 pub struct NvmEmulator {
     cfg: EmulConfig,
-    backends: Arc<Backends>,
     state: Arc<Mutex<EmuState>>,
-    /// Re-protection passes performed.
-    protect_passes: u64,
 }
 
 impl NvmEmulator {
     /// Create the emulator and its machine-side trap handler. Install the
-    /// handler with [`Machine::set_fault_policy`].
-    ///
-    /// This is the classic configuration: DRAM in front, every slower tier
-    /// behind the paper's NVM fault constants (see [`Backends`] clamping).
+    /// handler with [`Machine::set_fault_policy`]. The fastest tier is
+    /// DRAM; every slower tier sits behind the paper's NVM fault constants.
     pub fn new(cfg: EmulConfig) -> (Self, Box<dyn FaultPolicy>) {
-        Self::with_backends(cfg, vec![Box::new(DramBackend), Box::new(NvmBackend)])
-    }
-
-    /// Create the emulator with an explicit fastest-first backend table
-    /// (one entry per tier; a short table clamps to its last entry).
-    pub fn with_backends(
-        cfg: EmulConfig,
-        backends: Vec<Box<dyn TierBackend>>,
-    ) -> (Self, Box<dyn FaultPolicy>) {
-        assert!(!backends.is_empty(), "need at least one tier backend");
-        let backends = Arc::new(Backends(backends));
         let state = Arc::new(Mutex::new(EmuState::default()));
         (
             Self {
                 cfg,
-                backends: backends.clone(),
                 state: state.clone(),
-                protect_passes: 0,
             },
-            Box::new(EmuHandler {
-                cfg,
-                backends,
-                state,
-            }),
+            Box::new(EmuHandler { cfg, state }),
         )
     }
 
@@ -259,16 +154,15 @@ impl NvmEmulator {
         self.cfg
     }
 
-    /// The periodic pass: set PROT_NONE on every page currently resident in
-    /// a protected (slow) tier and flush its translations so the next
+    /// The periodic pass: set PROT_NONE on every page currently resident
+    /// outside the fastest tier and flush its translations so the next
     /// access traps. Returns the number of pages protected.
     pub fn protect_slow_pages(&mut self, machine: &mut Machine) -> usize {
-        self.protect_passes += 1;
-        let layout = machine.memory().clone();
+        let fast_frames = machine.memory().first_frame(Tier::from_index(1)).0;
         {
-            // Scoped: publish the layout for the fault handler, then drop
-            // the guard before the machine-walking loop below.
-            self.state.lock().layout = Some(layout.clone());
+            // Scoped: publish the fast tier's end for the fault handler,
+            // then drop the guard before the machine-walking loop below.
+            self.state.lock().fast_frames = fast_frames;
         }
         let pids: Vec<Pid> = machine.pids().collect();
         let mut protected = 0;
@@ -276,8 +170,7 @@ impl NvmEmulator {
             let mut vpns: Vec<Vpn> = Vec::new();
             if let Some((pt, _descs)) = machine.scan_parts(pid) {
                 pt.walk_present(|vpn, pte| {
-                    let tier = layout.tier_of(pte.pfn());
-                    if self.backends.for_tier(tier.index()).protects() && !pte.prot_none() {
+                    if pte.pfn().0 >= fast_frames && !pte.prot_none() {
                         pte.set(bits::PROT_NONE);
                         vpns.push(vpn);
                     }
@@ -306,27 +199,6 @@ impl NvmEmulator {
     /// Faults that paid the hot penalty.
     pub fn hot_faults(&self) -> u64 {
         self.state.lock().hot_faults
-    }
-
-    /// Faults broken down by tier index (fastest first; missing slots are
-    /// tiers that never faulted).
-    pub fn faults_by_tier(&self) -> Vec<u64> {
-        self.state.lock().faults_by_tier.clone()
-    }
-
-    /// Backend label for a tier index (clamped like fault resolution).
-    pub fn backend_label(&self, tier_index: usize) -> &'static str {
-        self.backends.for_tier(tier_index).label()
-    }
-
-    /// Total emulation-injected cycles.
-    pub fn injected_cycles(&self) -> u64 {
-        self.state.lock().injected_cycles
-    }
-
-    /// Re-protection passes performed.
-    pub fn protect_passes(&self) -> u64 {
-        self.protect_passes
     }
 }
 
@@ -436,51 +308,7 @@ mod tests {
         m.set_fault_policy(Some(handler));
         emu.protect_slow_pages(&mut m);
         m.touch(0, 1, VirtAddr(8 * PAGE_SIZE));
-        assert_eq!(emu.injected_cycles(), cfg.slow_access_cycles());
-    }
-
-    #[test]
-    fn three_tier_backends_charge_per_tier_latency() {
-        // DRAM(4) + CXL(4) + NVM(8), all at DRAM speed: slowness is
-        // fault-injected per backend.
-        let dram_speed = |frames| TierSpec {
-            frames,
-            load_latency: 320,
-            store_latency: 320,
-            epoch_bytes_budget: None,
-        };
-        let mut cfg = MachineConfig::scaled(1, 4, 12, 1 << 20);
-        cfg.memory = MemTopology::from_specs(vec![dram_speed(4), dram_speed(4), dram_speed(8)]);
-        let mut m = Machine::new(cfg);
-        m.add_process(1);
-        for i in 0..10u64 {
-            m.touch(0, 1, VirtAddr(i * PAGE_SIZE));
-        }
-        let ecfg = EmulConfig::default();
-        let (mut emu, handler) = NvmEmulator::with_backends(
-            ecfg,
-            vec![
-                Box::new(DramBackend),
-                Box::new(CxlBackend),
-                Box::new(NvmBackend),
-            ],
-        );
-        m.set_fault_policy(Some(handler));
-        assert_eq!(emu.backend_label(1), "cxl");
-        assert_eq!(emu.protect_slow_pages(&mut m), 6, "4 CXL + 2 NVM pages");
-        // One access per protected tier: CXL pays half the NVM constant.
-        let cxl = m.touch(0, 1, VirtAddr(5 * PAGE_SIZE));
-        let nvm = m.touch(0, 1, VirtAddr(9 * PAGE_SIZE));
-        assert_eq!(
-            nvm.cycles - cxl.cycles,
-            ecfg.slow_access_cycles() / 2,
-            "NVM fault costs twice the CXL fault"
-        );
-        assert_eq!(emu.slow_faults(), 2);
-        assert_eq!(emu.faults_by_tier(), vec![0, 1, 1]);
-        // DRAM pages stay unprotected.
-        m.touch(0, 1, VirtAddr(0));
-        assert_eq!(emu.slow_faults(), 2);
+        assert_eq!(emu.state.lock().injected_cycles, cfg.slow_access_cycles());
     }
 
     #[test]
@@ -506,8 +334,10 @@ mod tests {
         let t2 = m.touch(0, 1, VirtAddr(3 * PAGE_SIZE));
         let t3 = m.touch(0, 1, VirtAddr(5 * PAGE_SIZE));
         assert_eq!(t2.cycles, t3.cycles);
-        assert_eq!(emu.injected_cycles(), 2 * ecfg.slow_access_cycles());
-        assert_eq!(emu.backend_label(2), "nvm", "clamped past the table");
+        assert_eq!(
+            emu.state.lock().injected_cycles,
+            2 * ecfg.slow_access_cycles()
+        );
     }
 
     #[test]

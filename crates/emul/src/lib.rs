@@ -14,5 +14,5 @@
 pub mod emulator;
 pub mod experiment;
 
-pub use emulator::{CxlBackend, DramBackend, EmulConfig, NvmBackend, NvmEmulator, TierBackend};
+pub use emulator::{EmulConfig, NvmEmulator};
 pub use experiment::{emulation_machine, run_emulated, speedup, EmulPolicy, EmulRunResult};

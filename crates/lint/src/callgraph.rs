@@ -7,8 +7,6 @@
 //! assigned in file order, and BFS frontiers are processed in id order —
 //! two runs over the same tree produce byte-identical reports.
 
-use std::collections::BTreeMap;
-
 use crate::symbols::{FnId, Workspace};
 
 /// One call edge, with the site that produced it.
@@ -222,15 +220,6 @@ impl Reach {
             .collect::<Vec<_>>()
             .join(" → ")
     }
-}
-
-/// Group sites per (fn, map key) deterministically.
-pub fn group_by<K: Ord, V>(items: Vec<(K, V)>) -> BTreeMap<K, Vec<V>> {
-    let mut m: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for (k, v) in items {
-        m.entry(k).or_default().push(v);
-    }
-    m
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The four whole-workspace dataflow passes, run on the symbol table and
+//! The five whole-workspace dataflow passes, run on the symbol table and
 //! call graph:
 //!
 //! 1. **panic-reachability** — panic sites (`unwrap`/`expect`, the panic
@@ -21,6 +21,11 @@
 //!    through the call graph: cyclic pairwise orders are deadlocks
 //!    waiting for the fleet scheduler, and locks held across calls with
 //!    large transitive closures are contention bugs.
+//! 5. **dead-surface** — library fns (`crates/*/src`) that no production
+//!    root reaches: the bins, `examples/`, `perf/src`, and every trait
+//!    method body. A fn only tests or benches call is a finding; it is
+//!    deleted, moved into its test, or annotated with the test, bench or
+//!    diagnostic it serves.
 //!
 //! Suppression anchors: site-level findings (`unwrap`, sources, env
 //! reads, lock pairs) take an `allow(...)` on their own line; grouped
@@ -47,7 +52,6 @@ pub const HOT_ENTRIES: &[(&str, &str)] = &[
     ("crates/core/src/profiler.rs", "end_epoch"),
     ("crates/core/src/rank.rs", "ranked"),
     ("crates/core/src/rank.rs", "top_k"),
-    ("crates/core/src/rank.rs", "ranked_pages"),
 ];
 
 /// Determinism sinks: fns whose output is part of the reproducibility
@@ -66,13 +70,39 @@ pub const TAINT_SINKS: &[(&str, &str, &str)] = &[
     ),
     ("crates/core/src/rank.rs", "ranked", "hotness ranking"),
     ("crates/core/src/rank.rs", "top_k", "hotness ranking"),
-    ("crates/core/src/rank.rs", "ranked_pages", "hotness ranking"),
     ("crates/obs/src/journal.rs", "record", "obs event journal"),
 ];
 
 /// The canonical knob reader; `env::var("TMPROF_*")` anywhere else needs
 /// a reasoned annotation.
 pub const KNOBS_FILE: &str = "crates/core/src/knobs.rs";
+
+/// The production roots of `dead-surface`, as path patterns: `*` matches
+/// one path segment, and a pattern ending in `/` matches everything
+/// below it. `perf/src` is read only as roots; nothing there is reported.
+pub const DEAD_SURFACE_ROOTS: &[&str] = &[
+    "crates/*/src/bin/",
+    "crates/lint/src/main.rs",
+    "examples/",
+    "perf/src/",
+];
+
+/// Whether the workspace-relative path `rel` matches a
+/// [`DEAD_SURFACE_ROOTS`] pattern.
+pub fn matches_root_pattern(pattern: &str, rel: &str) -> bool {
+    let (pattern, subtree) = match pattern.strip_suffix('/') {
+        Some(p) => (p, true),
+        None => (pattern, false),
+    };
+    let mut segs = rel.split('/');
+    for want in pattern.split('/') {
+        match segs.next() {
+            Some(got) if want == "*" || want == got => {}
+            _ => return false,
+        }
+    }
+    subtree || segs.next().is_none()
+}
 
 /// A callee with at least this many transitive workspace callees counts
 /// as a "long call" for the held-lock check.
@@ -444,12 +474,69 @@ pub fn lock_order(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     out
 }
 
-/// Run all four passes.
+/// Whether a reasoned `allow(dead-surface)` governs the line of fn `id`.
+fn kept_on_purpose(ws: &Workspace, id: FnId) -> bool {
+    let lexed = &ws.fn_file(id).lexed;
+    lexed.directives.iter().any(|d| {
+        d.rule == "dead-surface"
+            && !d.reason.is_empty()
+            && lexed.governed_line(d) == Some(ws.fn_item(id).line)
+    })
+}
+
+/// Pass 5: dead-surface. A fn annotated `allow(dead-surface)` is kept on
+/// purpose, so it is a root too: the helpers only it calls serve the same
+/// test and are not reported again. A tree with no root file at all (a
+/// single-pass lint fixture) has no production surface to judge, so it
+/// gets no findings; `tests/fixtures.rs` checks that every root pattern
+/// still matches a file of the real workspace.
+pub fn dead_surface(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
+    let in_root_file = |id: FnId| {
+        let rel = ws.fn_file(id).rel.as_str();
+        DEAD_SURFACE_ROOTS
+            .iter()
+            .any(|p| matches_root_pattern(p, rel))
+    };
+    if !(0..ws.fns.len()).any(in_root_file) {
+        return Vec::new();
+    }
+    let roots: Vec<FnId> = (0..ws.fns.len())
+        .filter(|&id| {
+            let item = ws.fn_item(id);
+            !item.is_test && (item.trait_body || in_root_file(id) || kept_on_purpose(ws, id))
+        })
+        .collect();
+    let reach = graph.reach_forward(&roots);
+    let mut out = Vec::new();
+    for id in 0..ws.fns.len() {
+        let item = ws.fn_item(id);
+        let rel = ws.fn_file(id).rel.as_str();
+        if item.is_test || reach.contains(id) || !matches_root_pattern("crates/*/src/", rel) {
+            continue;
+        }
+        out.push(Violation {
+            rule: "dead-surface",
+            file: rel.to_string(),
+            line: item.line,
+            message: format!(
+                "`{}` is reached from no production root (a bin, an example, \
+                 perf/src or a trait method); delete it, move it into the test \
+                 code that uses it, or annotate the test, bench or diagnostic \
+                 it serves",
+                ws.qual_name(id)
+            ),
+        });
+    }
+    out
+}
+
+/// Run all five passes.
 pub fn run_passes(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     let mut out = panic_reachability(ws, graph);
     out.extend(determinism_taint(ws, graph));
     out.extend(knob_flow(ws));
     out.extend(lock_order(ws, graph));
+    out.extend(dead_surface(ws, graph));
     out
 }
 
@@ -667,5 +754,108 @@ mod tests {
             v.iter().any(|x| x.message.contains("held across call")),
             "{v:?}"
         );
+    }
+
+    fn dead(files: &[(&str, &str)]) -> Vec<String> {
+        let (ws, g) = build(files);
+        dead_surface(&ws, &g)
+            .iter()
+            .map(|v| v.message.split('`').nth(1).unwrap_or("").to_string())
+            .collect()
+    }
+
+    const BIN: (&str, &str) = ("crates/sim/src/bin/run.rs", "fn main() { live(); }");
+
+    #[test]
+    fn fns_only_tests_and_benches_reach_are_dead_surface() {
+        let v = dead(&[
+            BIN,
+            (
+                "crates/sim/src/lib.rs",
+                "pub fn live() {}\n\
+                 pub fn unit_only() {}\n\
+                 pub fn integration_only() {}\n\
+                 pub fn bench_only() {}\n\
+                 #[cfg(test)]\nmod tests { fn t() { unit_only(); } }",
+            ),
+            ("crates/sim/tests/it.rs", "fn t() { integration_only(); }"),
+            ("crates/sim/benches/b.rs", "fn main() { bench_only(); }"),
+        ]);
+        assert_eq!(
+            v,
+            ["sim::unit_only", "sim::integration_only", "sim::bench_only"]
+        );
+    }
+
+    #[test]
+    fn reexports_fn_values_and_trait_methods_are_reached() {
+        let v = dead(&[
+            (
+                "crates/cli/src/bin/tool.rs",
+                "fn main() { tmprof_cli::dispatch(); }",
+            ),
+            (
+                "crates/cli/src/commands.rs",
+                "pub fn dispatch() { let t = [(\"p\", cmd_profile)]; keys().map(PageKey::pack); }\n\
+                 pub fn cmd_profile() {}\n\
+                 fn keys() {}",
+            ),
+            (
+                "crates/sim/src/pagedesc.rs",
+                "impl PageKey { pub fn pack(self) -> u64 { 0 } }\n\
+                 impl Default for PageKey { fn default() -> Self { PageKey::zero() } }\n\
+                 impl PageKey { pub fn zero() -> Self { PageKey } }\n\
+                 pub trait Pack { fn packed(&self) -> u64 { helper() } }\n\
+                 fn helper() -> u64 { 0 }",
+            ),
+        ]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn a_reasoned_allow_keeps_a_fn_and_what_only_it_calls() {
+        let src = |directive: &str| {
+            format!("pub fn live() {{}}\n{directive}\npub fn oracle() {{ helper(); }}\nfn helper() {{}}")
+        };
+        let kept = src("// tmprof-lint: allow(dead-surface) — the identity oracle of tests/x.rs");
+        assert!(dead(&[BIN, ("crates/sim/src/lib.rs", &kept)]).is_empty());
+        // A reasonless directive keeps nothing; the engine reports the
+        // directive itself as `allow-directive`.
+        let bare = src("// tmprof-lint: allow(dead-surface)");
+        assert_eq!(
+            dead(&[BIN, ("crates/sim/src/lib.rs", &bare)]),
+            ["sim::oracle", "sim::helper"]
+        );
+    }
+
+    #[test]
+    fn a_tree_without_roots_reports_nothing() {
+        assert!(dead(&[("crates/sim/src/lib.rs", "pub fn orphan() {}")]).is_empty());
+    }
+
+    #[test]
+    fn root_patterns_match_segments_and_subtrees() {
+        assert!(matches_root_pattern(
+            "crates/*/src/bin/",
+            "crates/cli/src/bin/tmpctl.rs"
+        ));
+        assert!(matches_root_pattern(
+            "crates/*/src/bin/",
+            "crates/bench/src/bin/experiments/main.rs"
+        ));
+        assert!(!matches_root_pattern(
+            "crates/*/src/bin/",
+            "crates/cli/src/args.rs"
+        ));
+        assert!(matches_root_pattern(
+            "crates/lint/src/main.rs",
+            "crates/lint/src/main.rs"
+        ));
+        assert!(!matches_root_pattern(
+            "crates/lint/src/main.rs",
+            "crates/lint/src/main.rs.bak/x.rs"
+        ));
+        assert!(matches_root_pattern("perf/src/", "perf/src/drivers.rs"));
+        assert!(!matches_root_pattern("perf/src/", "perf/tests/smoke.rs"));
     }
 }

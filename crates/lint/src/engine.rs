@@ -229,10 +229,6 @@ fn resolve_directives(rel: &str, lexed: &Lexed) -> (Vec<Violation>, Vec<(String,
     let mut out = Vec::new();
     let mut sup = Vec::new();
 
-    // Lines that carry at least one token, for resolving standalone
-    // directives to the line they govern.
-    let token_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
-
     for d in &lexed.directives {
         if d.rule.is_empty() {
             out.push(Violation {
@@ -267,12 +263,7 @@ fn resolve_directives(rel: &str, lexed: &Lexed) -> (Vec<Violation>, Vec<(String,
             });
             continue;
         }
-        let target = if d.trailing {
-            Some(d.line)
-        } else {
-            token_lines.range(d.line + 1..).next().copied()
-        };
-        if let Some(line) = target {
+        if let Some(line) = lexed.governed_line(d) {
             sup.push((d.rule.clone(), line));
         }
     }
@@ -398,6 +389,15 @@ mod tests {
         let rules: Vec<&str> = v.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"allow-directive"), "{v:?}");
         assert!(rules.contains(&"nondet-iter"), "{v:?}");
+    }
+
+    #[test]
+    fn reasonless_dead_surface_allow_is_flagged() {
+        let src = "// tmprof-lint: allow(dead-surface)\npub fn oracle() {}\n";
+        let v = lint_src("crates/sim/src/x.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "allow-directive");
+        assert!(v[0].message.contains("no reason"), "{}", v[0].message);
     }
 
     #[test]

@@ -71,6 +71,16 @@ impl Lexed {
     pub fn in_test(&self, line: u32) -> bool {
         self.test_spans.iter().any(|&(a, b)| a <= line && line <= b)
     }
+
+    /// The line a directive governs: its own line when it trails code,
+    /// otherwise the next line that carries a token.
+    pub fn governed_line(&self, d: &Directive) -> Option<u32> {
+        if d.trailing {
+            Some(d.line)
+        } else {
+            self.tokens.iter().map(|t| t.line).find(|&l| l > d.line)
+        }
+    }
 }
 
 /// Tokenize `src`.

@@ -52,6 +52,10 @@
 //! * `lock-order` — pairwise lock-acquisition orders must be acyclic
 //!   across the whole workspace, and no lock is held across a call with
 //!   a large transitive footprint.
+//! * `dead-surface` — every non-test library fn is reached from a
+//!   production root: the bins, `examples/`, `perf/src` (read only as
+//!   roots) or a trait method body. Code only tests or benches call is
+//!   deleted, moved into its test, or annotated with what it serves.
 //!
 //! A finding is suppressed only by an explicit, reasoned annotation on
 //! (or directly above) the offending line:

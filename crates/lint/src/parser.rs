@@ -4,10 +4,14 @@
 //!
 //! One left-to-right pass over the token stream recovers:
 //!
-//! * **fn items** — name, enclosing `impl` type, whether the first
-//!   parameter is `self`, and the token range of the body;
+//! * **fn items** — name, enclosing `impl` type (or trait), whether the
+//!   first parameter is `self`, whether the body implements or defaults a
+//!   trait method, and the token range of the body;
 //! * **call sites** inside each body — free calls, `path::segment`
-//!   calls (the last qualifier is kept), and `.method(...)` calls;
+//!   calls (the last qualifier is kept), and `.method(...)` calls — plus
+//!   **fn values**: a fn named but not called (`.map(PageKey::pack)`,
+//!   `(cmd_profile, true)`), and the fn values of a same-file
+//!   `const`/`static` table the body names (`EXPERIMENTS`);
 //! * **panic sites** — `.unwrap()` / `.expect(...)`, the panic macro
 //!   family, and slice-index expressions `recv[...]`;
 //! * **lock sites** — `.lock()` / `.read()` / `.write()` with the
@@ -50,6 +54,9 @@ pub struct CallSite {
     pub qual: Option<String>,
     /// True for `.name(...)` method-call syntax.
     pub method: bool,
+    /// True when the fn is named as a value rather than called
+    /// (`.map(PageKey::pack)`, a bare `cmd_profile` argument).
+    pub value: bool,
     pub line: u32,
     /// Token index of the callee name.
     pub tok: usize,
@@ -147,12 +154,19 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` target type, if any.
     pub qual: Option<String>,
+    /// Innermost inline `mod name { .. }` around the fn, if any (so
+    /// `ring::with_ring` resolves to a fn in a same-file `mod ring`).
+    pub module: Option<String>,
     /// Line of the `fn` keyword (where a function-level allow anchors).
     pub line: u32,
     /// Token range of the body, `[lo, hi)` (`lo` is the `{`).
     pub body: (usize, usize),
     /// Whether the first parameter is (some form of) `self`.
     pub has_self: bool,
+    /// The body of a trait method: inside `impl Trait for Type`, or a
+    /// default body inside `trait Name { .. }`. Dispatch through a trait
+    /// object or a generic bound reaches it without naming its type.
+    pub trait_body: bool,
     /// Inside `#[cfg(test)]` or a `tests/` file.
     pub is_test: bool,
     pub calls: Vec<CallSite>,
@@ -203,8 +217,12 @@ pub fn parse(lexed: &Lexed, tests_file: bool) -> ParsedFile {
         ..ParsedFile::default()
     };
 
-    // Pass 1: impl-block spans, so fns pick up their enclosing type.
+    // Pass 1: impl- and trait-block spans, so fns pick up their
+    // enclosing type.
     let impls = find_impl_spans(toks);
+    let mods = find_mod_spans(toks);
+    // Item-level `const`/`static` tables and the fns they hold as values.
+    let mut tables: Vec<(String, Vec<CallSite>)> = Vec::new();
 
     // Pass 2: fn items.
     let mut i = 0usize;
@@ -220,9 +238,14 @@ pub fn parse(lexed: &Lexed, tests_file: bool) -> ParsedFile {
                 i = ni;
                 continue;
             }
+            if out.owner[i] == NO_OWNER {
+                if let Some(table) = parse_fn_table(toks, i) {
+                    tables.push(table);
+                }
+            }
         }
         if t.kind == TokenKind::Ident && t.text == "fn" {
-            if let Some(ni) = parse_fn(lexed, i, &impls, tests_file, &mut out) {
+            if let Some(ni) = parse_fn(lexed, i, &impls, &mods, tests_file, &mut out) {
                 i = ni;
                 continue;
             }
@@ -230,38 +253,163 @@ pub fn parse(lexed: &Lexed, tests_file: bool) -> ParsedFile {
         i += 1;
     }
 
+    // A fn that names a same-file table reaches every fn value in it.
+    if !tables.is_empty() {
+        for item in &mut out.fns {
+            let (lo, hi) = item.body;
+            for (k, t) in toks.iter().enumerate().take(hi).skip(lo) {
+                if t.kind != TokenKind::Ident {
+                    continue;
+                }
+                for (name, refs) in &tables {
+                    if t.text == *name {
+                        item.calls.extend(refs.iter().map(|r| CallSite {
+                            line: t.line,
+                            tok: k,
+                            ..r.clone()
+                        }));
+                    }
+                }
+            }
+        }
+    }
+
     out
 }
 
-/// Spans of `impl` blocks: (body token range, target type name). Handles
-/// `impl Type`, `impl Trait for Type`, and generic arguments on either.
-fn find_impl_spans(toks: &[Token]) -> Vec<((usize, usize), String)> {
+/// The fn values held by an item-level `const`/`static` whose keyword
+/// sits at `start`: `(NAME, refs)`, or `None` for `const fn`, a bodyless
+/// declaration or a table that holds no fn.
+fn parse_fn_table(toks: &[Token], start: usize) -> Option<(String, Vec<CallSite>)> {
+    let mut j = start + 1;
+    if toks.get(j).is_some_and(|t| t.text == "mut") {
+        j += 1;
+    }
+    let name = toks.get(j)?;
+    if name.kind != TokenKind::Ident || is_keyword(&name.text) {
+        return None;
+    }
+    // The type may hold brackets of its own (`[(&str, Experiment); 12]`).
+    let mut depth = 0i32;
+    let mut eq = j + 1;
+    loop {
+        match toks.get(eq)?.kind {
+            TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
+            TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
+            TokenKind::Punct('=') if depth == 0 => break,
+            TokenKind::Punct(';') | TokenKind::Punct('{') if depth == 0 => return None,
+            _ => {}
+        }
+        eq += 1;
+    }
+    let mut end = eq + 1;
+    while end < toks.len() {
+        match toks[end].kind {
+            TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => depth += 1,
+            TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => depth -= 1,
+            TokenKind::Punct(';') if depth <= 0 => break,
+            _ => {}
+        }
+        end += 1;
+    }
+    let refs: Vec<CallSite> = (eq + 1..end).filter_map(|k| fn_value_at(toks, k)).collect();
+    (!refs.is_empty()).then(|| (name.text.clone(), refs))
+}
+
+/// A fn named as a value at token `i`, if the token is one:
+///
+/// * a path whose last segment is lower-case and is not called, indexed
+///   into or continued (`PageKey::pack`, `fig2_ptw_ratio::run`);
+/// * a bare lower-case identifier standing alone as an argument or tuple
+///   field (`(cmd_profile, true)`, `.map(parse_line)`).
+///
+/// Locals and fields can take either shape; the symbol table resolves a
+/// bare one only to a same-file or imported fn, so a miss costs nothing.
+fn fn_value_at(toks: &[Token], i: usize) -> Option<CallSite> {
+    let t = &toks[i];
+    let lower = t
+        .text
+        .starts_with(|c: char| c.is_ascii_lowercase() || c == '_');
+    if t.kind != TokenKind::Ident || !lower || is_keyword(&t.text) {
+        return None;
+    }
+    let next = toks.get(i + 1).map(|n| &n.kind);
+    if matches!(
+        next,
+        Some(TokenKind::Punct('(' | '!' | ':' | '[' | '{' | '.' | '='))
+    ) {
+        return None;
+    }
+    let pathed = i >= 3
+        && prev_is_punct(toks, i, ':')
+        && prev_is_punct(toks, i - 1, ':')
+        && toks[i - 3].kind == TokenKind::Ident;
+    let qual = if pathed {
+        Some(toks[i - 3].text.clone())
+    } else {
+        let arg_start = i > 0 && matches!(toks[i - 1].kind, TokenKind::Punct('(' | ','));
+        let arg_end = matches!(next, Some(TokenKind::Punct(')' | ',')));
+        if !(arg_start && arg_end) {
+            return None;
+        }
+        None
+    };
+    Some(CallSite {
+        name: t.text.clone(),
+        qual,
+        method: false,
+        value: true,
+        line: t.line,
+        tok: i,
+    })
+}
+
+/// An `impl` or `trait` block: its body's token range, the type (or
+/// trait) its fns belong to, and whether those fns are trait methods.
+struct ImplSpan {
+    body: (usize, usize),
+    target: String,
+    trait_body: bool,
+}
+
+/// Spans of `impl` and `trait` blocks. Handles `impl Type`, `impl Trait
+/// for Type`, `trait Name: Bound`, and generic arguments on any of them.
+fn find_impl_spans(toks: &[Token]) -> Vec<ImplSpan> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
-        if !(toks[i].kind == TokenKind::Ident && toks[i].text == "impl") {
-            i += 1;
-            continue;
-        }
+        let is_trait = match (&toks[i].kind, toks[i].text.as_str()) {
+            (TokenKind::Ident, "impl") => false,
+            (TokenKind::Ident, "trait") => true,
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
         // Scan the header up to the opening `{`, tracking the last plain
         // identifier seen outside generic brackets; after `for`, that is
-        // the impl target. Without `for`, it is the type itself.
+        // the impl target. Without `for`, it is the type itself. A
+        // trait's name is the first identifier after `trait`.
         let mut j = i + 1;
         let mut angle = 0i32;
         let mut target = String::new();
+        let mut for_trait = is_trait;
+        let mut bounds = false;
         while j < toks.len() {
             match &toks[j].kind {
                 TokenKind::Punct('<') => angle += 1,
-                TokenKind::Punct('>') => angle -= 1,
+                TokenKind::Punct('>') if !prev_is_punct(toks, j, '-') => angle -= 1,
+                TokenKind::Punct(':') if is_trait && angle <= 0 => bounds = true,
                 TokenKind::Punct('{') if angle <= 0 => break,
                 TokenKind::Punct(';') => break, // `impl Trait for Type;` style — skip
-                TokenKind::Ident if angle <= 0 => {
+                TokenKind::Ident if angle <= 0 && !bounds => {
                     let s = toks[j].text.as_str();
                     if s == "for" {
                         target.clear(); // the real target follows
+                        for_trait = true;
                     } else if s == "where" {
-                        // header over; type already captured
-                    } else if !is_keyword(s) {
+                        bounds = true; // header over; type already captured
+                    } else if !is_keyword(s) && (!is_trait || target.is_empty()) {
                         target = s.to_string();
                     }
                 }
@@ -276,11 +424,33 @@ fn find_impl_spans(toks: &[Token]) -> Vec<((usize, usize), String)> {
         let open = j;
         let close = match_brace(toks, open);
         if !target.is_empty() {
-            spans.push(((open, close), target));
+            spans.push(ImplSpan {
+                body: (open, close),
+                target,
+                trait_body: for_trait,
+            });
         }
-        // Descend into the impl body (nested fns live there); continue
-        // the outer scan right after the header.
+        // Descend into the body (nested fns live there); continue the
+        // outer scan right after the header.
         i = open + 1;
+    }
+    spans
+}
+
+/// An inline `mod name { .. }` block: (body token range, name).
+type ModSpan = ((usize, usize), String);
+
+/// Spans of inline `mod name { .. }` blocks.
+fn find_mod_spans(toks: &[Token]) -> Vec<ModSpan> {
+    let mut spans = Vec::new();
+    for i in 0..toks.len().saturating_sub(2) {
+        if toks[i].kind == TokenKind::Ident
+            && toks[i].text == "mod"
+            && toks[i + 1].kind == TokenKind::Ident
+            && toks[i + 2].kind == TokenKind::Punct('{')
+        {
+            spans.push(((i + 2, match_brace(toks, i + 2)), toks[i + 1].text.clone()));
+        }
     }
     spans
 }
@@ -428,7 +598,8 @@ fn parse_str_const(toks: &[Token], start: usize) -> Option<(StrConst, usize)> {
 fn parse_fn(
     lexed: &Lexed,
     start: usize,
-    impls: &[((usize, usize), String)],
+    impls: &[ImplSpan],
+    mods: &[ModSpan],
     tests_file: bool,
     out: &mut ParsedFile,
 ) -> Option<usize> {
@@ -502,20 +673,25 @@ fn parse_fn(
     let body_open = m;
     let body_close = match_brace(toks, body_open);
 
-    let qual = impls
+    let owner = impls.iter().rfind(|s| s.body.0 < start && start < s.body.1); // innermost impl wins
+    let qual = owner.map(|s| s.target.clone());
+    let module = mods
         .iter()
         .filter(|((lo, hi), _)| *lo < start && start < *hi)
-        .map(|(_, t)| t.clone())
-        .next_back(); // innermost impl wins
+        .map(|(_, name)| name.clone())
+        .next_back();
+    let trait_body = owner.is_some_and(|s| s.trait_body);
 
     let is_test = tests_file || lexed.in_test(line) || has_test_attr(toks, start);
 
     let mut item = FnItem {
         name,
         qual,
+        module,
         line,
         body: (body_open, body_close),
         has_self,
+        trait_body,
         is_test,
         calls: Vec::new(),
         panics: Vec::new(),
@@ -724,14 +900,18 @@ fn scan_body(lexed: &Lexed, item: &mut FnItem) {
         }
 
         // Call sites (after the special forms above so `unwrap`/locks
-        // are not double-counted as ordinary calls).
+        // are not double-counted as ordinary calls; `read(buf)` and
+        // `write(buf)` take arguments, so they are calls, not locks).
         if called && !is_keyword(name) {
             if is_method {
-                if !matches!(name, "unwrap" | "expect" | "lock" | "read" | "write") {
+                let lock_site =
+                    matches!(name, "lock" | "read" | "write") && next_is_punct(toks, i + 2, ')');
+                if !lock_site && !matches!(name, "unwrap" | "expect") {
                     item.calls.push(CallSite {
                         name: name.to_string(),
                         qual: None,
                         method: true,
+                        value: false,
                         line: t.line,
                         tok: i,
                     });
@@ -751,10 +931,13 @@ fn scan_body(lexed: &Lexed, item: &mut FnItem) {
                     name: name.to_string(),
                     qual,
                     method: false,
+                    value: false,
                     line: t.line,
                     tok: i,
                 });
             }
+        } else if !is_method {
+            item.calls.extend(fn_value_at(toks, i));
         }
 
         i += 1;
@@ -1214,5 +1397,71 @@ mod tests {
         // The leaf() call tokens belong to inner, not outer.
         let leaf_tok = lexed.tokens.iter().position(|t| t.text == "leaf").unwrap();
         assert_eq!(p.owner[leaf_tok] as usize, inner);
+    }
+
+    #[test]
+    fn fn_values_are_recorded_as_value_calls() {
+        let p = parse_src(
+            "fn f(v: Vec<u64>) {\n\
+               let t = (cmd_profile, true);\n\
+               v.iter().map(PageKey::pack);\n\
+               let x = local + other;\n\
+               let w = Vec::<u64>::new();\n\
+             }\n",
+        );
+        let values: Vec<(&str, Option<&str>)> = p.fns[0]
+            .calls
+            .iter()
+            .filter(|c| c.value)
+            .map(|c| (c.name.as_str(), c.qual.as_deref()))
+            .collect();
+        assert_eq!(values, [("cmd_profile", None), ("pack", Some("PageKey"))]);
+    }
+
+    #[test]
+    fn const_tables_lend_their_fn_values_to_the_fns_that_name_them() {
+        let p = parse_src(
+            "const TABLE: [(&str, fn()); 2] = [(\"a\", a::run), (\"b\", b::run)];\n\
+             fn main() { for (_, run) in TABLE { run(); } }\n",
+        );
+        let quals: Vec<&str> = p.fns[0]
+            .calls
+            .iter()
+            .filter(|c| c.value && c.name == "run")
+            .filter_map(|c| c.qual.as_deref())
+            .collect();
+        assert_eq!(quals, ["a", "b"]);
+    }
+
+    #[test]
+    fn trait_bodies_and_inline_modules_are_marked() {
+        let p = parse_src(
+            "impl Tlb { fn inherent(&self) {} }\n\
+             impl Default for Tlb { fn default() -> Self { Tlb } }\n\
+             trait Scan { fn scan(&self) { self.step(); } fn step(&self); }\n\
+             mod ring { pub fn with_ring() {} }\n",
+        );
+        let flags: Vec<(&str, bool, Option<&str>)> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.trait_body, f.module.as_deref()))
+            .collect();
+        assert_eq!(
+            flags,
+            [
+                ("inherent", false, None),
+                ("default", true, None),
+                ("scan", true, None),
+                ("with_ring", false, Some("ring")),
+            ]
+        );
+        assert_eq!(p.fns[2].qual.as_deref(), Some("Scan"));
+    }
+
+    #[test]
+    fn read_and_write_with_arguments_are_calls_not_locks() {
+        let p = parse_src("fn f(&self) { let g = self.t.read(); self.pmu.read(&m); }");
+        assert_eq!(p.fns[0].locks.len(), 1);
+        assert!(p.fns[0].calls.iter().any(|c| c.name == "read" && c.method));
     }
 }

@@ -57,6 +57,10 @@ pub const RULES: &[(&str, &str)] = &[
         "lock-order",
         "cyclic pairwise lock orders or locks held across long calls, via the call graph",
     ),
+    (
+        "dead-surface",
+        "library fns no bin, example, perf/src driver or trait method reaches; tests alone keep nothing",
+    ),
 ];
 
 pub fn known_rule(name: &str) -> bool {

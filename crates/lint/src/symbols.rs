@@ -110,15 +110,35 @@ impl Workspace {
         }
     }
 
+    /// Whether two files belong to one crate: the same `crates/<name>`
+    /// directory, or the same top-level directory outside `crates/`
+    /// (`perf/src/*`).
+    fn same_crate(&self, a: usize, b: usize) -> bool {
+        let (fa, fb) = (&self.files[a], &self.files[b]);
+        if fa.krate.is_empty() && fb.krate.is_empty() {
+            fa.rel.split('/').next() == fb.rel.split('/').next()
+        } else {
+            fa.krate == fb.krate
+        }
+    }
+
     /// Resolve a call site in `caller_file` to candidate workspace fns.
     ///
     /// * Method calls — every same-name fn with a `self` parameter.
     /// * Qualified calls — same-name fns whose impl type or module stem
-    ///   matches the qualifier (`Machine::new`, `rank::ranked_pages`);
-    ///   when nothing matches the qualifier, the call is foreign (std or
-    ///   vendor) and resolves to nothing.
+    ///   or inline module matches the qualifier (`Machine::new`,
+    ///   `rank::ranked_pages`, `ring::with_ring`);
+    ///   `self::`/`Self::` resolve within the caller's file, `crate::` and
+    ///   `super::` to the caller's crate, and a crate name
+    ///   (`tmprof_cli::dispatch`) to that crate's free fns, which is how a
+    ///   crate-root re-export is called. When nothing matches the
+    ///   qualifier, the call is foreign (std or vendor) and resolves to
+    ///   nothing.
     /// * Bare calls — same-file fns first; otherwise every same-name
     ///   free fn in the workspace.
+    /// * Bare fn values — same-file free fns, or, when the file imports
+    ///   the name with `use`, every same-name free fn. A local variable
+    ///   that merely shares a distant fn's name resolves to nothing.
     ///
     /// Test fns never resolve (they are not analysis roots or targets).
     pub fn resolve_call(&self, caller_file: usize, call: &parser::CallSite) -> Vec<FnId> {
@@ -126,49 +146,53 @@ impl Workspace {
             return Vec::new();
         };
         let live = |id: &&FnId| !self.fn_item(**id).is_test;
-        if call.method {
-            return cands
+        let pick = |keep: &dyn Fn(FnId) -> bool| -> Vec<FnId> {
+            cands
                 .iter()
                 .filter(live)
-                .filter(|&&id| self.fn_item(id).has_self)
+                .filter(|&&id| keep(id))
                 .copied()
-                .collect();
+                .collect()
+        };
+        let free = |id: FnId| self.fn_item(id).qual.is_none();
+        let same_file = |id: FnId| self.fns[id].file == caller_file;
+        if call.method {
+            return pick(&|id| self.fn_item(id).has_self);
         }
         if let Some(q) = &call.qual {
-            // `self::f(...)` / `Self::f(...)` → same-file resolution.
-            if q == "self" || q == "Self" || q == "crate" {
-                return cands
-                    .iter()
-                    .filter(live)
-                    .filter(|&&id| self.fns[id].file == caller_file)
-                    .copied()
-                    .collect();
-            }
-            return cands
+            return match q.as_str() {
+                "self" | "Self" => pick(&same_file),
+                "crate" | "super" => pick(&|id| self.same_crate(self.fns[id].file, caller_file)),
+                _ => match q.strip_prefix("tmprof_") {
+                    Some(krate) if self.files.iter().any(|f| f.krate == krate) => {
+                        pick(&|id| free(id) && self.fn_file(id).krate == krate)
+                    }
+                    _ => pick(&|id| {
+                        let item = self.fn_item(id);
+                        item.qual.as_deref() == Some(q.as_str())
+                            || self.module_stem(id) == q
+                            || item.module.as_deref() == Some(q.as_str())
+                    }),
+                },
+            };
+        }
+        let local = pick(&same_file);
+        if call.value {
+            let imported = self.files[caller_file]
+                .parsed
+                .uses
                 .iter()
-                .filter(live)
-                .filter(|&&id| {
-                    self.fn_item(id).qual.as_deref() == Some(q.as_str())
-                        || self.module_stem(id) == q
-                })
-                .copied()
-                .collect();
+                .any(|u| u.alias == call.name);
+            return if imported {
+                pick(&|id| free(id) || same_file(id))
+            } else {
+                pick(&|id| free(id) && same_file(id))
+            };
         }
-        let same_file: Vec<FnId> = cands
-            .iter()
-            .filter(live)
-            .filter(|&&id| self.fns[id].file == caller_file)
-            .copied()
-            .collect();
-        if !same_file.is_empty() {
-            return same_file;
+        if !local.is_empty() {
+            return local;
         }
-        cands
-            .iter()
-            .filter(live)
-            .filter(|&&id| !self.fn_item(id).has_self)
-            .copied()
-            .collect()
+        pick(&|id| !self.fn_item(id).has_self)
     }
 
     /// Resolve a named constant seen in `file` to its string value:
@@ -232,6 +256,7 @@ mod tests {
             name: "translate".into(),
             qual: None,
             method: true,
+            value: false,
             line: 1,
             tok: 0,
         };
@@ -253,6 +278,7 @@ mod tests {
             name: "new".into(),
             qual: Some("Tlb".into()),
             method: false,
+            value: false,
             line: 1,
             tok: 0,
         };
@@ -261,6 +287,7 @@ mod tests {
             name: "new".into(),
             qual: Some("String".into()),
             method: false,
+            value: false,
             line: 1,
             tok: 0,
         };
@@ -269,6 +296,7 @@ mod tests {
             name: "ranked_pages".into(),
             qual: Some("rank".into()),
             method: false,
+            value: false,
             line: 1,
             tok: 0,
         };
@@ -288,6 +316,7 @@ mod tests {
             name: "helper".into(),
             qual: None,
             method: false,
+            value: false,
             line: 1,
             tok: 0,
         };
@@ -327,9 +356,55 @@ mod tests {
             name: "helper".into(),
             qual: None,
             method: false,
+            value: false,
             line: 3,
             tok: 0,
         };
         assert!(w.resolve_call(0, &call).is_empty());
+    }
+
+    fn call(name: &str, qual: Option<&str>, value: bool) -> parser::CallSite {
+        parser::CallSite {
+            name: name.into(),
+            qual: qual.map(Into::into),
+            method: false,
+            value,
+            line: 1,
+            tok: 0,
+        }
+    }
+
+    #[test]
+    fn crate_root_calls_resolve_to_the_crates_free_fns() {
+        let w = ws(&[
+            ("crates/cli/src/bin/tmpctl.rs", "fn main() {}"),
+            (
+                "crates/cli/src/commands.rs",
+                "pub fn dispatch() {}\nimpl Cmd { pub fn dispatch(&self) {} }",
+            ),
+            ("crates/sim/src/other.rs", "pub fn dispatch() {}"),
+        ]);
+        let r = w.resolve_call(0, &call("dispatch", Some("tmprof_cli"), false));
+        let names: Vec<String> = r.iter().map(|&id| w.qual_name(id)).collect();
+        assert_eq!(names, ["cli::dispatch"]);
+        assert!(w
+            .resolve_call(0, &call("dispatch", Some("tmprof_nope"), false))
+            .is_empty());
+    }
+
+    #[test]
+    fn bare_fn_values_resolve_only_to_local_or_imported_fns() {
+        let w = ws(&[
+            (
+                "crates/cli/src/commands.rs",
+                "use crate::args::parse;\npub fn cmd_profile() {}",
+            ),
+            ("crates/cli/src/args.rs", "pub fn parse() {}"),
+            ("crates/sim/src/far.rs", "pub fn total() {}"),
+        ]);
+        assert_eq!(w.resolve_call(0, &call("cmd_profile", None, true)).len(), 1);
+        assert_eq!(w.resolve_call(0, &call("parse", None, true)).len(), 1);
+        // A local variable that shares a distant fn's name is not an edge.
+        assert!(w.resolve_call(0, &call("total", None, true)).is_empty());
     }
 }

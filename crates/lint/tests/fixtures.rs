@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use tmprof_lint::rules::Violation;
+use tmprof_lint::symbols::Workspace;
 use tmprof_lint::{dataflow, engine};
 
 fn fixture_root(which: &str) -> PathBuf {
@@ -188,6 +189,29 @@ fn lock_order_pass_fixtures() {
     );
 }
 
+#[test]
+fn dead_surface_pass_fixtures() {
+    // Reached only from a unit test, a bench, an integration test, and
+    // from nothing. The crate-root call, the fn values and the trait
+    // method in the same tree keep everything else live.
+    check_pass("dead-surface", 4);
+    let v = lint(&fixture_root("passes/dead-surface/violating"));
+    let names: Vec<&str> = v
+        .iter()
+        .map(|x| x.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "sim::Page::doubled",
+            "sim::bench_only",
+            "sim::integration_only",
+            "sim::never_called"
+        ],
+        "{v:#?}"
+    );
+}
+
 // --- the real workspace -----------------------------------------------
 
 #[test]
@@ -202,11 +226,11 @@ fn workspace_self_check_is_clean_modulo_baseline() {
         "the workspace must stay lint-clean modulo the committed baseline: {:#?}",
         report.violations
     );
-    // The baseline may park lock-order findings, but the panic and knob
-    // passes are burned down to zero — keep them there.
+    // The baseline may park lock-order findings, but the panic, knob and
+    // dead-surface passes are burned down to zero — keep them there.
     for v in &report.baselined {
         assert!(
-            v.rule != "panic-reachability" && v.rule != "knob-flow",
+            !matches!(v.rule, "panic-reachability" | "knob-flow" | "dead-surface"),
             "the {} baseline must stay empty: {v:#?}",
             v.rule
         );
@@ -223,24 +247,26 @@ fn every_registered_hot_entry_and_sink_names_a_real_fn() {
     let ws = engine::analyze(&workspace_root())
         .expect("workspace analyzes")
         .ws;
-    let defined = |file: &str, name: &str| {
-        (0..ws.fns.len()).any(|id| {
-            let item = ws.fn_item(id);
-            !item.is_test && item.name == name && ws.fn_file(id).rel == file
-        })
-    };
     for &(file, name) in dataflow::HOT_ENTRIES {
         assert!(
-            defined(file, name),
+            defines_live_fn(&ws, file, name),
             "HOT_ENTRIES ({file}, {name}) matches no fn"
         );
     }
     for &(file, name, _) in dataflow::TAINT_SINKS {
         assert!(
-            defined(file, name),
+            defines_live_fn(&ws, file, name),
             "TAINT_SINKS ({file}, {name}) matches no fn"
         );
     }
+}
+
+/// Whether `file` defines a non-test fn called `name`.
+fn defines_live_fn(ws: &Workspace, file: &str, name: &str) -> bool {
+    (0..ws.fns.len()).any(|id| {
+        let item = ws.fn_item(id);
+        !item.is_test && item.name == name && ws.fn_file(id).rel == file
+    })
 }
 
 #[test]
@@ -284,10 +310,29 @@ fn rules_readme_and_pass_fixtures_stay_in_sync() {
         "determinism-taint",
         "knob-flow",
         "lock-order",
+        "dead-surface",
     ] {
         assert!(
             pass_dirs.contains(pass),
             "workspace pass {pass} has no fixture tree"
+        );
+    }
+    // A root pattern that matches no file (a renamed `perf/src`, a moved
+    // bin directory) would silently drop its roots from dead-surface.
+    let ws = engine::analyze(&root).expect("workspace analyzes").ws;
+    for pattern in dataflow::DEAD_SURFACE_ROOTS {
+        assert!(
+            ws.files
+                .iter()
+                .any(|f| dataflow::matches_root_pattern(pattern, &f.rel)),
+            "dead-surface root pattern {pattern} matches no workspace file"
+        );
+    }
+    // Every hot entry point must still name a non-test fn.
+    for &(file, name) in dataflow::HOT_ENTRIES {
+        assert!(
+            defines_live_fn(&ws, file, name),
+            "HOT_ENTRIES ({file}, {name}) matches no non-test fn"
         );
     }
 }

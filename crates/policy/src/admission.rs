@@ -26,8 +26,8 @@
 //! The default configuration is unlimited: no bucket is ever consulted
 //! and the mover's behavior is bit-identical to a build without admission
 //! control — which is what keeps all 28 committed default-scale CSVs
-//! byte-for-byte stable. Quotas are set in code, through
-//! `FleetConfig::with_admission`.
+//! byte-for-byte stable. Quotas are set in code, through the
+//! `FleetConfig::admission` field.
 
 use tmprof_obs::metrics::Metric as ObsMetric;
 use tmprof_sim::keymap::KeyMap;
@@ -69,11 +69,6 @@ impl TokenBucket {
         self.tokens -= 1;
         true
     }
-
-    /// Tokens currently available.
-    pub fn tokens(&self) -> u64 {
-        self.tokens
-    }
 }
 
 /// Admission quotas. `None` in a direction disables that bucket entirely
@@ -102,11 +97,6 @@ impl AdmissionConfig {
             demo_quota: None,
             burst: 1,
         }
-    }
-
-    /// Whether any bucket is configured at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.promo_quota.is_none() && self.demo_quota.is_none()
     }
 }
 
@@ -195,32 +185,34 @@ impl AdmissionControl {
         out.sort_unstable();
         out
     }
-
-    /// Lifetime rejected-page count.
-    pub fn total_rejected(&self) -> u64 {
-        self.total_rejected
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl AdmissionControl {
+        /// Lifetime rejected-page count.
+        pub(crate) fn total_rejected(&self) -> u64 {
+            self.total_rejected
+        }
+    }
+
     #[test]
     fn bucket_spends_and_refills_to_cap() {
         let mut b = TokenBucket::new(3, 2);
-        assert_eq!(b.tokens(), 6, "starts at the burst cap");
+        assert_eq!(b.tokens, 6, "starts at the burst cap");
         for _ in 0..6 {
             assert!(b.try_take());
         }
         assert!(!b.try_take(), "empty bucket rejects");
-        assert_eq!(b.tokens(), 0);
+        assert_eq!(b.tokens, 0);
         b.refill_epoch();
-        assert_eq!(b.tokens(), 3, "one refill");
+        assert_eq!(b.tokens, 3, "one refill");
         b.refill_epoch();
-        assert_eq!(b.tokens(), 6);
+        assert_eq!(b.tokens, 6);
         b.refill_epoch();
-        assert_eq!(b.tokens(), 6, "refill saturates at the cap");
+        assert_eq!(b.tokens, 6, "refill saturates at the cap");
     }
 
     #[test]
@@ -232,16 +224,16 @@ mod tests {
         assert!(!b.try_take());
         // Burst 0 is clamped to 1 (a cap below one refill is meaningless).
         let b = TokenBucket::new(5, 0);
-        assert_eq!(b.tokens(), 5);
+        assert_eq!(b.tokens, 5);
         // Refill from one-below-cap lands exactly on the cap, not above.
         let mut b = TokenBucket::new(4, 2);
         assert!(b.try_take());
-        assert_eq!(b.tokens(), 7);
+        assert_eq!(b.tokens, 7);
         b.refill_epoch();
-        assert_eq!(b.tokens(), 8, "cap is exact at the boundary");
+        assert_eq!(b.tokens, 8, "cap is exact at the boundary");
         // Saturating construction: huge quota times huge burst must not wrap.
         let b = TokenBucket::new(u64::MAX, 3);
-        assert_eq!(b.tokens(), u64::MAX);
+        assert_eq!(b.tokens, u64::MAX);
     }
 
     #[test]
@@ -253,7 +245,7 @@ mod tests {
         }
         assert_eq!(adm.total_rejected(), 0);
         assert!(adm.take_rejections().is_empty());
-        assert!(adm.config().is_unlimited());
+        assert!(adm.config().promo_quota.is_none() && adm.config().demo_quota.is_none());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! §IV on a running machine: each epoch executes a budget of workload ops,
 //! closes the TMP epoch (collecting the profile), hands the profile to a
 //! [`PlacementPolicy`], and applies the nomination through the
-//! [`PageMover`]. It also records a [`ReplayLog`] so the same run can feed
-//! the offline Fig. 6 evaluator.
+//! [`PageMover`].
 
 use tmprof_core::profiler::Tmp;
 use tmprof_sim::machine::Machine;
@@ -13,7 +12,6 @@ use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tier::Tier;
 use tmprof_sim::tlb::Pid;
 
-use crate::hitrate::{ReplayEpoch, ReplayLog};
 use crate::mover::{MoveReport, PageMover};
 use crate::policies::PlacementPolicy;
 
@@ -37,7 +35,6 @@ pub struct EpochRunner {
     /// Tier-1 capacity handed to the policy each epoch, in pages.
     capacity: usize,
     mover: PageMover,
-    log: ReplayLog,
     metrics: Vec<EpochMetrics>,
 }
 
@@ -47,7 +44,6 @@ impl EpochRunner {
         Self {
             capacity,
             mover,
-            log: ReplayLog::default(),
             metrics: Vec::new(),
         }
     }
@@ -88,12 +84,6 @@ impl EpochRunner {
         let nominated = placement.tier1_pages.len();
         let moves = self.mover.apply(machine, &placement);
 
-        // Record for offline replay.
-        self.log.epochs.push(ReplayEpoch {
-            profile: report.profile,
-            truth_mem: report.truth.mem_accesses,
-        });
-
         let metrics = EpochMetrics {
             epoch: report.epoch,
             tier1_hitrate: delta.tier1_hitrate(),
@@ -118,12 +108,6 @@ impl EpochRunner {
         for _ in 0..epochs {
             self.run_epoch(machine, tmp, policy, streams, ops_per_stream);
         }
-    }
-
-    /// Finish: capture the first-touch order and hand out the replay log.
-    pub fn into_log(mut self, machine: &Machine) -> ReplayLog {
-        self.log.first_touch_order = machine.first_touch_order().to_vec();
-        self.log
     }
 
     /// Metrics of every epoch run so far.
@@ -234,19 +218,6 @@ mod tests {
         runner.run(&mut m, &mut tmp, &mut hist, &mut streams, 30_000, 3);
         let promoted: u64 = runner.metrics().iter().map(|e| e.moves.promoted).sum();
         assert!(promoted > 0, "no promotions happened");
-    }
-
-    #[test]
-    fn replay_log_matches_live_epochs() {
-        let (mut m, mut tmp, mut s) = setup(32);
-        let mut runner = EpochRunner::with_machine_capacity(&m, PageMover::default());
-        let mut ft = FirstTouchPolicy;
-        let mut streams: Vec<(Pid, &mut dyn OpStream)> = vec![(1, &mut s)];
-        runner.run(&mut m, &mut tmp, &mut ft, &mut streams, 10_000, 4);
-        let log = runner.into_log(&m);
-        assert_eq!(log.epochs.len(), 4);
-        assert!(!log.first_touch_order.is_empty());
-        assert!(log.total_accesses() > 0);
     }
 
     #[test]

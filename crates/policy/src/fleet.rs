@@ -86,12 +86,6 @@ impl FleetConfig {
         self.workers = workers;
         self
     }
-
-    /// Enable per-tenant admission quotas.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
-        self
-    }
 }
 
 /// One tenant's contribution to the fleet: its op stream plus a per-epoch
@@ -105,15 +99,7 @@ pub struct FleetTenant {
     pub ops: Vec<u64>,
 }
 
-impl FleetTenant {
-    /// A tenant running `ops` every epoch for the whole run.
-    pub fn steady(stream: Box<dyn OpStream + Send>, ops: u64, epochs: u32) -> Self {
-        Self {
-            stream,
-            ops: vec![ops; epochs as usize],
-        }
-    }
-}
+impl FleetTenant {}
 
 /// One shard's per-epoch decision record — the identity surface the
 /// fleet proptest compares across worker counts.
@@ -274,24 +260,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Total pages migrated (promotions + demotions) across the fleet.
-    pub fn pages_moved(&self) -> u64 {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|e| e.moves.promoted + e.moves.demoted)
-            .sum()
-    }
-
-    /// Total migrations rejected by admission control.
-    pub fn pages_rejected(&self) -> u64 {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|e| e.moves.admit_rejected)
-            .sum()
-    }
-
     /// Total work units executed (exec + scan + finish).
     pub fn units_executed(&self) -> u64 {
         self.epoch_stats.iter().map(|s| s.units_executed).sum()
@@ -476,12 +444,9 @@ mod tests {
 
     fn tenants(n: usize, epochs: u32) -> Vec<FleetTenant> {
         (0..n)
-            .map(|i| {
-                FleetTenant::steady(
-                    Box::new(SkewStream::new(0xF1EE7 + i as u64, 24, 64)),
-                    20_000,
-                    epochs,
-                )
+            .map(|i| FleetTenant {
+                stream: Box::new(SkewStream::new(0xF1EE7 + i as u64, 24, 64)),
+                ops: vec![20_000; epochs as usize],
             })
             .collect()
     }
@@ -582,15 +547,22 @@ mod tests {
 
     #[test]
     fn admission_quotas_reject_and_journal_in_shard_order() {
-        let cfg = FleetConfig::default()
-            .with_workers(4)
-            .with_admission(AdmissionConfig {
+        let cfg = FleetConfig {
+            admission: AdmissionConfig {
                 promo_quota: Some(2),
                 demo_quota: None,
                 burst: 1,
-            });
+            },
+            ..FleetConfig::default().with_workers(4)
+        };
         let report = FleetRunner::new(cfg, tenants(4, 3)).run();
-        assert!(report.pages_rejected() > 0, "tight quota must reject");
+        let rejected: u64 = report
+            .shards
+            .iter()
+            .flatten()
+            .map(|e| e.moves.admit_rejected)
+            .sum();
+        assert!(rejected > 0, "tight quota must reject");
         // Per-epoch promoted never exceeds the quota (cap = quota here).
         for shard in &report.shards {
             for ep in shard {

@@ -46,14 +46,6 @@ impl ReplayLog {
         }
         set.len()
     }
-
-    /// Total memory accesses across the run.
-    pub fn total_accesses(&self) -> u64 {
-        self.epochs
-            .iter()
-            .map(|e| e.truth_mem.values().sum::<u64>())
-            .sum()
-    }
 }
 
 /// The policies Fig. 6 evaluates (plus the §VI-C baseline).
@@ -271,29 +263,13 @@ pub fn hitrate_grid(log: &ReplayLog, ratio_denominators: &[u32]) -> Vec<HitrateC
     hitrate_grid_full(log, ratio_denominators, &RankSource::ALL, None)
 }
 
-/// [`hitrate_grid`] with an explicit worker count (`None` defers to
-/// [`tmprof_core::pool::workers`]).
-pub fn hitrate_grid_with_workers(
-    log: &ReplayLog,
-    ratio_denominators: &[u32],
-    workers: Option<usize>,
-) -> Vec<HitrateCell> {
-    hitrate_grid_full(log, ratio_denominators, &RankSource::ALL, workers)
-}
-
-/// [`hitrate_grid`] over an explicit profiling-source list — the
-/// `topology_grid` sweep passes [`RankSource::ALL_WITH_DEVSKETCH`] to rank
-/// the device-side sketch alongside the paper's three sources. With
+/// [`hitrate_grid`] over an explicit profiling-source list and worker
+/// count (`None` defers to [`tmprof_core::pool::workers`]). The
+/// `topology_grid` bench passes [`RankSource::ALL_WITH_DEVSKETCH`] to rank
+/// the device-side sketch alongside the paper's three sources; the
+/// parallel-identity tests pin the worker count. With
 /// [`RankSource::ALL`] this is exactly the Fig. 6 schedule.
-pub fn hitrate_grid_with_sources(
-    log: &ReplayLog,
-    ratio_denominators: &[u32],
-    sources: &[RankSource],
-) -> Vec<HitrateCell> {
-    hitrate_grid_full(log, ratio_denominators, sources, None)
-}
-
-fn hitrate_grid_full(
+pub fn hitrate_grid_full(
     log: &ReplayLog,
     ratio_denominators: &[u32],
     sources: &[RankSource],
@@ -326,6 +302,7 @@ fn hitrate_grid_full(
 /// The seed's serial grid: one [`replay_hitrate`] call per cell, no cache,
 /// no pool. Kept as the reference implementation the cached/parallel
 /// [`hitrate_grid`] is verified against (proptest + CI grid-identity check).
+// tmprof-lint: allow(dead-surface) — identity oracle of policy/tests/props.rs, tests/integration_replay_identity.rs and hitrate::tests::cached_parallel_grid_matches_serial_reference
 pub fn hitrate_grid_serial(log: &ReplayLog, ratio_denominators: &[u32]) -> Vec<HitrateCell> {
     let footprint = log.footprint_pages().max(1);
     grid_cells(footprint, ratio_denominators, &RankSource::ALL)
@@ -459,7 +436,7 @@ mod tests {
         let log = rotating_log(6);
         let serial = hitrate_grid_serial(&log, &PAPER_RATIOS);
         for workers in [1, 4] {
-            let fast = hitrate_grid_with_workers(&log, &PAPER_RATIOS, Some(workers));
+            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(workers));
             assert_eq!(serial.len(), fast.len());
             for (a, b) in serial.iter().zip(&fast) {
                 assert_eq!(a.policy, b.policy);
@@ -524,7 +501,7 @@ mod tests {
     fn sources_grid_with_all_matches_default_grid() {
         let log = rotating_log(5);
         let a = hitrate_grid(&log, &PAPER_RATIOS);
-        let b = hitrate_grid_with_sources(&log, &PAPER_RATIOS, &RankSource::ALL);
+        let b = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, None);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.policy, y.policy);
@@ -541,6 +518,5 @@ mod tests {
             0.0
         );
         assert_eq!(log.footprint_pages(), 0);
-        assert_eq!(log.total_accesses(), 0);
     }
 }

@@ -164,11 +164,6 @@ impl PageMover {
         out
     }
 
-    /// Lifetime attribution for one tenant.
-    pub fn pid_stats(&self, pid: Pid) -> PidMoveStats {
-        self.per_pid.get(&pid).copied().unwrap_or_default()
-    }
-
     fn attribute_promotion(&mut self, pid: Pid) {
         let s = self.per_pid.entry(pid).or_default();
         s.promoted += 1;
@@ -393,6 +388,7 @@ impl PageMover {
     /// decision-for-decision oracle for the N-tier waterfall (see the
     /// `two_tier_waterfall_matches_reference` proptest); panics on
     /// topologies with more than two tiers. Records no obs metrics.
+    // tmprof-lint: allow(dead-surface) — decision oracle of policy/tests/props.rs's two_tier_waterfall_matches_reference
     pub fn apply_two_tier_reference(
         &mut self,
         machine: &mut Machine,
@@ -498,6 +494,11 @@ mod tests {
     use super::*;
     use tmprof_sim::prelude::*;
 
+    /// Current tier of a logical page.
+    fn tier_of_page(m: &Machine, pid: Pid, vpn: Vpn) -> Option<Tier> {
+        m.frame_of(pid, vpn).map(|p| m.memory().tier_of(p))
+    }
+
     fn machine(t1: u64, t2: u64) -> Machine {
         let mut m = Machine::new(MachineConfig::scaled(1, t1, t2, 1 << 20));
         m.add_process(1);
@@ -532,8 +533,8 @@ mod tests {
         // Tier 1 was full (4 residents): two demotions make room.
         assert_eq!(report.promoted, 2);
         assert_eq!(report.demoted, 2);
-        assert_eq!(m.tier_of_page(1, Vpn(5)), Some(Tier::Tier1));
-        assert_eq!(m.tier_of_page(1, Vpn(6)), Some(Tier::Tier1));
+        assert_eq!(tier_of_page(&m, 1, Vpn(5)), Some(Tier::Tier1));
+        assert_eq!(tier_of_page(&m, 1, Vpn(6)), Some(Tier::Tier1));
     }
 
     #[test]
@@ -568,16 +569,16 @@ mod tests {
             },
         );
         assert_eq!(
-            m.tier_of_page(1, Vpn(0)),
+            tier_of_page(&m, 1, Vpn(0)),
             Some(Tier::Tier2),
             "cold page evicted"
         );
         assert_eq!(
-            m.tier_of_page(1, Vpn(1)),
+            tier_of_page(&m, 1, Vpn(1)),
             Some(Tier::Tier1),
             "hot page kept"
         );
-        assert_eq!(m.tier_of_page(1, Vpn(3)), Some(Tier::Tier1));
+        assert_eq!(tier_of_page(&m, 1, Vpn(3)), Some(Tier::Tier1));
     }
 
     #[test]
@@ -643,8 +644,8 @@ mod tests {
         assert_eq!(report.demote_failed, 2, "both nominations skipped");
         assert_eq!(report.promoted, 0);
         assert_eq!(report.demoted, 0);
-        assert_eq!(m.tier_of_page(1, Vpn(0)), Some(Tier::Tier1));
-        assert_eq!(m.tier_of_page(1, Vpn(2)), Some(Tier::Tier2));
+        assert_eq!(tier_of_page(&m, 1, Vpn(0)), Some(Tier::Tier1));
+        assert_eq!(tier_of_page(&m, 1, Vpn(2)), Some(Tier::Tier2));
         assert_eq!(mover.totals().demote_failed, 2);
     }
 
@@ -676,7 +677,7 @@ mod tests {
         assert_eq!(report.unmapped, 1, "stale victim counted");
         assert_eq!(report.demoted, 1, "next-coldest victim demoted instead");
         assert_eq!(report.promoted, 1, "nomination still lands");
-        assert_eq!(m.tier_of_page(1, Vpn(2)), Some(Tier::Tier1));
+        assert_eq!(tier_of_page(&m, 1, Vpn(2)), Some(Tier::Tier1));
     }
 
     #[test]
@@ -700,11 +701,11 @@ mod tests {
         );
         assert_eq!(report.promoted, 1);
         assert_eq!(report.demoted, 2, "tier1→tier2 and tier2→tier3 hops");
-        assert_eq!(m.tier_of_page(1, Vpn(4)), Some(Tier::Tier1));
+        assert_eq!(tier_of_page(&m, 1, Vpn(4)), Some(Tier::Tier1));
         // Coldest tier-1 resident landed in tier 2; coldest tier-2
         // resident landed in tier 3.
-        assert_eq!(m.tier_of_page(1, Vpn(0)), Some(Tier::Tier2));
-        assert_eq!(m.tier_of_page(1, Vpn(2)), Some(Tier::Tier3));
+        assert_eq!(tier_of_page(&m, 1, Vpn(0)), Some(Tier::Tier2));
+        assert_eq!(tier_of_page(&m, 1, Vpn(2)), Some(Tier::Tier3));
     }
 
     fn key_of(pid: Pid, vpn: u64) -> u64 {
@@ -736,14 +737,29 @@ mod tests {
         assert_eq!(report.demoted, 2);
         // Promotions land on pid 2's account, the displaced victims on
         // pid 1's — the global totals split exactly.
-        assert_eq!(mover.pid_stats(2).promoted, 2);
-        assert_eq!(mover.pid_stats(2).demoted, 0);
-        assert_eq!(mover.pid_stats(1).demoted, 2);
-        assert_eq!(mover.pid_stats(1).promoted, 0);
+        assert_eq!(
+            mover.per_pid.get(&2).copied().unwrap_or_default().promoted,
+            2
+        );
+        assert_eq!(
+            mover.per_pid.get(&2).copied().unwrap_or_default().demoted,
+            0
+        );
+        assert_eq!(
+            mover.per_pid.get(&1).copied().unwrap_or_default().demoted,
+            2
+        );
+        assert_eq!(
+            mover.per_pid.get(&1).copied().unwrap_or_default().promoted,
+            0
+        );
         let per_pid: u64 = mover.pid_totals().iter().map(|(_, s)| s.promoted).sum();
         assert_eq!(per_pid, mover.totals().promoted);
         assert_eq!(mover.pid_totals().len(), 2, "sorted pid list");
-        assert_eq!(mover.pid_stats(99), PidMoveStats::default());
+        assert_eq!(
+            mover.per_pid.get(&99).copied().unwrap_or_default(),
+            PidMoveStats::default()
+        );
     }
 
     #[test]
@@ -767,7 +783,7 @@ mod tests {
         assert_eq!(adm.take_rejections(), vec![(2, 1)]);
         assert_eq!(mover.totals().admit_rejected, 1);
         // The rejected nomination's page stayed where it was.
-        assert_eq!(m.tier_of_page(2, Vpn(1)), Some(Tier::Tier2));
+        assert_eq!(tier_of_page(&m, 2, Vpn(1)), Some(Tier::Tier2));
     }
 
     #[test]
@@ -795,7 +811,7 @@ mod tests {
         assert_eq!(adm.take_rejections(), vec![(1, 1)]);
         // Pid 1 keeps its remaining tier-1 page.
         let pid1_in_t1 = (0..2)
-            .filter(|&v| m.tier_of_page(1, Vpn(v)) == Some(Tier::Tier1))
+            .filter(|&v| tier_of_page(&m, 1, Vpn(v)) == Some(Tier::Tier1))
             .count();
         assert_eq!(pid1_in_t1, 1);
     }
@@ -816,8 +832,8 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(adm.total_rejected(), 0);
         for v in 0..2 {
-            assert_eq!(m1.tier_of_page(1, Vpn(v)), m2.tier_of_page(1, Vpn(v)));
-            assert_eq!(m1.tier_of_page(2, Vpn(v)), m2.tier_of_page(2, Vpn(v)));
+            assert_eq!(tier_of_page(&m1, 1, Vpn(v)), tier_of_page(&m2, 1, Vpn(v)));
+            assert_eq!(tier_of_page(&m1, 2, Vpn(v)), tier_of_page(&m2, 2, Vpn(v)));
         }
     }
 

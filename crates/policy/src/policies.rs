@@ -46,11 +46,6 @@ impl HistoryPolicy {
     pub fn new(source: RankSource) -> Self {
         Self { source }
     }
-
-    /// The profiling source consulted.
-    pub fn source(&self) -> RankSource {
-        self.source
-    }
 }
 
 impl PlacementPolicy for HistoryPolicy {

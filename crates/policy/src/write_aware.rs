@@ -43,11 +43,6 @@ impl WriteAwarePolicy {
         self.write_counts = counts;
     }
 
-    /// The configured write weight.
-    pub fn write_weight(&self) -> u64 {
-        self.write_weight
-    }
-
     fn score(&self, key: u64, profile: &EpochProfile) -> u64 {
         profile.rank_of(key, self.read_source)
             + self.write_weight * self.write_counts.get(&key).copied().unwrap_or(0)
@@ -152,7 +147,7 @@ mod tests {
         let sel = policy.select(&p, 2);
         assert_eq!(sel.tier1_pages, vec![key(4), key(3)]);
         assert_eq!(policy.name(), "Write-aware History");
-        assert_eq!(policy.write_weight(), 1);
+        assert_eq!(policy.write_weight, 1);
     }
 
     #[test]

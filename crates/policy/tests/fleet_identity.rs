@@ -68,8 +68,6 @@ proptest! {
                 w, n, epochs, seed
             );
             prop_assert_eq!(serial.units_executed(), par.units_executed());
-            prop_assert_eq!(serial.pages_moved(), par.pages_moved());
-            prop_assert_eq!(serial.pages_rejected(), par.pages_rejected());
             prop_assert_eq!(serial.total_cost(), par.total_cost());
         }
     }

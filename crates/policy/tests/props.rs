@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use tmprof_core::rank::{EpochProfile, RankSource};
 use tmprof_policy::hitrate::{
-    hitrate_grid_serial, hitrate_grid_with_workers, replay_hitrate, ReplayEpoch, ReplayLog,
-    ReplayPolicy, PAPER_RATIOS,
+    hitrate_grid_full, hitrate_grid_serial, replay_hitrate, ReplayEpoch, ReplayLog, ReplayPolicy,
+    PAPER_RATIOS,
 };
 use tmprof_policy::mover::{MoverConfig, PageMover};
 use tmprof_policy::policies::{HistoryPolicy, Placement, PlacementPolicy};
@@ -138,7 +138,7 @@ proptest! {
         // at any worker count.
         let serial = hitrate_grid_serial(&log, &PAPER_RATIOS);
         for workers in [1usize, 4] {
-            let fast = hitrate_grid_with_workers(&log, &PAPER_RATIOS, Some(workers));
+            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(workers));
             prop_assert_eq!(serial.len(), fast.len());
             for (a, b) in serial.iter().zip(&fast) {
                 prop_assert_eq!(a.policy, b.policy);

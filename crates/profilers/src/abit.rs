@@ -83,18 +83,6 @@ impl ABitConfig {
         self.record_samples = true;
         self
     }
-
-    /// Enable shootdowns after each scan.
-    pub fn with_shootdown(mut self) -> Self {
-        self.shootdown = true;
-        self
-    }
-
-    /// Set a per-scan PTE budget.
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.scan_budget = Some(budget);
-        self
-    }
 }
 
 /// Running totals for the scanner.
@@ -160,11 +148,6 @@ impl ABitScanner {
         self.enabled = enabled;
     }
 
-    /// Whether scanning is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Scan one process: walk its PTEs (budgeted, resuming from the last
     /// cursor), clear A bits, credit observations, optionally shoot down.
     ///
@@ -183,6 +166,7 @@ impl ABitScanner {
 
     /// The per-PTE `test_and_clear_accessed` reference walk the scan is
     /// proven against. Same cursor, same stats, same cost model.
+    // tmprof-lint: allow(dead-surface) — identity oracle of profilers/tests/scan_props.rs and abit::tests::scan_matches_scalar_scan_at_the_scanner_layer
     pub fn scan_process_scalar(&mut self, machine: &mut Machine, pid: Pid) {
         self.scan_process_impl(machine, pid, false, None);
     }
@@ -358,7 +342,10 @@ mod tests {
     fn shootdown_mode_sees_retouches_but_costs_more() {
         let mut m = machine();
         touch_pages(&mut m, 4);
-        let mut sc = ABitScanner::new(ABitConfig::unbounded().with_shootdown());
+        let mut sc = ABitScanner::new(ABitConfig {
+            shootdown: true,
+            ..ABitConfig::unbounded()
+        });
         sc.scan_process(&mut m, 1);
         touch_pages(&mut m, 4); // TLB was flushed: walks re-set the bits
         sc.scan_process(&mut m, 1);
@@ -373,7 +360,10 @@ mod tests {
     fn budget_caps_observations_per_scan_and_cursor_resumes() {
         let mut m = machine();
         touch_pages(&mut m, 300);
-        let mut sc = ABitScanner::new(ABitConfig::default().with_budget(100));
+        let mut sc = ABitScanner::new(ABitConfig {
+            scan_budget: Some(100),
+            ..ABitConfig::default()
+        });
         sc.scan_process(&mut m, 1);
         assert_eq!(sc.stats().ptes_visited, 100);
         assert_eq!(sc.seen_pages().len(), 100);
@@ -403,7 +393,10 @@ mod tests {
     fn budget_wraps_to_start_after_full_coverage() {
         let mut m = machine();
         touch_pages(&mut m, 150);
-        let mut sc = ABitScanner::new(ABitConfig::default().with_budget(100));
+        let mut sc = ABitScanner::new(ABitConfig {
+            scan_budget: Some(100),
+            ..ABitConfig::default()
+        });
         sc.scan_process(&mut m, 1); // covers [0,100)
         sc.scan_process(&mut m, 1); // covers [100,150) and completes
                                     // Re-touch everything (TLB may hit for recent pages; force walks).
@@ -464,8 +457,14 @@ mod tests {
             m.shootdown(1, &(0..300).map(Vpn).collect::<Vec<_>>(), false);
             touch_pages(m, 300);
         }
-        let mut scalar = ABitScanner::new(ABitConfig::default().with_budget(700));
-        let mut scan = ABitScanner::new(ABitConfig::default().with_budget(700));
+        let mut scalar = ABitScanner::new(ABitConfig {
+            scan_budget: Some(700),
+            ..ABitConfig::default()
+        });
+        let mut scan = ABitScanner::new(ABitConfig {
+            scan_budget: Some(700),
+            ..ABitConfig::default()
+        });
         for _ in 0..12 {
             scalar.scan_process_scalar(&mut scalar_m, 1);
             scan.scan_process(&mut scan_m, 1);

@@ -79,7 +79,6 @@ pub struct AutoNumaScanner {
     cursors: KeyMap<Pid, Vpn>,
     /// Pages protected across all passes.
     pub_protected: u64,
-    passes: u64,
 }
 
 impl AutoNumaScanner {
@@ -93,7 +92,6 @@ impl AutoNumaScanner {
                 state: state.clone(),
                 cursors: KeyMap::default(),
                 pub_protected: 0,
-                passes: 0,
             },
             Box::new(AutoNumaHandler { state }),
         )
@@ -102,7 +100,6 @@ impl AutoNumaScanner {
     /// One scan pass over `pid`: protect the next window of pages and
     /// shoot down their translations. Returns pages protected.
     pub fn scan_pass(&mut self, machine: &mut Machine, pid: Pid) -> usize {
-        self.passes += 1;
         let start = self.cursors.get(&pid).copied().unwrap_or(Vpn(0));
         let mut protected: Vec<Vpn> = Vec::new();
         let budget = self.cfg.scan_size_pages;
@@ -123,16 +120,6 @@ impl AutoNumaScanner {
         protected.len()
     }
 
-    /// Observed access count for one page.
-    pub fn hits_of(&self, pid: Pid, vpn: Vpn) -> u64 {
-        self.state
-            .lock()
-            .hits
-            .get(&PageKey { pid, vpn }.pack())
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// All per-page observations (packed key → faults).
     pub fn hit_counts(&self) -> KeyMap<u64, u64> {
         self.state.lock().hits.clone()
@@ -141,21 +128,6 @@ impl AutoNumaScanner {
     /// Pages ever observed.
     pub fn pages_seen(&self) -> usize {
         self.state.lock().hits.len()
-    }
-
-    /// Total faults taken on behalf of this tracker.
-    pub fn total_faults(&self) -> u64 {
-        self.state.lock().total_faults
-    }
-
-    /// Scan passes performed.
-    pub fn passes(&self) -> u64 {
-        self.passes
-    }
-
-    /// Pages protected across all passes.
-    pub fn pages_protected(&self) -> u64 {
-        self.pub_protected
     }
 }
 
@@ -184,11 +156,11 @@ mod tests {
         m.set_fault_policy(Some(handler));
         assert_eq!(scanner.scan_pass(&mut m, 1), 50);
         touch(&mut m, 50);
-        assert_eq!(scanner.total_faults(), 50);
+        assert_eq!(scanner.state.lock().total_faults, 50);
         assert_eq!(scanner.pages_seen(), 50);
         // Unprotected after the fault: further touches are free.
         touch(&mut m, 50);
-        assert_eq!(scanner.total_faults(), 50);
+        assert_eq!(scanner.state.lock().total_faults, 50);
     }
 
     #[test]
@@ -201,7 +173,13 @@ mod tests {
         // Touch only half.
         touch(&mut m, 10);
         assert_eq!(scanner.pages_seen(), 10);
-        assert_eq!(scanner.hits_of(1, Vpn(19)), 0);
+        assert!(!scanner.hit_counts().contains_key(
+            &PageKey {
+                pid: 1,
+                vpn: Vpn(19)
+            }
+            .pack()
+        ));
     }
 
     #[test]
@@ -215,7 +193,7 @@ mod tests {
         assert_eq!(scanner.scan_pass(&mut m, 1), 40);
         assert_eq!(scanner.scan_pass(&mut m, 1), 40);
         assert_eq!(scanner.scan_pass(&mut m, 1), 20, "tail window");
-        assert_eq!(scanner.pages_protected(), 100);
+        assert_eq!(scanner.pub_protected, 100);
     }
 
     #[test]

@@ -125,22 +125,19 @@ impl BadgerTrap {
         let key = PageKey { pid, vpn }.pack();
         self.state.lock().faults.get(&key).copied().unwrap_or(0)
     }
-
-    /// Total faults intercepted so far.
-    pub fn total_faults(&self) -> u64 {
-        self.state.lock().total_faults
-    }
-
-    /// Pages currently instrumented for `pid`.
-    pub fn poisoned_pages(&self, pid: Pid) -> usize {
-        self.poisoned.get(&pid).map_or(0, |v| v.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tmprof_sim::prelude::*;
+
+    impl BadgerTrap {
+        /// Total faults intercepted so far.
+        pub(crate) fn total_faults(&self) -> u64 {
+            self.state.lock().total_faults
+        }
+    }
 
     fn machine() -> Machine {
         let mut m = Machine::new(MachineConfig::scaled(1, 128, 512, 1 << 20));
@@ -193,7 +190,7 @@ mod tests {
         let (mut bt, handler) = BadgerTrap::new();
         m.set_fault_policy(Some(handler));
         assert_eq!(bt.poison_pages(&mut m, 1, &[Vpn(77)]), 0);
-        assert_eq!(bt.poisoned_pages(1), 0);
+        assert_eq!(bt.poisoned.get(&1).map_or(0, |v| v.len()), 0);
     }
 
     #[test]
@@ -207,7 +204,7 @@ mod tests {
         m.shootdown(1, &[Vpn(5)], false);
         m.touch(0, 1, VirtAddr(0x5000));
         assert_eq!(bt.faults_of(1, Vpn(5)), 0);
-        assert_eq!(bt.poisoned_pages(1), 0);
+        assert_eq!(bt.poisoned.get(&1).map_or(0, |v| v.len()), 0);
     }
 
     #[test]

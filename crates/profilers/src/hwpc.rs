@@ -93,11 +93,6 @@ impl HwpcMonitor {
         }
     }
 
-    /// Whether the event set requires multiplexing.
-    pub fn multiplexed(&self) -> bool {
-        self.events.len() > self.slots
-    }
-
     /// Read the interval since the last call.
     ///
     /// With multiplexing, only the events resident in a slot during this
@@ -116,15 +111,14 @@ impl HwpcMonitor {
             self.slots as f64 / n as f64
         };
         let mut out = Vec::with_capacity(n);
-        for (i, &ev) in self.events.iter().enumerate() {
+        let events = self.events.iter().zip(self.stale.iter_mut());
+        for (i, (&ev, stale)) in events.enumerate() {
             let live_now = n <= self.slots || ((i + n - self.rotation) % n) < self.slots;
             let raw = ev.read(&delta) as f64;
-            let value = if live_now {
-                self.stale[i] = raw;
-                raw
-            } else {
-                self.stale[i]
-            };
+            if live_now {
+                *stale = raw;
+            }
+            let value = *stale;
             out.push(Reading {
                 event: ev,
                 value,
@@ -135,15 +129,6 @@ impl HwpcMonitor {
             self.rotation = (self.rotation + self.slots) % n;
         }
         out
-    }
-
-    /// Convenience: read a single event's interval delta.
-    pub fn read_event(&mut self, machine: &Machine, event: PmuEvent) -> f64 {
-        self.read(machine)
-            .into_iter()
-            .find(|r| r.event == event)
-            .map(|r| r.value)
-            .unwrap_or(0.0)
     }
 
     /// Events programmed.
@@ -182,7 +167,7 @@ mod tests {
     fn no_multiplexing_within_slot_budget() {
         let m = machine();
         let mon = HwpcMonitor::new(&m, vec![PmuEvent::LlcMisses; PMU_SLOTS]);
-        assert!(!mon.multiplexed());
+        assert!(mon.events.len() <= mon.slots);
     }
 
     #[test]
@@ -199,7 +184,7 @@ mod tests {
             PmuEvent::PtwWalks,
         ];
         let mut mon = HwpcMonitor::with_slots(&m, events, 4);
-        assert!(mon.multiplexed());
+        assert!(mon.events.len() > mon.slots);
         for i in 0..100u64 {
             m.touch(0, 1, VirtAddr(i * PAGE_SIZE));
         }
@@ -227,7 +212,13 @@ mod tests {
         let mut m = machine();
         let mut mon = HwpcMonitor::new(&m, vec![PmuEvent::PtwWalks]);
         m.touch(0, 1, VirtAddr(0x1000));
-        assert_eq!(mon.read_event(&m, PmuEvent::PtwWalks), 1.0);
+        let r = mon.read(&m);
+        assert_eq!(
+            r.iter()
+                .find(|r| r.event == PmuEvent::PtwWalks)
+                .map(|r| r.value),
+            Some(1.0)
+        );
     }
 
     #[test]

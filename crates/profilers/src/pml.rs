@@ -60,11 +60,6 @@ impl PmlTracker {
         }
     }
 
-    /// Whether logging is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Drain every core's log and fold the entries into the dirty counts.
     pub fn drain(&mut self, machine: &mut Machine) {
         for core in 0..machine.num_cores() {
@@ -84,11 +79,6 @@ impl PmlTracker {
             }
         }
         self.stats.drains += 1;
-    }
-
-    /// Dirty (write) events recorded against one frame.
-    pub fn dirty_count(&self, pfn: Pfn) -> u64 {
-        self.dirty_counts.get(&pfn.0).copied().unwrap_or(0)
     }
 
     /// Frames with at least one recorded write, hottest-writer first.
@@ -142,7 +132,7 @@ mod tests {
         }
         pml.drain(&mut m);
         let pfn = m.frame_of(1, Vpn(3)).unwrap();
-        assert_eq!(pml.dirty_count(pfn), 1);
+        assert_eq!(pml.dirty_counts[&pfn.0], 1);
         assert_eq!(pml.stats().entries, 1);
     }
 
@@ -164,7 +154,7 @@ mod tests {
         store(&mut m, 3);
         pml.drain(&mut m);
         let pfn = m.frame_of(1, Vpn(3)).unwrap();
-        assert_eq!(pml.dirty_count(pfn), 2);
+        assert_eq!(pml.dirty_counts[&pfn.0], 2);
     }
 
     #[test]
@@ -186,7 +176,7 @@ mod tests {
         store(&mut m, 1);
         pml.drain(&mut m);
         assert_eq!(pml.stats().entries, 0);
-        assert!(!pml.enabled());
+        assert!(!pml.enabled);
     }
 
     #[test]

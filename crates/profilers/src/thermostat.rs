@@ -117,11 +117,6 @@ impl Thermostat {
         self.trap.unpoison_all(machine);
     }
 
-    /// Verdict for a page, if it was ever sampled.
-    pub fn verdict(&self, pid: Pid, vpn: Vpn) -> Option<Verdict> {
-        self.verdicts.get(&PageKey { pid, vpn }.pack()).copied()
-    }
-
     /// Pages classified hot so far.
     pub fn hot_pages(&self) -> Vec<u64> {
         self.verdicts
@@ -134,16 +129,6 @@ impl Thermostat {
     /// Pages ever sampled.
     pub fn sampled_pages(&self) -> usize {
         self.verdicts.len()
-    }
-
-    /// Total faults the instrumentation cost.
-    pub fn total_faults(&self) -> u64 {
-        self.trap.total_faults()
-    }
-
-    /// Epochs completed.
-    pub fn epochs(&self) -> u32 {
-        self.epochs
     }
 }
 
@@ -182,9 +167,32 @@ mod tests {
         }
         th.end_epoch(&mut m);
         for i in 0..8u64 {
-            assert_eq!(th.verdict(1, Vpn(i)), Some(Verdict::Hot), "page {i}");
+            assert_eq!(
+                th.verdicts
+                    .get(
+                        &PageKey {
+                            pid: 1,
+                            vpn: Vpn(i)
+                        }
+                        .pack()
+                    )
+                    .copied(),
+                Some(Verdict::Hot),
+                "page {i}"
+            );
         }
-        assert_eq!(th.verdict(1, Vpn(30)), Some(Verdict::Cold));
+        assert_eq!(
+            th.verdicts
+                .get(
+                    &PageKey {
+                        pid: 1,
+                        vpn: Vpn(30)
+                    }
+                    .pack()
+                )
+                .copied(),
+            Some(Verdict::Cold)
+        );
     }
 
     #[test]
@@ -206,11 +214,19 @@ mod tests {
         }
         th.end_epoch(&mut m);
         assert_eq!(
-            th.verdict(1, Vpn(5)),
+            th.verdicts
+                .get(
+                    &PageKey {
+                        pid: 1,
+                        vpn: Vpn(5)
+                    }
+                    .pack()
+                )
+                .copied(),
             Some(Verdict::Cold),
             "TLB-miss proxy must undercount the hottest page"
         );
-        assert_eq!(th.total_faults(), 1);
+        assert_eq!(th.trap.total_faults(), 1);
     }
 
     #[test]
@@ -248,6 +264,6 @@ mod tests {
         // 6 epochs x 10 pages with replacement across epochs: coverage
         // must exceed a single epoch's sample.
         assert!(th.sampled_pages() > 10, "{}", th.sampled_pages());
-        assert_eq!(th.epochs(), 6);
+        assert_eq!(th.epochs, 6);
     }
 }

@@ -158,11 +158,6 @@ impl TraceProfiler {
         }
     }
 
-    /// Whether sampling is currently enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Does this sample contribute to page heat?
     fn counts(&self, s: &TraceSample) -> bool {
         // TMP inspects "memory accessed from regular last-level caches",
@@ -413,6 +408,6 @@ mod tests {
         run_strided(&mut m, 64, 5_000);
         prof.poll(&mut m);
         assert_eq!(prof.stats().counted_samples, 0);
-        assert!(!prof.enabled());
+        assert!(!prof.enabled);
     }
 }

@@ -362,7 +362,14 @@ fn word_boundary_straddle_scans_identically() {
             dirty: vpn % 2 == 0,
         })
         .collect();
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(5), 4);
+    assert_scanners_equivalent(
+        &ops,
+        ABitConfig {
+            scan_budget: Some(5),
+            ..ABitConfig::default()
+        },
+        4,
+    );
 
     let (mut scan, mut scalar) = twin_tables(&ops);
     assert_cycle_equivalent(&mut scan, &mut scalar, 5);
@@ -385,7 +392,14 @@ fn partial_last_word_scans_identically() {
         accessed: true,
         dirty: false,
     }));
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(7), 12);
+    assert_scanners_equivalent(
+        &ops,
+        ABitConfig {
+            scan_budget: Some(7),
+            ..ABitConfig::default()
+        },
+        12,
+    );
 
     let (mut scan, mut scalar) = twin_tables(&ops);
     assert_cycle_equivalent(&mut scan, &mut scalar, 7);
@@ -425,7 +439,14 @@ fn huge_conflict_and_mid_span_cursor_scan_identically() {
     ];
     // Budget 1 forces the cursor to stop right before (and resume at) the
     // huge entry repeatedly — the historical footprint-drift spot.
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(1), 6);
+    assert_scanners_equivalent(
+        &ops,
+        ABitConfig {
+            scan_budget: Some(1),
+            ..ABitConfig::default()
+        },
+        6,
+    );
 
     let (mut scan, mut scalar) = twin_tables(&ops);
     assert_cycle_equivalent(&mut scan, &mut scalar, 1);
@@ -464,7 +485,14 @@ fn stale_set_summary_over_cold_subtree_scans_identically() {
         let (mut scan, mut scalar) = twin_tables(&ops);
         assert_cycle_equivalent(&mut scan, &mut scalar, budget);
     }
-    assert_scanners_equivalent(&ops, ABitConfig::default().with_budget(16), 8);
+    assert_scanners_equivalent(
+        &ops,
+        ABitConfig {
+            scan_budget: Some(16),
+            ..ABitConfig::default()
+        },
+        8,
+    );
     // After the first full sweep cleared every A bit, the summaries over
     // the surviving leaves are stale-set too; rescanning is the pure
     // stale-summary case and must also agree.

@@ -129,22 +129,19 @@ impl Cache {
         }
     }
 
-    /// Cache capacity in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * (1 << LINE_SHIFT)
-    }
-
     /// Human-readable identifier (diagnostics).
     pub fn name(&self) -> &'static str {
         self.name
     }
 
     /// Lifetime hit count.
+    // tmprof-lint: allow(dead-surface) — hit/miss accounting checked by sim/tests/props.rs and the cache oracle proptest
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lifetime miss count.
+    // tmprof-lint: allow(dead-surface) — hit/miss accounting checked by sim/tests/props.rs and the cache oracle proptest
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -216,14 +213,6 @@ impl Cache {
         self.tag_of(line).map(|t| *t |= DIRTY).is_some()
     }
 
-    /// Drop `line` if cached (migration scrub / coherence). Returns whether
-    /// it was present and dirty.
-    pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let t = self.tag_of(line)?;
-        *t &= !VALID;
-        Some(*t & DIRTY != 0)
-    }
-
     /// The slots that can hold a line of the page starting at
     /// `page_first_line`. A page's lines are consecutive line numbers, so
     /// with at least `PAGE_LINES` sets they fill `PAGE_LINES` contiguous
@@ -243,8 +232,8 @@ impl Cache {
     /// the frame, so the frame is cold when it is reused, like hardware
     /// after a copy).
     ///
-    /// One pass over the page's sets, with the same effect as
-    /// [`Cache::invalidate`] on each of its lines: a line is filled only
+    /// One pass over the page's sets, with the same effect as invalidating
+    /// each of its lines one at a time: a line is filled only
     /// after it missed, so it sits in at most one way, and clearing the
     /// valid bit of every tag word whose line falls in the page drops
     /// exactly those lines. Recency words, dirty bits and counters are
@@ -279,14 +268,9 @@ impl Cache {
     }
 
     /// Number of valid lines (diagnostics).
+    // tmprof-lint: allow(dead-surface) — capacity bound checked by sim/tests/props.rs and cache::tests
     pub fn occupancy(&self) -> usize {
         self.valid_lines().count()
-    }
-
-    /// Reset hit/miss counters (per-epoch accounting).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -307,14 +291,6 @@ pub struct PrivateCaches {
 }
 
 impl PrivateCaches {
-    /// Zen2-like core-private geometry.
-    pub fn zen2() -> Self {
-        Self {
-            l1d: Cache::new("L1D", 32 << 10, 8),
-            l2: Cache::new("L2", 512 << 10, 8),
-        }
-    }
-
     /// Run an access through L1 and L2. Returns the serving level if one of
     /// the private levels hit; `None` means the access must go to the LLC.
     /// An L2 hit promotes the line to L1, and L2 absorbs the dirty L1
@@ -368,6 +344,36 @@ impl PrivateCaches {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Cache {
+        /// Cache capacity in bytes.
+        fn size_bytes(&self) -> u64 {
+            (self.sets * self.ways) as u64 * (1 << LINE_SHIFT)
+        }
+
+        /// Drop `line` if cached. Returns whether it was present and dirty.
+        pub(crate) fn invalidate(&mut self, line: u64) -> Option<bool> {
+            let t = self.tag_of(line)?;
+            *t &= !VALID;
+            Some(*t & DIRTY != 0)
+        }
+
+        /// Reset hit/miss counters.
+        fn reset_stats(&mut self) {
+            self.hits = 0;
+            self.misses = 0;
+        }
+    }
+
+    impl PrivateCaches {
+        /// Zen2-like core-private geometry.
+        fn zen2() -> Self {
+            Self {
+                l1d: Cache::new("L1D", 32 << 10, 8),
+                l2: Cache::new("L2", 512 << 10, 8),
+            }
+        }
+    }
 
     #[test]
     fn geometry_zen2() {

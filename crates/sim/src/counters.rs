@@ -100,24 +100,6 @@ impl EventCounts {
         }
     }
 
-    /// LLC misses per kilo-op: TMP's trace-gating signal.
-    pub fn llc_mpko(&self) -> f64 {
-        if self.retired_ops == 0 {
-            0.0
-        } else {
-            self.llc_misses as f64 * 1000.0 / self.retired_ops as f64
-        }
-    }
-
-    /// Page walks per kilo-op: TMP's A-bit-gating signal.
-    pub fn ptw_pko(&self) -> f64 {
-        if self.retired_ops == 0 {
-            0.0
-        } else {
-            self.ptw_walks as f64 * 1000.0 / self.retired_ops as f64
-        }
-    }
-
     /// Fig. 2's quantity: PTW A-bit-setting events relative to data-cache
     /// (LLC) miss events.
     pub fn ptw_to_cache_miss_ratio(&self) -> f64 {
@@ -185,8 +167,6 @@ mod tests {
     #[test]
     fn rates() {
         let c = sample();
-        assert!((c.llc_mpko() - 10.0).abs() < 1e-12);
-        assert!((c.ptw_pko() - 5.0).abs() < 1e-12);
         assert!((c.tier1_hitrate() - 0.8).abs() < 1e-12);
         assert!((c.profiling_overhead() - 0.01).abs() < 1e-12);
         assert!((c.ptw_to_cache_miss_ratio() - 0.4).abs() < 1e-12);
@@ -195,8 +175,6 @@ mod tests {
     #[test]
     fn rates_are_zero_safe() {
         let z = EventCounts::default();
-        assert_eq!(z.llc_mpko(), 0.0);
-        assert_eq!(z.ptw_pko(), 0.0);
         assert_eq!(z.tier1_hitrate(), 0.0);
         assert_eq!(z.profiling_overhead(), 0.0);
         assert_eq!(z.ptw_to_cache_miss_ratio(), 0.0);

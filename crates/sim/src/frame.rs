@@ -208,6 +208,7 @@ impl FrameAllocator {
 
     /// Whether `pfn` is on a free list: fresh or recycled (diagnostics;
     /// linear in the recycled frames).
+    // tmprof-lint: allow(dead-surface) — the frame-conservation oracle of sim/tests/machine_props.rs and frame::tests
     pub fn is_free(&self, pfn: Pfn) -> bool {
         self.free.iter().any(|f| f.contains(pfn))
     }
@@ -218,6 +219,7 @@ impl FrameAllocator {
     }
 
     /// Frames currently allocated from `tier`.
+    // tmprof-lint: allow(dead-surface) — the per-tier allocation count sim/tests/batch_props.rs and machine_props.rs conserve
     pub fn allocated_in(&self, tier: Tier) -> u64 {
         self.allocated[tier.index()]
     }

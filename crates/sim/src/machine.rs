@@ -400,16 +400,6 @@ impl Machine {
         &self.cfg.memory
     }
 
-    /// Bytes `tier` has served so far this epoch (demand line fills plus
-    /// writebacks) — the meter the per-tier `epoch_bytes_budget` compares
-    /// against. Resets at every epoch horizon.
-    pub fn tier_epoch_bytes(&self, tier: Tier) -> u64 {
-        self.tier_epoch_bytes
-            .get(tier.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Current epoch index.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -475,16 +465,6 @@ impl Machine {
     /// when a snapshot must outlive machine mutation.
     pub fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
         self.processes.iter().map(|p| p.pid)
-    }
-
-    /// Number of registered processes.
-    pub fn num_processes(&self) -> usize {
-        self.processes.len()
-    }
-
-    /// Access a process.
-    pub fn process(&self, pid: Pid) -> Option<&Process> {
-        self.pid_index.get(&pid).map(|&i| &self.processes[i])
     }
 
     /// Split borrows for a software PTE scan over `pid`: page table and
@@ -691,6 +671,7 @@ impl Machine {
 
     /// Frames with at least one valid line in some core's L1 or L2 or in
     /// the LLC, ascending (diagnostics: no frame on a free list may appear).
+    // tmprof-lint: allow(dead-surface) — the free-frames-are-cold invariant of sim/tests/machine_props.rs
     pub fn cached_frames(&self) -> Vec<Pfn> {
         let mut frames: Vec<Pfn> = self
             .caches()
@@ -707,6 +688,7 @@ impl Machine {
     /// # Panics
     /// If `pid` is unknown, or a protection fault occurs with no handler
     /// installed (or the handler declines to resolve it).
+    // tmprof-lint: allow(dead-surface) — the single-op driver of the batch_props/machine_props/thp suites and the substrate, ablations and profiler_costs benches
     pub fn exec_op(&mut self, core: usize, pid: Pid, op: WorkOp) -> ExecOutcome {
         let proc_idx = self.proc_idx(pid);
         self.exec_at(core, proc_idx, pid, op)
@@ -1117,17 +1099,15 @@ impl Machine {
 
     /// Look up the physical frame currently backing (`pid`, `vpn`),
     /// resolving huge-page offsets.
+    // tmprof-lint: allow(dead-surface) — page lookup the unit tests of sim, core, policy and profilers and the sim thp/machine_props/batch_props suites assert against
     pub fn frame_of(&self, pid: Pid, vpn: Vpn) -> Option<Pfn> {
-        self.process(pid)?.page_table.resolve(vpn)
-    }
-
-    /// Current tier of a logical page.
-    pub fn tier_of_page(&self, pid: Pid, vpn: Vpn) -> Option<Tier> {
-        self.frame_of(pid, vpn).map(|p| self.cfg.memory.tier_of(p))
+        let &i = self.pid_index.get(&pid)?;
+        self.processes[i].page_table.resolve(vpn)
     }
 
     /// Touch helper: map a page by executing a single load through the full
     /// machinery (tests and warm-up).
+    // tmprof-lint: allow(dead-surface) — the page-touch driver of unit tests in every simulating crate, the sim/policy property suites and five benches
     pub fn touch(&mut self, core: usize, pid: Pid, va: VirtAddr) -> ExecOutcome {
         self.exec_op(
             core,
@@ -1482,7 +1462,7 @@ mod tests {
     fn bandwidth_machine(budget: Option<u64>) -> Machine {
         let mut t1 = TierSpec::dram(64);
         if let Some(b) = budget {
-            t1 = t1.with_epoch_bytes_budget(b);
+            t1.epoch_bytes_budget = Some(b);
         }
         let mut cfg = MachineConfig::scaled(1, 64, 256, 1 << 20);
         cfg.memory = MemTopology::new(t1, TierSpec::nvm(256));
@@ -1513,11 +1493,11 @@ mod tests {
     fn bandwidth_meter_ticks_and_resets_at_the_horizon() {
         let mut m = bandwidth_machine(None);
         stride(&mut m, 2_000);
-        let served = m.tier_epoch_bytes(Tier::Tier1);
+        let served = m.tier_epoch_bytes[0];
         assert!(served > 0, "line fills tick the meter");
         assert_eq!(served % crate::addr::LINE_SIZE, 0);
         m.advance_epoch();
-        assert_eq!(m.tier_epoch_bytes(Tier::Tier1), 0, "horizon resets");
+        assert_eq!(m.tier_epoch_bytes[0], 0, "horizon resets");
     }
 
     #[test]
@@ -1537,8 +1517,7 @@ mod tests {
             "saturation surcharge must cost cycles ({tight_cycles} vs {base_cycles})"
         );
         assert_eq!(
-            tight.tier_epoch_bytes(Tier::Tier1),
-            unlimited.tier_epoch_bytes(Tier::Tier1),
+            tight.tier_epoch_bytes[0], unlimited.tier_epoch_bytes[0],
             "the meter itself is budget-independent"
         );
 

@@ -247,16 +247,6 @@ impl PageDescTable {
         self.descs.total_frames == 0
     }
 
-    /// Chunks materialized so far.
-    pub fn resident_chunks(&self) -> u64 {
-        self.descs.resident
-    }
-
-    /// Frames per chunk.
-    pub fn chunk_frames(&self) -> usize {
-        self.descs.chunk_frames
-    }
-
     /// `phys_to_page()`: descriptor for a frame. Reading a frame in an
     /// untouched chunk returns the shared zero descriptor (no allocation).
     #[inline]
@@ -266,7 +256,7 @@ impl PageDescTable {
 
     /// Mutable `phys_to_page()`; materializes the covering chunk on first
     /// touch. The last chunk stops at the last frame, so it may hold fewer
-    /// than [`Self::chunk_frames`] descriptors.
+    /// descriptors than the others.
     #[inline]
     pub fn get_mut(&mut self, pfn: Pfn) -> &mut PageDesc {
         self.descs.get_mut(pfn)
@@ -517,16 +507,16 @@ mod tests {
         // frames see the zero descriptor, and one write materializes
         // exactly one chunk.
         let mut t = PageDescTable::with_chunk_frames(1 << 30, 4096);
-        assert_eq!(t.resident_chunks(), 0);
+        assert_eq!(t.descs.resident, 0);
         assert_eq!(t.len(), 1 << 30);
         assert_eq!(t.get(Pfn((1 << 30) - 1)).epoch_rank(), 0);
-        assert_eq!(t.resident_chunks(), 0, "reads must not allocate");
+        assert_eq!(t.descs.resident, 0, "reads must not allocate");
         t.bump_abit(Pfn(1 << 29));
-        assert_eq!(t.resident_chunks(), 1);
+        assert_eq!(t.descs.resident, 1);
         t.bump_abit(Pfn((1 << 29) + 1));
-        assert_eq!(t.resident_chunks(), 1, "same chunk re-used");
+        assert_eq!(t.descs.resident, 1, "same chunk re-used");
         t.bump_trace(Pfn(0));
-        assert_eq!(t.resident_chunks(), 2);
+        assert_eq!(t.descs.resident, 2);
         assert_eq!(
             t.touched_frames(),
             vec![Pfn(0), Pfn(1 << 29), Pfn((1 << 29) + 1)]
@@ -547,7 +537,7 @@ mod tests {
         let mut t = PageDescTable::with_chunk_frames(100, 64);
         t.bump_abit(Pfn(99));
         assert_eq!(t.get(Pfn(99)).abit_epoch, 1);
-        assert_eq!(t.resident_chunks(), 1);
+        assert_eq!(t.descs.resident, 1);
         // The tail chunk stops at the last frame: 100 - 64 descriptors.
         assert!(t.descs.chunks[0].is_none());
         assert_eq!(

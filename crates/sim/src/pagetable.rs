@@ -352,6 +352,7 @@ impl PageTable {
     }
 
     /// Remove a huge mapping, returning its PTE.
+    // tmprof-lint: allow(dead-surface) — the machine never unmaps; core/tests/dirty_props.rs and profilers/tests/scan_props.rs unmap mid-epoch to stress captures and scans
     pub fn unmap_huge(&mut self, base: Vpn) -> Option<Pte> {
         assert!(base.0 % HUGE_SPAN == 0);
         let old = Self::unmap_huge_rec(&mut self.root, RADIX_LEVELS - 1, base)?;
@@ -436,6 +437,7 @@ impl PageTable {
     }
 
     /// Remove the translation for `vpn`, returning the prior entry.
+    // tmprof-lint: allow(dead-surface) — the machine never unmaps; the dirty_props, scan_props and sim props suites unmap to stress captures, scans and walks
     pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
         let old = Self::unmap_rec(&mut self.root, RADIX_LEVELS - 1, vpn)?;
         self.mapped_pages -= 1;

@@ -39,11 +39,6 @@ impl PmlEngine {
         self.enabled = enabled;
     }
 
-    /// Whether logging is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Hardware hook: a write just transitioned a PTE's D bit from 0 to 1.
     /// Returns true if this entry filled the log (notification raised).
     pub fn record_dirty(&mut self, pfn: Pfn) -> bool {
@@ -66,11 +61,6 @@ impl PmlEngine {
     /// Software drain of the log.
     pub fn drain(&mut self) -> Vec<Pfn> {
         std::mem::take(&mut self.log)
-    }
-
-    /// Entries currently buffered.
-    pub fn pending(&self) -> usize {
-        self.log.len()
     }
 
     /// Full-log notifications raised so far.
@@ -98,7 +88,7 @@ mod tests {
     fn disabled_records_nothing() {
         let mut pml = PmlEngine::new();
         assert!(!pml.record_dirty(Pfn(1)));
-        assert_eq!(pml.pending(), 0);
+        assert_eq!(pml.log.len(), 0);
     }
 
     #[test]
@@ -118,8 +108,8 @@ mod tests {
         assert_eq!(pml.lost(), 1);
         let drained = pml.drain();
         assert_eq!(drained.len(), PML_LOG_ENTRIES);
-        assert_eq!(pml.pending(), 0);
+        assert_eq!(pml.log.len(), 0);
         assert!(!pml.record_dirty(Pfn(1)));
-        assert_eq!(pml.pending(), 1);
+        assert_eq!(pml.log.len(), 1);
     }
 }

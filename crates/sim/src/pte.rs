@@ -107,12 +107,6 @@ impl Pte {
         self.0 & bits::PS != 0
     }
 
-    /// Whether a hardware walk of this entry traps instead of translating.
-    #[inline]
-    pub fn faults_on_walk(self) -> bool {
-        !self.present() || self.poisoned() || self.prot_none()
-    }
-
     #[inline]
     pub fn set(&mut self, mask: u64) {
         self.0 |= mask;
@@ -154,6 +148,13 @@ impl core::fmt::Debug for Pte {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Pte {
+        /// Whether a hardware walk of this entry traps instead of translating.
+        fn faults_on_walk(self) -> bool {
+            !self.present() || self.poisoned() || self.prot_none()
+        }
+    }
 
     #[test]
     fn new_entry_is_present_clean_unaccessed() {

@@ -78,13 +78,6 @@ impl Rng {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform value in `[lo, hi)`.
-    #[inline]
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -138,11 +131,6 @@ impl Zipf {
             h_integral_n,
             s,
         }
-    }
-
-    /// Number of items in the domain.
-    pub fn domain(&self) -> u64 {
-        self.n
     }
 
     /// Draw a rank in `[0, n)`; rank 0 is the most popular item.

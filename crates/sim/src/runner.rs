@@ -48,20 +48,13 @@ pub struct Runner<'a> {
 
 impl<'a> Runner<'a> {
     /// Build a runner over `(pid, stream)` pairs. The scheduling quantum is
-    /// [`DEFAULT_BATCH`] unless overridden by [`Runner::with_batch`].
+    /// [`DEFAULT_BATCH`]; only the scheduler's own tests shrink it.
     pub fn new(streams: Vec<(Pid, &'a mut dyn OpStream)>) -> Self {
         assert!(!streams.is_empty(), "runner needs at least one stream");
         Self {
             streams,
             batch: DEFAULT_BATCH,
         }
-    }
-
-    /// Override the scheduling quantum.
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        assert!(batch > 0);
-        self.batch = batch;
-        self
     }
 
     /// Run until every stream has retired `ops_per_stream` ops.
@@ -115,6 +108,15 @@ mod tests {
     use super::*;
     use crate::addr::{VirtAddr, PAGE_SIZE};
     use crate::machine::{Machine, MachineConfig};
+
+    impl<'a> Runner<'a> {
+        /// Override the scheduling quantum.
+        fn with_batch(mut self, batch: u64) -> Self {
+            assert!(batch > 0);
+            self.batch = batch;
+            self
+        }
+    }
 
     fn machine(cores: usize) -> Machine {
         Machine::new(MachineConfig::scaled(cores, 128, 512, 64))

@@ -21,7 +21,7 @@
 //! frame ever maps to them, and lookups simply skip them — a degenerate
 //! single-tier topology is just `with_frames(n, 0)`.
 
-use crate::addr::{Pfn, PAGE_SIZE};
+use crate::addr::Pfn;
 
 /// Environment knob selecting the machine's tier layout (comma-separated
 /// tier names, fastest first). Registered as `tmprof_core::knobs::TOPOLOGY`;
@@ -140,13 +140,6 @@ impl TierSpec {
             store_latency: 400,
             epoch_bytes_budget: None,
         }
-    }
-
-    /// Cap the tier's per-epoch bandwidth (bytes served before the
-    /// saturation surcharge kicks in).
-    pub fn with_epoch_bytes_budget(mut self, bytes: u64) -> Self {
-        self.epoch_bytes_budget = Some(bytes);
-        self
     }
 
     /// Spec for a named technology (`dram` | `cxl` | `nvm`), as used by the
@@ -317,12 +310,6 @@ impl MemTopology {
         (0..self.specs.len()).map(Tier::from_index)
     }
 
-    /// The slowest tier id.
-    #[inline]
-    pub fn slowest(&self) -> Tier {
-        Tier::from_index(self.specs.len() - 1)
-    }
-
     /// Spec of one tier.
     #[inline]
     pub fn spec(&self, tier: Tier) -> &TierSpec {
@@ -332,11 +319,6 @@ impl MemTopology {
     /// Total frames across all tiers.
     pub fn total_frames(&self) -> u64 {
         *self.bounds.last().unwrap_or(&0)
-    }
-
-    /// Total capacity in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_frames() * PAGE_SIZE
     }
 
     /// First frame of the given tier's contiguous range. For an empty tier
@@ -382,23 +364,24 @@ impl MemTopology {
             Err(e) => panic!("{e}"),
         }
     }
-
-    /// Load latency for an access served by the tier holding `pfn`.
-    #[inline]
-    pub fn load_latency(&self, pfn: Pfn) -> u64 {
-        self.spec(self.tier_of(pfn)).load_latency
-    }
-
-    /// Store latency for an access absorbed by the tier holding `pfn`.
-    #[inline]
-    pub fn store_latency(&self, pfn: Pfn) -> u64 {
-        self.spec(self.tier_of(pfn)).store_latency
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
+
+    impl MemTopology {
+        /// Total capacity in bytes.
+        fn total_bytes(&self) -> u64 {
+            self.total_frames() * PAGE_SIZE
+        }
+
+        /// Load latency for an access served by the tier holding `pfn`.
+        fn load_latency(&self, pfn: Pfn) -> u64 {
+            self.spec(self.tier_of(pfn)).load_latency
+        }
+    }
 
     #[test]
     fn frame_partition_is_contiguous() {
@@ -501,7 +484,7 @@ mod tests {
         assert!(tm.load_latency(Pfn(5)) < tm.load_latency(Pfn(9)));
         let labels: Vec<String> = tm.tiers().map(|t| t.label()).collect();
         assert_eq!(labels, ["tier1", "tier2", "tier3"]);
-        assert_eq!(tm.slowest(), Tier::Tier3);
+        assert_eq!(tm.tiers().last(), Some(Tier::Tier3));
         assert_eq!(format!("{:?}", Tier::Tier3), "Tier3");
     }
 

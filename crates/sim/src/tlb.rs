@@ -207,29 +207,8 @@ impl TlbLevel {
         false
     }
 
-    /// Drop every translation belonging to `pid` (full address-space flush,
-    /// e.g. on context switch without PCID).
-    pub fn flush_pid(&mut self, pid: Pid) -> usize {
-        let mut n = 0;
-        for slot in &mut self.slots {
-            if slot.valid && slot.entry.pid == pid {
-                slot.valid = false;
-                self.huge_entries -= slot.entry.huge as usize;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drop everything.
-    pub fn flush_all(&mut self) {
-        for slot in &mut self.slots {
-            slot.valid = false;
-        }
-        self.huge_entries = 0;
-    }
-
     /// Number of currently valid entries (diagnostics).
+    // tmprof-lint: allow(dead-surface) — capacity and invalidation checks of sim/tests/props.rs and tlb::tests
     pub fn occupancy(&self) -> usize {
         self.slots.iter().filter(|s| s.valid).count()
     }
@@ -264,6 +243,7 @@ pub struct Translation {
 
 impl Tlb {
     /// Zen2-like default geometry.
+    // tmprof-lint: allow(dead-surface) — the 64-entry geometry of tlb::tests and the substrate bench's tlb cells
     pub fn zen2() -> Self {
         Self {
             l1: TlbLevel::new(1, 64),
@@ -365,22 +345,41 @@ impl Tlb {
         };
         a || b || c
     }
-
-    /// Flush all translations of a process from both levels.
-    pub fn flush_pid(&mut self, pid: Pid) -> usize {
-        self.l1.flush_pid(pid) + self.l2.flush_pid(pid)
-    }
-
-    /// Flush everything (e.g. CR3 write without PCID).
-    pub fn flush_all(&mut self) {
-        self.l1.flush_all();
-        self.l2.flush_all();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TlbLevel {
+        /// Drop every translation belonging to `pid`.
+        fn flush_pid(&mut self, pid: Pid) -> usize {
+            let mut n = 0;
+            for slot in &mut self.slots {
+                if slot.valid && slot.entry.pid == pid {
+                    slot.valid = false;
+                    self.huge_entries -= slot.entry.huge as usize;
+                    n += 1;
+                }
+            }
+            n
+        }
+
+        /// Drop everything.
+        fn flush_all(&mut self) {
+            for slot in &mut self.slots {
+                slot.valid = false;
+            }
+            self.huge_entries = 0;
+        }
+    }
+
+    impl Tlb {
+        /// Flush all translations of a process from both levels.
+        fn flush_pid(&mut self, pid: Pid) -> usize {
+            self.l1.flush_pid(pid) + self.l2.flush_pid(pid)
+        }
+    }
 
     fn entry(pid: Pid, vpn: u64, pfn: u64) -> TlbEntry {
         TlbEntry {

@@ -154,11 +154,6 @@ impl TraceEngine {
         }
     }
 
-    /// Whether sampling is currently on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Offer a *non-memory* op to the engine.
     pub fn offer_compute(&mut self) -> TagOutcome {
         if !self.enabled {
@@ -249,21 +244,6 @@ impl TraceEngine {
         out.append(&mut self.buf);
         info
     }
-
-    /// Samples waiting to be drained.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when the buffer has filled (the "buffer full" interrupt line).
-    pub fn buffer_full(&self) -> bool {
-        self.buf.len() >= TRACE_BUF_CAP
-    }
-
-    /// Lifetime count of produced samples.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
 }
 
 /// Side information returned by [`TraceEngine::drain`].
@@ -305,7 +285,7 @@ mod tests {
             );
             assert_eq!(e.offer_compute(), TagOutcome::Untagged);
         }
-        assert_eq!(e.pending(), 0);
+        assert_eq!(e.buf.len(), 0);
     }
 
     #[test]
@@ -370,12 +350,12 @@ mod tests {
         for _ in 0..TRACE_BUF_CAP + 10 {
             e.offer_mem(mem_sample(CacheLevel::Memory, false));
         }
-        assert!(e.buffer_full());
+        assert!(e.buf.len() >= TRACE_BUF_CAP);
         let (records, info) = e.drain();
         assert_eq!(records.len(), TRACE_BUF_CAP);
         assert_eq!(info.dropped, 10);
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.produced(), (TRACE_BUF_CAP + 10) as u64);
+        assert_eq!(e.buf.len(), 0);
+        assert_eq!(e.produced, (TRACE_BUF_CAP + 10) as u64);
     }
 
     #[test]

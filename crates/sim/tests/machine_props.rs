@@ -5,6 +5,14 @@ use proptest::prelude::*;
 
 use tmprof_sim::prelude::*;
 
+/// Pages `pid` maps, from the machine's per-process usage snapshot.
+fn mapped_pages(m: &Machine, pid: Pid) -> u64 {
+    m.process_usage()
+        .into_iter()
+        .find(|&(p, _, _)| p == pid)
+        .map_or(0, |(_, _, pages)| pages)
+}
+
 #[derive(Debug, Clone)]
 enum Action {
     Mem { core: u8, page: u16, store: bool },
@@ -114,7 +122,7 @@ proptest! {
             }
         }
         // Frame accounting: allocated == mapped pages.
-        let mapped = m.process(1).unwrap().page_table.mapped_pages();
+        let mapped = mapped_pages(&m, 1);
         let allocated = m.frames().allocated_in(Tier::Tier1) + m.frames().allocated_in(Tier::Tier2);
         prop_assert_eq!(mapped, allocated);
         // Descriptor owners point back at mapped pages with matching frames.

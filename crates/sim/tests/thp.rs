@@ -5,6 +5,14 @@ use tmprof_sim::frame::HUGE_FRAMES;
 use tmprof_sim::pagetable::HUGE_SPAN;
 use tmprof_sim::prelude::*;
 
+/// Pages `pid` maps, from the machine's per-process usage snapshot.
+fn mapped_pages(m: &Machine, pid: Pid) -> u64 {
+    m.process_usage()
+        .into_iter()
+        .find(|&(p, _, _)| p == pid)
+        .map_or(0, |(_, _, pages)| pages)
+}
+
 fn thp_machine(t1: u64, t2: u64) -> Machine {
     let mut m = Machine::new(MachineConfig::scaled(1, t1, t2, 1 << 20));
     m.add_process(1);
@@ -138,8 +146,8 @@ fn mixed_thp_and_4k_processes_coexist() {
         m.touch(0, 2, VirtAddr(i * PAGE_SIZE));
     }
     // THP process: 512 pages mapped by one fault; 4K process: 10 pages.
-    assert_eq!(m.process(1).unwrap().page_table.mapped_pages(), HUGE_SPAN);
-    assert_eq!(m.process(2).unwrap().page_table.mapped_pages(), 10);
+    assert_eq!(mapped_pages(&m, 1), HUGE_SPAN);
+    assert_eq!(mapped_pages(&m, 2), 10);
     let _ = HUGE_FRAMES;
 }
 

@@ -34,11 +34,6 @@ impl Region {
         }
     }
 
-    /// Number of pages in the region.
-    pub fn pages(&self) -> u64 {
-        self.pages
-    }
-
     /// Size in bytes.
     pub fn bytes(&self) -> u64 {
         self.pages * PAGE_SIZE
@@ -49,14 +44,6 @@ impl Region {
     pub fn at(&self, offset: u64) -> VirtAddr {
         debug_assert!(offset < self.bytes(), "offset beyond region");
         VirtAddr((self.base_vpn << PAGE_SHIFT) + offset)
-    }
-
-    /// Virtual address of byte `offset` within page `page` of the region.
-    #[inline]
-    pub fn page_at(&self, page: u64, offset: u64) -> VirtAddr {
-        debug_assert!(page < self.pages);
-        debug_assert!(offset < PAGE_SIZE);
-        VirtAddr(((self.base_vpn + page) << PAGE_SHIFT) + offset)
     }
 
     /// Address of the `i`-th element of an array of `elem_size`-byte
@@ -71,11 +58,6 @@ impl Region {
     /// How many `elem_size`-byte elements fit.
     pub fn capacity(&self, elem_size: u64) -> u64 {
         self.bytes() / elem_size
-    }
-
-    /// VPN range covered (diagnostics / tests).
-    pub fn vpn_range(&self) -> std::ops::Range<u64> {
-        self.base_vpn..self.base_vpn + self.pages
     }
 }
 
@@ -208,6 +190,18 @@ impl OpQueue {
 mod tests {
     use super::*;
 
+    impl Region {
+        /// Number of pages in the region.
+        pub(crate) fn pages(&self) -> u64 {
+            self.pages
+        }
+
+        /// VPN range covered, for the workloads' layout tests.
+        pub(crate) fn vpn_range(&self) -> std::ops::Range<u64> {
+            self.base_vpn..self.base_vpn + self.pages
+        }
+    }
+
     #[test]
     fn regions_do_not_overlap() {
         let a = Region::new(0, REGION_STRIDE_VPNS);
@@ -219,7 +213,7 @@ mod tests {
     fn region_addresses_are_canonical() {
         let r = Region::new(7, 1024);
         assert!(r.at(0).is_canonical());
-        assert!(r.page_at(1023, PAGE_SIZE - 1).is_canonical());
+        assert!(r.at(r.bytes() - 1).is_canonical());
     }
 
     #[test]

@@ -68,21 +68,6 @@ impl DataAnalytics {
         }
     }
 
-    /// Completed map+reduce passes.
-    pub fn passes(&self) -> u64 {
-        self.passes
-    }
-
-    /// Corpus region (tests).
-    pub fn corpus(&self) -> Region {
-        self.corpus
-    }
-
-    /// Feature-table region (tests).
-    pub fn features(&self) -> Region {
-        self.features
-    }
-
     fn step(&mut self) {
         match self.phase {
             Phase::Map => {
@@ -132,22 +117,22 @@ mod tests {
     #[test]
     fn map_phase_scans_whole_corpus() {
         let mut da = DataAnalytics::new(512, 0, Rng::new(1));
-        let corpus = da.corpus().vpn_range();
+        let corpus = da.corpus.vpn_range();
         let mut pages = KeySet::default();
-        while da.passes() == 0 {
+        while da.passes == 0 {
             if let WorkOp::Mem { va, .. } = da.next_op() {
                 if corpus.contains(&va.vpn().0) {
                     pages.insert(va.vpn().0);
                 }
             }
         }
-        assert_eq!(pages.len() as u64, da.corpus().pages(), "dense scan");
+        assert_eq!(pages.len() as u64, da.corpus.pages(), "dense scan");
     }
 
     #[test]
     fn features_receive_both_reads_and_writes() {
         let mut da = DataAnalytics::new(512, 0, Rng::new(2));
-        let feat = da.features().vpn_range();
+        let feat = da.features.vpn_range();
         let (mut loads, mut stores) = (0u64, 0u64);
         for _ in 0..20_000 {
             if let WorkOp::Mem { va, store, .. } = da.next_op() {
@@ -170,11 +155,11 @@ mod tests {
     fn phases_alternate() {
         let mut da = DataAnalytics::new(256, 0, Rng::new(3));
         let mut guard = 0u64;
-        while da.passes() < 2 {
+        while da.passes < 2 {
             let _ = da.next_op();
             guard += 1;
             assert!(guard < 10_000_000, "passes never completed");
         }
-        assert_eq!(da.passes(), 2);
+        assert_eq!(da.passes, 2);
     }
 }

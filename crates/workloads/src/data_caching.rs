@@ -62,16 +62,6 @@ impl DataCaching {
         }
     }
 
-    /// Slab (value) region — the migration target of interest.
-    pub fn slabs(&self) -> Region {
-        self.slabs
-    }
-
-    /// Hash-table region.
-    pub fn hash_table(&self) -> Region {
-        self.hash_table
-    }
-
     /// Where key `k`'s item lives in the slab region. Keys are scattered
     /// (hash placement), so popularity ranks do not correlate with address.
     fn item_addr(&self, key: u64) -> (VirtAddr, VirtAddr) {
@@ -121,7 +111,7 @@ mod tests {
     use tmprof_sim::keymap::KeyMap;
 
     fn slab_page_hits(gen: &mut DataCaching, n: usize) -> KeyMap<Vpn, u64> {
-        let range = gen.slabs().vpn_range();
+        let range = gen.slabs.vpn_range();
         let mut hits = KeyMap::default();
         let mut seen = 0;
         while seen < n {
@@ -152,7 +142,7 @@ mod tests {
     #[test]
     fn sets_produce_stores_in_slabs() {
         let mut dc = DataCaching::new(1024, 0, Rng::new(2));
-        let range = dc.slabs().vpn_range();
+        let range = dc.slabs.vpn_range();
         let mut slab_stores = 0;
         for _ in 0..30_000 {
             if let WorkOp::Mem {
@@ -171,7 +161,7 @@ mod tests {
     fn every_get_touches_hash_table_first() {
         let mut dc = DataCaching::new(512, 0, Rng::new(3));
         // First memory op of each request is a hash probe.
-        let ht = dc.hash_table().vpn_range();
+        let ht = dc.hash_table.vpn_range();
         let mut first_mem = None;
         for _ in 0..64 {
             if let WorkOp::Mem { va, .. } = dc.next_op() {

@@ -74,17 +74,6 @@ impl Graph500 {
         g
     }
 
-    /// Vertices in this rank's partition.
-    pub fn vertex_count(&self) -> u64 {
-        self.vertex_count
-    }
-
-    /// Current BFS level (wraps around; the search restarts from a new
-    /// root, as the Graph500 benchmark runs 64 BFS iterations).
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     fn frontier_size(&self, level: u32) -> u64 {
         let share = LEVEL_PROFILE[level as usize % LEVEL_PROFILE.len()];
         (self.vertex_count * share / 1024).max(1)
@@ -166,7 +155,7 @@ mod tests {
         let mut seen = KeySet::default();
         for _ in 0..5_000_000 {
             let _ = g.next_op();
-            seen.insert(g.level());
+            seen.insert(g.level);
             if seen.len() == LEVEL_PROFILE.len() {
                 break;
             }

@@ -63,21 +63,6 @@ impl GraphAnalytics {
         }
     }
 
-    /// Vertices per worker.
-    pub fn vertex_count(&self) -> u64 {
-        self.vertex_count
-    }
-
-    /// Completed supersteps.
-    pub fn superstep(&self) -> u64 {
-        self.superstep
-    }
-
-    /// Source rank array region (the hub-hot structure).
-    pub fn ranks_src(&self) -> Region {
-        self.ranks_src
-    }
-
     fn step(&mut self) {
         let v = self.cursor;
         self.cursor += 1;
@@ -114,7 +99,7 @@ mod tests {
     #[test]
     fn hubs_dominate_gather_traffic() {
         let mut ga = GraphAnalytics::new(4096, 0, Rng::new(1));
-        let src = ga.ranks_src().vpn_range();
+        let src = ga.ranks_src.vpn_range();
         let mut hits: KeyMap<u64, u64> = KeyMap::default();
         for _ in 0..60_000 {
             if let WorkOp::Mem {
@@ -139,25 +124,25 @@ mod tests {
     #[test]
     fn sweep_is_sequential_and_wraps_into_supersteps() {
         let mut ga = GraphAnalytics::new(256, 0, Rng::new(2));
-        assert_eq!(ga.superstep(), 0);
+        assert_eq!(ga.superstep, 0);
         // Run enough ops to complete a superstep.
-        let vertices = ga.vertex_count();
+        let vertices = ga.vertex_count;
         let mut ops = 0u64;
-        while ga.superstep() == 0 {
+        while ga.superstep == 0 {
             let _ = ga.next_op();
             ops += 1;
             assert!(ops < vertices * 40, "superstep never completed");
         }
-        assert_eq!(ga.superstep(), 1);
+        assert_eq!(ga.superstep, 1);
     }
 
     #[test]
     fn writes_go_to_destination_buffer_only() {
         let mut ga = GraphAnalytics::new(512, 0, Rng::new(3));
-        let src = ga.ranks_src().vpn_range();
+        let src = ga.ranks_src.vpn_range();
         // During superstep 0, stores land outside the source buffer.
         for _ in 0..5_000 {
-            if ga.superstep() > 0 {
+            if ga.superstep > 0 {
                 break;
             }
             if let WorkOp::Mem {
@@ -172,11 +157,11 @@ mod tests {
     #[test]
     fn buffers_swap_each_superstep() {
         let mut ga = GraphAnalytics::new(256, 0, Rng::new(4));
-        let before = ga.ranks_src().vpn_range();
-        while ga.superstep() == 0 {
+        let before = ga.ranks_src.vpn_range();
+        while ga.superstep == 0 {
             let _ = ga.next_op();
         }
-        let after = ga.ranks_src().vpn_range();
+        let after = ga.ranks_src.vpn_range();
         assert_ne!(before, after);
     }
 }

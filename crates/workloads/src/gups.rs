@@ -37,11 +37,6 @@ impl Gups {
         }
     }
 
-    /// The table region (tests).
-    pub fn table(&self) -> Region {
-        self.table
-    }
-
     fn step(&mut self) {
         // One update: load the element, XOR, store it back.
         let elems = self.table.capacity(8);
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn accesses_stay_in_table() {
         let mut g = Gups::new(256, 0, Rng::new(2));
-        let range = g.table().vpn_range();
+        let range = g.table.vpn_range();
         for (va, _) in mem_vas(&mut g, 1000) {
             assert!(range.contains(&va.vpn().0));
         }

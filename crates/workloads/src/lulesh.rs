@@ -60,21 +60,6 @@ impl Lulesh {
         }
     }
 
-    /// Mesh edge length.
-    pub fn edge(&self) -> u64 {
-        self.n
-    }
-
-    /// Completed time steps.
-    pub fn timestep(&self) -> u64 {
-        self.timestep
-    }
-
-    /// Element region (tests).
-    pub fn elems(&self) -> Region {
-        self.elems
-    }
-
     fn step(&mut self) {
         let i = self.cursor;
         self.cursor += 1;
@@ -127,17 +112,17 @@ mod tests {
     #[test]
     fn mesh_edge_from_footprint() {
         let l = Lulesh::new(4096, 0, Rng::new(1));
-        let cap = l.elems().pages() * PAGE_SIZE / ELEM_SIZE;
-        assert!(l.edge().pow(3) <= cap);
-        assert!((l.edge() + 1).pow(3) > cap);
+        let cap = l.elems.pages() * PAGE_SIZE / ELEM_SIZE;
+        assert!(l.n.pow(3) <= cap);
+        assert!((l.n + 1).pow(3) > cap);
     }
 
     #[test]
     fn sweep_covers_footprint_each_timestep() {
         let mut l = Lulesh::new(512, 0, Rng::new(2));
-        let range = l.elems().vpn_range();
+        let range = l.elems.vpn_range();
         let mut pages = KeySet::default();
-        while l.timestep() == 0 {
+        while l.timestep == 0 {
             if let WorkOp::Mem { va, .. } = l.next_op() {
                 if range.contains(&va.vpn().0) {
                     pages.insert(va.vpn().0);
@@ -145,7 +130,7 @@ mod tests {
             }
         }
         // The sweep must touch essentially every element page.
-        let elem_pages_used = (l.edge().pow(3) * ELEM_SIZE).div_ceil(PAGE_SIZE);
+        let elem_pages_used = (l.n.pow(3) * ELEM_SIZE).div_ceil(PAGE_SIZE);
         assert!(pages.len() as u64 >= elem_pages_used * 9 / 10);
     }
 
@@ -154,7 +139,7 @@ mod tests {
         // Most consecutive element-region accesses should land within a
         // few pages of each other (unit/N strides), unlike GUPS.
         let mut l = Lulesh::new(2048, 0, Rng::new(3));
-        let range = l.elems().vpn_range();
+        let range = l.elems.vpn_range();
         let mut last: Option<u64> = None;
         let (mut near, mut total) = (0u64, 0u64);
         for _ in 0..30_000 {
@@ -164,7 +149,7 @@ mod tests {
                     if let Some(prev) = last {
                         total += 1;
                         // n² stride bounds the neighbor distance in pages.
-                        let stride_pages = (l.edge() * l.edge() * ELEM_SIZE / PAGE_SIZE) + 2;
+                        let stride_pages = (l.n * l.n * ELEM_SIZE / PAGE_SIZE) + 2;
                         if p.abs_diff(prev) <= stride_pages {
                             near += 1;
                         }
@@ -180,14 +165,14 @@ mod tests {
     fn each_element_is_written_once_per_step() {
         let mut l = Lulesh::new(256, 0, Rng::new(4));
         let mut writes = 0u64;
-        while l.timestep() == 0 {
+        while l.timestep == 0 {
             if let WorkOp::Mem { store: true, .. } = l.next_op() {
                 writes += 1;
             }
         }
         // The timestep counter flips while the final element's ops are
         // still queued, so its store may be observed one op late.
-        let n3 = l.edge().pow(3);
+        let n3 = l.n.pow(3);
         assert!(writes == n3 || writes == n3 - 1, "writes {writes} vs {n3}");
     }
 }

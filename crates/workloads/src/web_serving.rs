@@ -67,21 +67,6 @@ impl WebServing {
         }
     }
 
-    /// Requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Hot region (tests).
-    pub fn hot(&self) -> Region {
-        self.hot
-    }
-
-    /// Tail-object region (tests).
-    pub fn objects(&self) -> Region {
-        self.objects
-    }
-
     fn step(&mut self) {
         self.requests += 1;
         // Session lookup + template renders: skewed over the hot set.
@@ -122,7 +107,7 @@ mod tests {
     #[test]
     fn hot_set_absorbs_most_traffic() {
         let mut ws = WebServing::new(4096, 0, Rng::new(1));
-        let hot = ws.hot().vpn_range();
+        let hot = ws.hot.vpn_range();
         let (mut hot_hits, mut total) = (0u64, 0u64);
         for _ in 0..50_000 {
             if let WorkOp::Mem { va, .. } = ws.next_op() {
@@ -141,8 +126,8 @@ mod tests {
     #[test]
     fn tail_breadth_exceeds_hot_breadth() {
         let mut ws = WebServing::new(4096, 0, Rng::new(2));
-        let hot = ws.hot().vpn_range();
-        let obj = ws.objects().vpn_range();
+        let hot = ws.hot.vpn_range();
+        let obj = ws.objects.vpn_range();
         let mut hot_pages = KeySet::default();
         let mut obj_pages = KeySet::default();
         for _ in 0..200_000 {
@@ -191,6 +176,6 @@ mod tests {
         for _ in 0..10_000 {
             let _ = ws.next_op();
         }
-        assert!(ws.requests() > 100);
+        assert!(ws.requests > 100);
     }
 }

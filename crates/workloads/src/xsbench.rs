@@ -52,16 +52,6 @@ impl XsBench {
         }
     }
 
-    /// Hot index region (tests).
-    pub fn index(&self) -> Region {
-        self.index
-    }
-
-    /// Cold grid region (tests).
-    pub fn grid(&self) -> Region {
-        self.grid
-    }
-
     fn step(&mut self) {
         self.lookups += 1;
         // Binary search over the energy index: log2(n) probes converging on
@@ -113,8 +103,8 @@ mod tests {
     #[test]
     fn index_is_hot_grid_is_cold() {
         let mut x = XsBench::new(8192, 0, Rng::new(1));
-        let index_range = x.index().vpn_range();
-        let grid_range = x.grid().vpn_range();
+        let index_range = x.index.vpn_range();
+        let grid_range = x.grid.vpn_range();
         let pages = mem_pages(&mut x, 20_000);
         let mut index_hits = KeyMap::default();
         let mut grid_hits = KeyMap::default();
@@ -136,7 +126,7 @@ mod tests {
     #[test]
     fn grid_coverage_grows_with_lookups() {
         let mut x = XsBench::new(8192, 0, Rng::new(2));
-        let grid_range = x.grid().vpn_range();
+        let grid_range = x.grid.vpn_range();
         let mut distinct = KeySet::default();
         for p in mem_pages(&mut x, 30_000) {
             if grid_range.contains(&p.0) {
@@ -150,8 +140,8 @@ mod tests {
     #[test]
     fn regions_sized_from_footprint() {
         let x = XsBench::new(65536, 0, Rng::new(3));
-        assert_eq!(x.index().pages(), 512);
-        assert_eq!(x.grid().pages(), 65024);
+        assert_eq!(x.index.pages(), 512);
+        assert_eq!(x.grid.pages(), 65024);
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn multi_process_workloads_profile_all_pids() {
         .collect();
     assert_eq!(
         pids.len(),
-        machine.num_processes(),
+        machine.pids().count(),
         "A-bit scan must cover every busy process"
     );
 }

@@ -6,8 +6,9 @@
 
 use tmprof_bench::harness::{run_workload, RunOptions};
 use tmprof_bench::scale::Scale;
+use tmprof_core::rank::RankSource;
 use tmprof_policy::hitrate::{
-    hitrate_grid, hitrate_grid_serial, hitrate_grid_with_workers, HitrateCell, PAPER_RATIOS,
+    hitrate_grid, hitrate_grid_full, hitrate_grid_serial, HitrateCell, PAPER_RATIOS,
 };
 use tmprof_workloads::spec::WorkloadKind;
 
@@ -47,7 +48,7 @@ fn parallel_grid_matches_serial_on_recorded_logs() {
         let log = log_for(kind);
         let serial = hitrate_grid_serial(&log, &PAPER_RATIOS);
         for workers in [1usize, 2, 8] {
-            let fast = hitrate_grid_with_workers(&log, &PAPER_RATIOS, Some(workers));
+            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(workers));
             assert_bit_identical(&serial, &fast, &format!("{kind:?} at {workers} workers"));
         }
         // The knob-driven default entry point agrees too.
@@ -61,7 +62,7 @@ fn grid_is_reproducible_across_calls() {
     // Worker scheduling must not leak into results: two runs of the
     // parallel grid on the same log are byte-for-byte the same.
     let log = log_for(WorkloadKind::WebServing);
-    let a = hitrate_grid_with_workers(&log, &PAPER_RATIOS, Some(4));
-    let b = hitrate_grid_with_workers(&log, &PAPER_RATIOS, Some(4));
+    let a = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(4));
+    let b = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(4));
     assert_bit_identical(&a, &b, "repeat call");
 }
