@@ -58,17 +58,15 @@ fn bench_replay(c: &mut Criterion) {
         let mut rng = Rng::new(11);
         for _ in 0..8 {
             let profile = synthetic_profile(pages);
-            let mut truth = tmprof_sim::keymap::KeyMap::default();
-            for v in 0..pages {
-                truth.insert(
-                    PageKey {
+            let truth = (0..pages)
+                .map(|v| {
+                    let key = PageKey {
                         pid: 1,
                         vpn: Vpn(v),
-                    }
-                    .pack(),
-                    1 + rng.below(100),
-                );
-            }
+                    };
+                    (key.pack(), 1 + rng.below(100))
+                })
+                .collect();
             log.epochs.push(ReplayEpoch {
                 profile,
                 truth_mem: truth,

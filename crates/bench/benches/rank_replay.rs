@@ -4,7 +4,8 @@
 //! A/B harness (EXPERIMENTS.md) can compare them directly:
 //!
 //! * `epoch_close/*` — `EpochProfile::capture` + `PageDescTable::reset_epoch`
-//!   on a sparsely-touched table (dirty-list walk vs full-frame scan);
+//!   on a sparsely-touched table (dirty-list walk vs full-frame scan), and
+//!   `capture` of a table whose every frame was observed (a warm-up close);
 //! * `rank/*` — full `ranked()` sort vs `top_k` partial selection;
 //! * `replay/*` — the Fig. 6 `hitrate_grid` (rank-cached + parallel vs
 //!   one serial sort per cell per epoch).
@@ -14,6 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tmprof_core::rank::{EpochProfile, RankSource};
 use tmprof_policy::hitrate::{hitrate_grid, ReplayEpoch, ReplayLog, PAPER_RATIOS};
 use tmprof_sim::addr::{Pfn, Vpn};
+use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::pagedesc::{PageDescTable, PageKey};
 use tmprof_sim::rng::Rng;
 
@@ -25,10 +27,8 @@ fn key(vpn: u64) -> u64 {
     .pack()
 }
 
-/// A big, fully-allocated table where only a small working set saw
-/// observations this epoch — the steady-state shape epoch close runs
-/// against (default scale: ~10² touched pages in ~10⁵ owned frames).
-fn sparse_table(frames: u64, touched: u64) -> PageDescTable {
+/// A table of `frames` frames, frame `f` owned by page `f` of pid 1.
+fn owned_table(frames: u64) -> PageDescTable {
     let mut t = PageDescTable::new(frames);
     for f in 0..frames {
         t.set_owner(
@@ -39,6 +39,14 @@ fn sparse_table(frames: u64, touched: u64) -> PageDescTable {
             },
         );
     }
+    t
+}
+
+/// A big, fully-allocated table where only a small working set saw
+/// observations this epoch — the steady-state shape epoch close runs
+/// against (default scale: ~10² touched pages in ~10⁵ owned frames).
+fn sparse_table(frames: u64, touched: u64) -> PageDescTable {
+    let mut t = owned_table(frames);
     let mut rng = Rng::new(11);
     for i in 0..touched {
         let pfn = Pfn(rng.below(frames));
@@ -46,6 +54,17 @@ fn sparse_table(frames: u64, touched: u64) -> PageDescTable {
         if i % 3 == 0 {
             t.bump_trace(pfn);
         }
+    }
+    t
+}
+
+/// A table whose every frame saw an A-bit observation this epoch — the
+/// warm-up close, where the first scan finds every mapped page accessed
+/// (`sparse_footprint`'s first close captures 2²¹ such frames).
+fn dense_table(frames: u64) -> PageDescTable {
+    let mut t = owned_table(frames);
+    for f in 0..frames {
+        t.bump_abit(Pfn(f));
     }
     t
 }
@@ -73,11 +92,12 @@ fn synthetic_log(epochs: usize, pages: u64) -> ReplayLog {
     };
     for _ in 0..epochs {
         let mut ep = ReplayEpoch::default();
+        let mut truth: KeyMap<u64, u64> = KeyMap::default();
         for _ in 0..pages / 2 {
             // Quadratic skew: a hot head and a long cold tail.
             let v = (rng.below(pages) * rng.below(pages)) / pages.max(1);
             let k = key(v);
-            *ep.truth_mem.entry(k).or_insert(0) += 1 + rng.below(8);
+            *truth.entry(k).or_insert(0) += 1 + rng.below(8);
             if rng.below(4) > 0 {
                 *ep.profile.abit.entry(k).or_insert(0) += 1;
             }
@@ -85,6 +105,7 @@ fn synthetic_log(epochs: usize, pages: u64) -> ReplayLog {
                 *ep.profile.trace.entry(k).or_insert(0) += 1;
             }
         }
+        ep.truth_mem = truth.into_iter().collect();
         log.epochs.push(ep);
     }
     log
@@ -95,6 +116,10 @@ fn bench_epoch_close(c: &mut Criterion) {
     let t = sparse_table(1 << 17, 512);
     group.bench_function("capture_512_of_128k", |b| {
         b.iter(|| black_box(EpochProfile::capture(&t)));
+    });
+    let dense = dense_table(1 << 20);
+    group.bench_function("capture_1m_of_1m", |b| {
+        b.iter(|| black_box(EpochProfile::capture(&dense)));
     });
     group.bench_function("reset_epoch_512_of_128k", |b| {
         b.iter_batched(

@@ -75,9 +75,9 @@ where
     traffic(&top_n(estimate, n)) as f64 / ceiling as f64
 }
 
-/// Add one epoch's per-page counts into a running total.
-fn fold_counts<S: BuildHasher>(total: &mut HashMap<u64, u64, S>, epoch: &KeyMap<u64, u64>) {
-    for (&k, &v) in epoch {
+/// Add one epoch's `(page, count)` pairs into a running total.
+fn fold_counts(total: &mut KeyMap<u64, u64>, epoch: impl IntoIterator<Item = (u64, u64)>) {
+    for (k, v) in epoch {
         *total.entry(k).or_insert(0) += v;
     }
 }
@@ -118,12 +118,12 @@ pub fn score_tmp(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     let base = baseline_cycles(kind, scale);
     let run = run_workload(kind, &RunOptions::new(*scale));
     // Estimate: combined per-page counts accumulated over all epochs.
-    let mut estimate: HashMap<u64, u64> = HashMap::new();
-    let mut truth: HashMap<u64, u64> = HashMap::new();
+    let mut estimate: KeyMap<u64, u64> = KeyMap::default();
+    let mut truth: KeyMap<u64, u64> = KeyMap::default();
     for e in &run.log.epochs {
-        fold_counts(&mut estimate, &e.profile.abit);
-        fold_counts(&mut estimate, &e.profile.trace);
-        fold_counts(&mut truth, &e.truth_mem);
+        let profiled = e.profile.abit.iter().chain(&e.profile.trace);
+        fold_counts(&mut estimate, profiled.map(|(&k, &v)| (k, v)));
+        fold_counts(&mut truth, e.truth_mem.iter().copied());
     }
     let n = (truth.len() / 16).max(1);
     Scorecard {
@@ -149,7 +149,7 @@ pub fn score_autonuma(kind: WorkloadKind, scale: &Scale) -> Scorecard {
             scanner.scan_pass(&mut machine, pid);
         }
         run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
-        fold_counts(&mut truth, &machine.advance_epoch().mem_accesses);
+        fold_counts(&mut truth, machine.advance_epoch().mem_accesses);
     }
     let estimate = scanner.hit_counts();
     let n = (truth.len() / 16).max(1);
@@ -172,14 +172,14 @@ pub fn score_thermostat(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     // count towards the truth like every other epoch's.
     run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
     let mut truth: KeyMap<u64, u64> = KeyMap::default();
-    fold_counts(&mut truth, &machine.advance_epoch().mem_accesses);
+    fold_counts(&mut truth, machine.advance_epoch().mem_accesses);
     for _ in 1..scale.epochs {
         for &pid in &pids {
             th.begin_epoch(&mut machine, pid);
         }
         run_epoch(&mut machine, &mut gens, &pids, scale.ops_per_epoch);
         th.end_epoch(&mut machine);
-        fold_counts(&mut truth, &machine.advance_epoch().mem_accesses);
+        fold_counts(&mut truth, machine.advance_epoch().mem_accesses);
     }
     // Thermostat's estimate is binary; score its hot set.
     // tmprof-lint: allow(determinism-taint) — the estimate map is probed by key against the sorted truth ranking; its iteration order is never observed

@@ -46,7 +46,6 @@ pub struct ProcessUsage {
 pub struct ProcessFilter {
     cfg: FilterConfig,
     last_ops: KeyMap<Pid, u64>,
-    evaluations: u64,
 }
 
 impl ProcessFilter {
@@ -55,7 +54,6 @@ impl ProcessFilter {
         Self {
             cfg,
             last_ops: KeyMap::default(),
-            evaluations: 0,
         }
     }
 
@@ -66,7 +64,6 @@ impl ProcessFilter {
 
     /// Compute each process's usage over the interval since the last call.
     pub fn usage(&mut self, machine: &Machine) -> Vec<ProcessUsage> {
-        self.evaluations += 1;
         let raw = machine.process_usage();
         let total_frames = machine.memory().total_frames().max(1);
         let mut deltas: Vec<(Pid, u64, u64)> = raw
@@ -225,6 +222,9 @@ mod tests {
         let mut f = ProcessFilter::new(FilterConfig::default());
         let tracked = f.tracked_pids(&m);
         assert!(tracked.is_empty());
-        assert_eq!(f.evaluations, 1);
+        // No op retired: every share is 0, not a division by zero.
+        let usage = f.usage(&m);
+        assert_eq!(usage.len(), 3);
+        assert!(usage.iter().all(|u| u.cpu_share == 0.0));
     }
 }

@@ -80,7 +80,6 @@ pub struct Tmp {
     /// Device-side hot-page tracker; present iff `cfg.devsketch` is set,
     /// in which case the machine's device stream is armed.
     sketch: Option<DevSketch>,
-    epochs_closed: u32,
 }
 
 impl Tmp {
@@ -98,7 +97,6 @@ impl Tmp {
             gating,
             both_seen: PageSet::new(),
             sketch,
-            epochs_closed: 0,
         }
     }
 
@@ -211,7 +209,6 @@ impl Tmp {
         //    the clock, and hand the closed epoch's ground truth out.
         machine.descs_mut().reset_epoch();
         let truth = machine.advance_epoch();
-        self.epochs_closed += 1;
         tmprof_obs::metrics::inc(tmprof_obs::metrics::Metric::CoreEpochsClosed);
 
         TmpEpochReport {
@@ -291,9 +288,13 @@ mod tests {
 
     #[test]
     fn end_epoch_produces_profile_and_truth() {
+        #[cfg(not(feature = "obs-off"))]
+        use tmprof_obs::metrics::{get, Metric};
         let mut m = machine();
         let mut tmp = Tmp::new(TmpConfig::paper_defaults(64), &mut m);
         strided(&mut m, 128, 20_000);
+        #[cfg(not(feature = "obs-off"))]
+        let closed = get(Metric::CoreEpochsClosed);
         let report = tmp.end_epoch(&mut m);
         assert_eq!(report.epoch, 0);
         assert!(report.abit_pages > 100, "A-bit saw the pages");
@@ -301,7 +302,8 @@ mod tests {
         assert!(report.truth.total_mem_accesses() > 0);
         assert!(!report.profile.ranked(RankSource::Combined).is_empty());
         assert_eq!(m.epoch(), 1);
-        assert_eq!(tmp.epochs_closed, 1);
+        #[cfg(not(feature = "obs-off"))]
+        assert_eq!(get(Metric::CoreEpochsClosed), closed + 1);
     }
 
     #[test]

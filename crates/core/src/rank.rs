@@ -80,10 +80,25 @@ impl EpochProfile {
     /// Walks only the table's dirty list — frames that actually received
     /// observations this epoch — so epoch close costs O(touched pages)
     /// instead of O(total frames). Equivalent to [`Self::capture_full_scan`]
-    /// (property-tested in `tests/dirty_props.rs`).
+    /// (property-tested in `tests/dirty_props.rs`). A first pass counts
+    /// each source's pages, so each map is allocated once at its final
+    /// size and filling it never rehashes.
     pub fn capture(descs: &PageDescTable) -> Self {
-        let mut out = Self::default();
-        for pfn in descs.touched_frames() {
+        let touched = descs.touched_frames();
+        let (mut abit, mut trace) = (0, 0);
+        for &pfn in &touched {
+            let d = descs.get(pfn);
+            if d.owner.is_some() {
+                abit += usize::from(d.abit_epoch > 0);
+                trace += usize::from(d.trace_epoch > 0);
+            }
+        }
+        let mut out = Self {
+            abit: KeyMap::with_capacity_and_hasher(abit, Default::default()),
+            trace: KeyMap::with_capacity_and_hasher(trace, Default::default()),
+            devsketch: KeyMap::default(),
+        };
+        for pfn in touched {
             let d = descs.get(pfn);
             let Some(owner) = d.owner else { continue };
             let k = owner.pack();

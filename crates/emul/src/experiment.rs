@@ -122,13 +122,10 @@ pub fn run_emulated(
             // the paper's framework the +13 µs models device-side hot-line
             // contention, so it must apply regardless of policy. Classify
             // by true heat.
-            let mut hot: Vec<(u64, u64)> = report
-                .truth
-                .mem_accesses
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect();
-            hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            // Each page is listed once, so (count desc, key asc) is a
+            // total order and the unstable in-place sort is exact.
+            let mut hot = report.truth.mem_accesses;
+            hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             emu.set_hot_pages(hot.into_iter().take(t1_capacity).map(|(k, _)| k));
         }
 

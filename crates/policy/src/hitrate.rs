@@ -25,8 +25,10 @@ use tmprof_sim::keymap::{KeyMap, KeySet};
 pub struct ReplayEpoch {
     /// Per-page profiler observations.
     pub profile: EpochProfile,
-    /// True memory-level accesses per packed page key.
-    pub truth_mem: KeyMap<u64, u64>,
+    /// True memory-level accesses as `(packed page key, count)`, under
+    /// [`tmprof_sim::stats::EpochTruth`]'s list contract: each key at most
+    /// once, every count > 0.
+    pub truth_mem: Vec<(u64, u64)>,
 }
 
 /// A full recorded run.
@@ -42,7 +44,7 @@ impl ReplayLog {
     pub fn footprint_pages(&self) -> usize {
         let mut set = KeySet::default();
         for e in &self.epochs {
-            set.extend(e.truth_mem.keys().copied());
+            set.extend(e.truth_mem.iter().map(|&(page, _)| page));
         }
         set.len()
     }
@@ -118,7 +120,7 @@ pub fn replay_hitrate(
             }
             ReplayPolicy::FirstTouch => &first_touch_set,
         };
-        for (&page, &accesses) in &epoch.truth_mem {
+        for &(page, accesses) in &epoch.truth_mem {
             total += accesses;
             if resident.contains(&page) {
                 hits += accesses;
@@ -205,7 +207,7 @@ impl RankCache {
                 ReplayPolicy::History => &self.positions[i - 1][si],
                 ReplayPolicy::FirstTouch => &self.first_touch_pos,
             };
-            for (&page, &accesses) in &epoch.truth_mem {
+            for &(page, accesses) in &epoch.truth_mem {
                 total += accesses;
                 if resident
                     .get(&page)
@@ -339,11 +341,11 @@ mod tests {
         for e in 0..epochs {
             let mut ep = ReplayEpoch::default();
             // Hot page e: 100 accesses, seen by both profilers.
-            ep.truth_mem.insert(key(e as u64), 100);
+            ep.truth_mem.push((key(e as u64), 100));
             ep.profile.abit.insert(key(e as u64), 10);
             ep.profile.trace.insert(key(e as u64), 10);
             // Background page 99: 10 accesses, every epoch.
-            ep.truth_mem.insert(key(99), 10);
+            ep.truth_mem.push((key(99), 10));
             ep.profile.abit.insert(key(99), 1);
             log.epochs.push(ep);
         }
@@ -367,8 +369,8 @@ mod tests {
         let mut log = ReplayLog::default();
         for _ in 0..10 {
             let mut ep = ReplayEpoch::default();
-            ep.truth_mem.insert(key(1), 100);
-            ep.truth_mem.insert(key(2), 1);
+            ep.truth_mem.push((key(1), 100));
+            ep.truth_mem.push((key(2), 1));
             ep.profile.trace.insert(key(1), 50);
             ep.profile.trace.insert(key(2), 1);
             log.epochs.push(ep);
@@ -387,9 +389,9 @@ mod tests {
         let mut log = ReplayLog::default();
         for _ in 0..5 {
             let mut ep = ReplayEpoch::default();
-            ep.truth_mem.insert(key(1), 50);
-            ep.truth_mem.insert(key(2), 50);
-            ep.truth_mem.insert(key(3), 5);
+            ep.truth_mem.push((key(1), 50));
+            ep.truth_mem.push((key(2), 50));
+            ep.truth_mem.push((key(3), 5));
             ep.profile.abit.insert(key(1), 10);
             ep.profile.trace.insert(key(2), 10);
             ep.profile.abit.insert(key(3), 1);
@@ -482,7 +484,7 @@ mod tests {
         // synthetic cache holding a position just past u32::MAX.
         let mut log = ReplayLog::default();
         let mut ep = ReplayEpoch::default();
-        ep.truth_mem.insert(key(1), 10);
+        ep.truth_mem.push((key(1), 10));
         log.epochs.push(ep);
         let far = u32::MAX as u64 + 1;
         let mut positions = KeyMap::default();

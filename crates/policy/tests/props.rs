@@ -17,14 +17,16 @@ fn arbitrary_log() -> impl Strategy<Value = ReplayLog> {
         prop::collection::hash_map(0u64..200, 1u64..50, 0..40),
         prop::collection::hash_map(0u64..200, 1u64..100, 1..60),
     )
-        .prop_map(|(abit, trace, truth_mem)| ReplayEpoch {
-            profile: EpochProfile {
-                abit,
-                trace,
-                ..Default::default()
+        .prop_map(
+            |(abit, trace, truth): (_, _, KeyMap<u64, u64>)| ReplayEpoch {
+                profile: EpochProfile {
+                    abit,
+                    trace,
+                    ..Default::default()
+                },
+                truth_mem: truth.into_iter().collect(),
             },
-            truth_mem,
-        });
+        );
     (
         prop::collection::vec(epoch, 1..8),
         prop::collection::btree_set(0u64..200, 1..100),
@@ -76,9 +78,9 @@ proptest! {
         let mut hits = 0u64;
         let mut total = 0u64;
         for e in &log.epochs {
-            for (k, &v) in &e.truth_mem {
+            for &(k, v) in &e.truth_mem {
                 total += v;
-                if e.profile.rank_of(*k, RankSource::Combined) > 0 {
+                if e.profile.rank_of(k, RankSource::Combined) > 0 {
                     hits += v;
                 }
             }

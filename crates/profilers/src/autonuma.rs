@@ -77,8 +77,6 @@ pub struct AutoNumaScanner {
     state: Arc<Mutex<NumaState>>,
     /// Per-process scan cursor (Linux scans the address space in windows).
     cursors: KeyMap<Pid, Vpn>,
-    /// Pages protected across all passes.
-    pub_protected: u64,
 }
 
 impl AutoNumaScanner {
@@ -91,7 +89,6 @@ impl AutoNumaScanner {
                 cfg,
                 state: state.clone(),
                 cursors: KeyMap::default(),
-                pub_protected: 0,
             },
             Box::new(AutoNumaHandler { state }),
         )
@@ -116,7 +113,6 @@ impl AutoNumaScanner {
         // The unmapping requires a real shootdown (this is exactly the
         // overhead the paper's §II-A points at), booked as profiling.
         machine.shootdown(pid, &protected, true);
-        self.pub_protected += protected.len() as u64;
         protected.len()
     }
 
@@ -190,10 +186,9 @@ mod tests {
             scan_size_pages: 40,
         });
         m.set_fault_policy(Some(handler));
-        assert_eq!(scanner.scan_pass(&mut m, 1), 40);
-        assert_eq!(scanner.scan_pass(&mut m, 1), 40);
-        assert_eq!(scanner.scan_pass(&mut m, 1), 20, "tail window");
-        assert_eq!(scanner.pub_protected, 100);
+        let passes: Vec<usize> = (0..3).map(|_| scanner.scan_pass(&mut m, 1)).collect();
+        assert_eq!(passes, [40, 40, 20], "the last window is the tail");
+        assert_eq!(passes.iter().sum::<usize>(), 100, "every page once");
     }
 
     #[test]

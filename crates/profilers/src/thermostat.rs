@@ -58,7 +58,6 @@ pub struct Thermostat {
     current_sample: Vec<(Pid, Vpn)>,
     /// (packed key, verdict) across epochs.
     verdicts: KeyMap<u64, Verdict>,
-    epochs: u32,
 }
 
 impl Thermostat {
@@ -72,7 +71,6 @@ impl Thermostat {
                 rng: Rng::new(cfg.seed),
                 current_sample: Vec::new(),
                 verdicts: KeyMap::default(),
-                epochs: 0,
             },
             handler,
         )
@@ -103,7 +101,6 @@ impl Thermostat {
 
     /// End an epoch: read fault counts for the sample, classify, disarm.
     pub fn end_epoch(&mut self, machine: &mut Machine) {
-        self.epochs += 1;
         for &(pid, vpn) in &self.current_sample {
             let faults = self.trap.faults_of(pid, vpn);
             let verdict = if faults >= self.cfg.hot_threshold {
@@ -258,12 +255,11 @@ mod tests {
         });
         m.set_fault_policy(Some(handler));
         for _ in 0..6 {
-            th.begin_epoch(&mut m, 1);
+            assert_eq!(th.begin_epoch(&mut m, 1), 10, "5% of 200 pages");
             th.end_epoch(&mut m);
         }
         // 6 epochs x 10 pages with replacement across epochs: coverage
         // must exceed a single epoch's sample.
         assert!(th.sampled_pages() > 10, "{}", th.sampled_pages());
-        assert_eq!(th.epochs, 6);
     }
 }

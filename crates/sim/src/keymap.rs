@@ -1,15 +1,15 @@
 //! Fast hash containers for packed page keys, plus a sorted page set.
 //!
-//! Profile capture, the epoch close's ground-truth map and the profilers'
-//! per-page tallies hash a `u64` page key once per observed page or
-//! sample (ground truth itself counts per frame on the per-op path, with
-//! no hashing; see `stats`). The std `HashMap` default (SipHash with a
-//! per-process random seed) is both slow for 8-byte keys and a source of
-//! run-to-run iteration-order variance. [`KeyMap`]/[`KeySet`] swap in a
-//! multiplicative Fx-style hasher: a couple of arithmetic ops per word,
-//! fully deterministic across runs and machines. Anything iterating these
-//! containers into ordered output must still sort explicitly — iteration
-//! order is arbitrary, merely reproducible.
+//! Profile capture and the profilers' per-page tallies hash a `u64` page
+//! key once per observed page or sample (ground truth counts per frame and
+//! leaves the epoch as a list, with no hashing; see `stats`). The std
+//! `HashMap` default (SipHash with a per-process random seed) is both slow
+//! for 8-byte keys and a source of run-to-run iteration-order variance.
+//! [`KeyMap`]/[`KeySet`] swap in a multiplicative Fx-style hasher: a couple
+//! of arithmetic ops per word, fully deterministic across runs and
+//! machines. Anything iterating these containers into ordered output must
+//! still sort explicitly — iteration order is arbitrary, merely
+//! reproducible.
 //!
 //! [`PageSet`] is the complementary structure for *set algebra over page
 //! keys* (per-epoch detection sets, Table IV accounting): a sorted,

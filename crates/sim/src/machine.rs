@@ -1309,8 +1309,8 @@ mod tests {
         };
         let epoch = m.advance_epoch();
         assert_eq!(
-            epoch.mem_accesses[&key.pack()],
-            1,
+            epoch.mem_accesses,
+            vec![(key.pack(), 1)],
             "only the cold miss reaches memory"
         );
         assert_eq!(epoch.total_mem_accesses(), 1);

@@ -73,7 +73,7 @@ fn lifetime_truth(kind: WorkloadKind) -> Vec<(u64, u64)> {
             .map(|(i, g)| (pids[i], &mut **g as &mut dyn OpStream))
             .collect();
         Runner::new(streams).run(&mut machine, scale.ops_per_epoch);
-        for (&k, &c) in &machine.advance_epoch().mem_accesses {
+        for (k, c) in machine.advance_epoch().mem_accesses {
             *lifetime.entry(k).or_insert(0) += c;
         }
     }

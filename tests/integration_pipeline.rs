@@ -138,7 +138,7 @@ fn truth_is_invisible_to_profilers_but_consistent() {
     let (_machine, _tmp, reports) = run_epochs(WorkloadKind::WebServing, 2, 60_000);
     let lifetime: KeySet<u64> = reports
         .iter()
-        .flat_map(|r| r.truth.mem_accesses.keys().copied())
+        .flat_map(|r| r.truth.mem_accesses.iter().map(|&(page, _)| page))
         .collect();
     for report in &reports {
         for key in report.profile.trace.keys() {

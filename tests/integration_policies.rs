@@ -118,7 +118,7 @@ fn replay_log_structure_is_sound() {
     let accesses: u64 = log
         .epochs
         .iter()
-        .map(|e| e.truth_mem.values().sum::<u64>())
+        .map(|e| e.truth_mem.iter().map(|&(_, c)| c).sum::<u64>())
         .sum();
     assert!(accesses > 0);
     assert!(!log.first_touch_order.is_empty());
@@ -131,7 +131,7 @@ fn replay_log_structure_is_sound() {
     // allocated to be accessed).
     let order: std::collections::HashSet<u64> = log.first_touch_order.iter().copied().collect();
     for e in &log.epochs {
-        for k in e.truth_mem.keys() {
+        for (k, _) in &e.truth_mem {
             assert!(
                 order.contains(k),
                 "page {k:#x} accessed but never allocated"
