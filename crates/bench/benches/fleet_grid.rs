@@ -16,10 +16,8 @@
 //!   wall-clock columns show what the host's cores actually deliver
 //!   (on a single-core host, pool overhead rather than parallelism).
 //!
-//! Setup also asserts the determinism contract, untimed: a 4-worker fleet
-//! must be decision-identical to one worker (same migrations, rankings,
-//! gate flips, admission rejections) with identical total unit cost, on
-//! the same churn population the timed cells use.
+//! That 2–8 workers decide exactly what one worker decides is checked by
+//! the tier-1 test `policy/tests/fleet_identity.rs`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -62,21 +60,6 @@ fn build(n: usize, ops: u64, workers: usize) -> FleetRunner {
 }
 
 fn bench_fleet_grid(c: &mut Criterion) {
-    // Determinism contract (untimed): four workers decide exactly what
-    // one worker decides, at the bench's own population and carve budget.
-    let serial = build(64, 3_000, 1).run();
-    let par = build(64, 3_000, 4).run();
-    assert_eq!(
-        serial.decisions(),
-        par.decisions(),
-        "4-worker fleet diverged from the 1-worker fleet"
-    );
-    assert_eq!(
-        serial.total_cost(),
-        par.total_cost(),
-        "unit cycle costs must be schedule-invariant"
-    );
-
     let mut group = c.benchmark_group("fleet_grid");
     for &(n, ops) in CELLS {
         // The 10 000-tenant cell is tens of seconds per run (and ~10 000

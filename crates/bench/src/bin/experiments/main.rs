@@ -1,6 +1,7 @@
 //! `experiments [NAME...]` — every table and figure of the paper's
-//! evaluation, plus four extension experiments, in one process: all 12 in
-//! the order of [`EXPERIMENTS`], or only the named ones in that order.
+//! evaluation, four extension experiments and the §III-B-4 ablations, in
+//! one process: all 13 in the order of [`EXPERIMENTS`], or only the named
+//! ones in that order.
 //! Runs that several experiments read are simulated once ([`Shared`]).
 //! Scale with `TMPROF_SCALE=quick|default|full`.
 
@@ -11,6 +12,7 @@ use tmprof_bench::scale::Scale;
 use tmprof_bench::sweep::{Sweep, SweepResults};
 use tmprof_workloads::spec::WorkloadKind;
 
+mod ablations;
 mod epoch_sensitivity;
 mod fig2_ptw_ratio;
 mod fig3_heatmap_ibs;
@@ -28,7 +30,7 @@ mod write_policy_ablation;
 type Experiment = fn(&Shared);
 
 /// Every experiment, in run order. `thp_ablation` reads `dense` last.
-const EXPERIMENTS: [(&str, Experiment); 12] = [
+const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("fig2_ptw_ratio", fig2_ptw_ratio::run),
     ("table4_detected_pages", table4_detected_pages::run),
     ("fig3_heatmap_ibs", fig3_heatmap_ibs::run),
@@ -41,6 +43,7 @@ const EXPERIMENTS: [(&str, Experiment); 12] = [
     ("write_policy_ablation", write_policy_ablation::run),
     ("epoch_sensitivity", epoch_sensitivity::run),
     ("thp_ablation", thp_ablation::run),
+    ("ablations", ablations::run),
 ];
 
 /// IBS rate multipliers of the dense sweep (the paper's 1x, 4x and 8x).

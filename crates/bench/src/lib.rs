@@ -19,6 +19,7 @@
 //! | `write_policy_ablation` | CLOCK-DWF extension — write-aware placement |
 //! | `epoch_sensitivity` | §IV ablation — epoch-length trade-off |
 //! | `thp_ablation` | Table IV mechanism — profiling under 2 MiB pages |
+//! | `ablations` | §III-B-4 — shootdowns, gating, scan budget, filtering |
 //!
 //! Scale with `TMPROF_SCALE=quick|default|full`.
 

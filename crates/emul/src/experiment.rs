@@ -42,7 +42,10 @@ impl EmulPolicy {
 #[derive(Clone, Copy, Debug)]
 pub struct EmulRunResult {
     /// Total cycles across cores (the runtime proxy; identical op counts
-    /// make this directly comparable between regimes).
+    /// make this directly comparable between regimes). It includes the
+    /// mover's batched shootdown IPIs but not the per-page migration copy
+    /// cost (`MoverConfig::per_page_cycles`), which the mover books only in
+    /// its `MoveReport::cycles`.
     pub cycles: u64,
     /// Slow-page faults taken.
     pub slow_faults: u64,
@@ -111,17 +114,11 @@ pub fn run_emulated(
             // currently ranks hot (whatever portion stays in slow memory
             // pays the contention penalty).
             emu.set_hot_pages(placement.tier1_pages.iter().copied());
-            let moves = mover.apply(machine, &placement);
-            // The paper charges 50 µs per migrated page: book it on the
-            // workload clock (core 0 drives migrations).
-            let _ = moves;
+            mover.apply(machine, &placement);
         } else {
-            // Baseline still pays hot-in-slow penalties for whatever the
-            // (disabled) profiler would rank hot? No: without TMP there is
-            // no hot classification, but the *memory* is equally slow — in
-            // the paper's framework the +13 µs models device-side hot-line
-            // contention, so it must apply regardless of policy. Classify
-            // by true heat.
+            // The +13 µs models device-side contention on hot lines, which
+            // slow memory imposes under any policy, so the baseline, having
+            // no profiler to rank pages, classifies hot pages by true heat.
             // Each page is listed once, so (count desc, key asc) is a
             // total order and the unstable in-place sort is exact.
             let mut hot = report.truth.mem_accesses;

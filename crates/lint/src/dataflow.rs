@@ -474,22 +474,30 @@ pub fn lock_order(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     out
 }
 
-/// Whether a reasoned `allow(dead-surface)` governs the line of fn `id`.
-fn kept_on_purpose(ws: &Workspace, id: FnId) -> bool {
+/// The line of the reasoned `allow(dead-surface)` that governs fn `id`'s
+/// line, if any.
+fn keeping_directive(ws: &Workspace, id: FnId) -> Option<u32> {
     let lexed = &ws.fn_file(id).lexed;
-    lexed.directives.iter().any(|d| {
-        d.rule == "dead-surface"
-            && !d.reason.is_empty()
-            && lexed.governed_line(d) == Some(ws.fn_item(id).line)
-    })
+    lexed
+        .directives
+        .iter()
+        .find(|d| {
+            d.rule == "dead-surface"
+                && !d.reason.is_empty()
+                && lexed.governed_line(d) == Some(ws.fn_item(id).line)
+        })
+        .map(|d| d.line)
 }
 
 /// Pass 5: dead-surface. A fn annotated `allow(dead-surface)` is kept on
 /// purpose, so it is a root too: the helpers only it calls serve the same
-/// test and are not reported again. A tree with no root file at all (a
-/// single-pass lint fixture) has no production surface to judge, so it
-/// gets no findings; `tests/fixtures.rs` checks that every root pattern
-/// still matches a file of the real workspace.
+/// test and are not reported again. An annotated fn that production
+/// already reaches needs no allow, and that allow is a finding too,
+/// anchored at the directive's own line so that it cannot suppress it
+/// (a standalone directive governs the next code line). A tree with no
+/// root file at all (a single-pass lint fixture) has no production
+/// surface to judge, so it gets no findings; `tests/fixtures.rs` checks
+/// that every root pattern still matches a file of the real workspace.
 pub fn dead_surface(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     let in_root_file = |id: FnId| {
         let rel = ws.fn_file(id).rel.as_str();
@@ -500,14 +508,32 @@ pub fn dead_surface(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     if !(0..ws.fns.len()).any(in_root_file) {
         return Vec::new();
     }
-    let roots: Vec<FnId> = (0..ws.fns.len())
-        .filter(|&id| {
-            let item = ws.fn_item(id);
-            !item.is_test && (item.trait_body || in_root_file(id) || kept_on_purpose(ws, id))
-        })
+    let non_test = |id: FnId| !ws.fn_item(id).is_test;
+    let mut roots: Vec<FnId> = (0..ws.fns.len())
+        .filter(|&id| non_test(id) && (ws.fn_item(id).trait_body || in_root_file(id)))
         .collect();
-    let reach = graph.reach_forward(&roots);
+    let production = graph.reach_forward(&roots);
     let mut out = Vec::new();
+    for id in (0..ws.fns.len()).filter(|&id| non_test(id)) {
+        let Some(line) = keeping_directive(ws, id) else {
+            continue;
+        };
+        roots.push(id);
+        if production.contains(id) {
+            out.push(Violation {
+                rule: "dead-surface",
+                file: ws.fn_file(id).rel.clone(),
+                line,
+                message: format!(
+                    "`{}` carries allow(dead-surface), but a production root \
+                     reaches it ({}); delete the allow",
+                    ws.qual_name(id),
+                    production.path_to(ws, id)
+                ),
+            });
+        }
+    }
+    let reach = graph.reach_forward(&roots);
     for id in 0..ws.fns.len() {
         let item = ws.fn_item(id);
         let rel = ws.fn_file(id).rel.as_str();
@@ -825,6 +851,28 @@ mod tests {
         assert_eq!(
             dead(&[BIN, ("crates/sim/src/lib.rs", &bare)]),
             ["sim::oracle", "sim::helper"]
+        );
+    }
+
+    #[test]
+    fn an_allow_production_already_makes_unnecessary_is_reported() {
+        let src = "// tmprof-lint: allow(dead-surface) — the identity oracle of tests/x.rs\n\
+                   pub fn live() { helper(); }\n\
+                   fn helper() {}\n\
+                   // tmprof-lint: allow(dead-surface) — the value tests/x.rs pins\n\
+                   pub fn oracle() {}";
+        let (ws, g) = build(&[BIN, ("crates/sim/src/lib.rs", src)]);
+        let v = dead_surface(&ws, &g);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 1, "anchors at the directive");
+        assert!(
+            v[0].message
+                .starts_with("`sim::live` carries allow(dead-surface)"),
+            "{v:?}"
+        );
+        assert!(
+            v[0].message.contains("(sim::main → sim::live)"),
+            "names the root: {v:?}"
         );
     }
 

@@ -59,7 +59,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "dead-surface",
-        "library fns no bin, example, perf/src driver or trait method reaches; tests alone keep nothing",
+        "library fns no bin, example, perf/src driver or trait method reaches; tests alone keep nothing, and an allow production makes unnecessary is stale",
     ),
 ];
 

@@ -192,9 +192,10 @@ fn lock_order_pass_fixtures() {
 #[test]
 fn dead_surface_pass_fixtures() {
     // Reached only from a unit test, a bench, an integration test, and
-    // from nothing. The crate-root call, the fn values and the trait
-    // method in the same tree keep everything else live.
-    check_pass("dead-surface", 4);
+    // from nothing, plus an allow on `Page::key`, which `cmd_profile`
+    // reaches. The crate-root call, the fn values and the trait method in
+    // the same tree keep everything else live.
+    check_pass("dead-surface", 5);
     let v = lint(&fixture_root("passes/dead-surface/violating"));
     let names: Vec<&str> = v
         .iter()
@@ -203,6 +204,7 @@ fn dead_surface_pass_fixtures() {
     assert_eq!(
         names,
         [
+            "sim::Page::key",
             "sim::Page::doubled",
             "sim::bench_only",
             "sim::integration_only",

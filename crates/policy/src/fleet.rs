@@ -99,8 +99,6 @@ pub struct FleetTenant {
     pub ops: Vec<u64>,
 }
 
-impl FleetTenant {}
-
 /// One shard's per-epoch decision record — the identity surface the
 /// fleet proptest compares across worker counts.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -688,7 +688,6 @@ impl Machine {
     /// # Panics
     /// If `pid` is unknown, or a protection fault occurs with no handler
     /// installed (or the handler declines to resolve it).
-    // tmprof-lint: allow(dead-surface) — the single-op driver of the batch_props/machine_props/thp suites and the substrate, ablations and profiler_costs benches
     pub fn exec_op(&mut self, core: usize, pid: Pid, op: WorkOp) -> ExecOutcome {
         let proc_idx = self.proc_idx(pid);
         self.exec_at(core, proc_idx, pid, op)
@@ -1107,7 +1106,6 @@ impl Machine {
 
     /// Touch helper: map a page by executing a single load through the full
     /// machinery (tests and warm-up).
-    // tmprof-lint: allow(dead-surface) — the page-touch driver of unit tests in every simulating crate, the sim/policy property suites and five benches
     pub fn touch(&mut self, core: usize, pid: Pid, va: VirtAddr) -> ExecOutcome {
         self.exec_op(
             core,
