@@ -1,11 +1,11 @@
 //! Profiler-cost microbenchmarks: what the paper's Table I trade-offs cost
 //! in this implementation — A-bit scan cost versus resident-set size and
-//! budget, trace-drain cost versus sampling rate, HWPC read cost.
+//! budget, trace-drain cost versus sampling rate, HWPC gate cost.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use tmprof_core::gating::{Gating, GatingConfig};
 use tmprof_profilers::abit::{ABitConfig, ABitScanner};
-use tmprof_profilers::hwpc::{HwpcMonitor, PmuEvent};
 use tmprof_profilers::trace::{TraceConfig, TraceProfiler};
 use tmprof_sim::prelude::*;
 
@@ -86,23 +86,17 @@ fn bench_trace_rates(c: &mut Criterion) {
     group.finish();
 }
 
-/// HWPC reads are nearly free — the property gating relies on.
-fn bench_hwpc(c: &mut Criterion) {
-    c.bench_function("hwpc_read", |b| {
+/// One gate evaluation reads the counters and is nearly free — why TMP can
+/// keep the gate running while the profilers it switches are off.
+fn bench_gating(c: &mut Criterion) {
+    c.bench_function("gating_evaluate", |b| {
         let mut m = Machine::new(MachineConfig::scaled(2, 1024, 0, 1 << 20));
         m.add_process(1);
         m.touch(0, 1, VirtAddr(0x1000));
-        let mut mon = HwpcMonitor::new(
-            &m,
-            vec![
-                PmuEvent::LlcMisses,
-                PmuEvent::PtwWalks,
-                PmuEvent::RetiredOps,
-            ],
-        );
-        b.iter(|| black_box(mon.read(&m)));
+        let mut gate = Gating::new(GatingConfig::default(), &m);
+        b.iter(|| black_box(gate.evaluate(&m)));
     });
 }
 
-criterion_group!(benches, bench_abit_scan, bench_trace_rates, bench_hwpc);
+criterion_group!(benches, bench_abit_scan, bench_trace_rates, bench_gating);
 criterion_main!(benches);

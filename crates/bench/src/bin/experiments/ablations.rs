@@ -64,10 +64,7 @@ fn gating(always_on: bool) -> (ABitStats, [u64; 4]) {
     let mut m = Machine::new(MachineConfig::scaled(2, 8192, 0, 512));
     m.add_process(1);
     let mut cfg = TmpConfig::paper_defaults(512);
-    cfg.gating = GatingConfig {
-        always_on,
-        ..GatingConfig::default()
-    };
+    cfg.gating = GatingConfig { always_on };
     let mut tmp = Tmp::new(cfg, &mut m);
     let epochs = [0, 1, 2, 3].map(|e| {
         charged(&mut m, |m| {
@@ -95,7 +92,6 @@ fn filter(on: bool) -> (ABitStats, u64) {
     let mut m = working_machine(2048, 8);
     let mut filter = ProcessFilter::new(FilterConfig {
         min_mem_share: 1.1, // memory-share test off: isolate the CPU filter
-        ..FilterConfig::default()
     });
     let _ = filter.tracked_pids(&m);
     for i in 0..20_000 {

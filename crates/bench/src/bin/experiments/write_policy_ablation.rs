@@ -23,11 +23,10 @@ use tmprof_policy::policies::{HistoryPolicy, PlacementPolicy};
 use tmprof_policy::write_aware::WriteAwarePolicy;
 use tmprof_profilers::pml::PmlTracker;
 use tmprof_sim::keymap::KeyMap;
-use tmprof_sim::machine::{CacheProfile, LatencyConfig, Machine, MachineConfig};
+use tmprof_sim::machine::{Machine, MachineConfig};
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tier::{MemTopology, Tier, TierSpec};
 use tmprof_sim::tlb::Pid;
-use tmprof_sim::trace_engine::TraceMode;
 use tmprof_workloads::spec::WorkloadKind;
 
 /// Write weight for the write-aware variant.
@@ -39,27 +38,19 @@ struct RunResult {
 }
 
 fn asymmetric_machine(cores: usize, t1: u64, t2: u64, period: u64) -> Machine {
-    Machine::new(MachineConfig {
+    Machine::new(MachineConfig::scaled_topology(
         cores,
-        caches: CacheProfile::scaled_down(16),
-        latency: LatencyConfig::default(),
-        memory: MemTopology::new(
-            TierSpec {
-                frames: t1,
-                load_latency: 320,
-                store_latency: 320,
-                epoch_bytes_budget: None,
-            },
+        MemTopology::new(
+            TierSpec::dram(t1),
             // NVM: 3.75x slower reads, 12.5x slower writes (PCM-like).
             TierSpec {
                 frames: t2,
                 load_latency: 1200,
                 store_latency: 4000,
-                epoch_bytes_budget: None,
             },
         ),
-        trace_mode: TraceMode::IbsOp { period },
-    })
+        period,
+    ))
 }
 
 fn run_one(kind: WorkloadKind, scale: &Scale, write_aware: bool) -> RunResult {

@@ -43,8 +43,6 @@ pub struct RunOptions {
     pub rate: u64,
     /// Use PEBS-style event sampling instead of IBS op sampling.
     pub pebs: bool,
-    /// A-bit scanner configuration.
-    pub abit: ABitConfig,
     /// Record (epoch, pfn) heat points for Figs. 3–4.
     pub record_heat: bool,
     /// Override the base (1x) sampling period. Coverage experiments pass
@@ -63,7 +61,6 @@ impl RunOptions {
             mode: ProfMode::Both,
             rate: 4,
             pebs: false,
-            abit: ABitConfig::restrictive(scale.abit_budget),
             record_heat: false,
             base_period: None,
             thp: false,
@@ -205,7 +202,7 @@ pub fn run_workload(kind: WorkloadKind, opts: &RunOptions) -> WorkloadRun {
     };
     let mut abit = match opts.mode {
         ProfMode::ABitOnly | ProfMode::Both => {
-            let mut c = opts.abit;
+            let mut c = ABitConfig::restrictive(opts.scale.abit_budget);
             c.record_samples = opts.record_heat;
             Some(ABitScanner::new(c))
         }

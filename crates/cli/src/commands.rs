@@ -10,7 +10,7 @@ use tmprof_bench::heatmap::Heatmap;
 use tmprof_bench::scale::Scale;
 use tmprof_bench::table::{f, pct, Table};
 use tmprof_core::rank::RankSource;
-use tmprof_policy::hitrate::{replay_hitrate, ReplayPolicy, PAPER_RATIOS};
+use tmprof_policy::hitrate::{hitrate_grid, ReplayPolicy, PAPER_RATIOS};
 use tmprof_workloads::spec::WorkloadKind;
 
 use crate::args::{ArgError, Parsed};
@@ -167,6 +167,7 @@ pub fn cmd_hitrate(parsed: &Parsed) -> Result<String, CliError> {
         .unwrap_or_else(|| PAPER_RATIOS.to_vec());
     let run = run_workload(kind, &opts);
     let footprint = run.log.footprint_pages().max(1);
+    let grid = hitrate_grid(&run.log, &denoms);
     let mut table = Table::new(vec![
         "tier1 ratio",
         "Oracle/TMP",
@@ -176,39 +177,20 @@ pub fn cmd_hitrate(parsed: &Parsed) -> Result<String, CliError> {
         "First-touch",
     ]);
     for denom in denoms {
-        let cap = (footprint / denom as usize).max(1);
+        let cell = |policy, source| {
+            grid.iter()
+                .find(|c| c.ratio_denominator == denom && c.policy == policy && c.source == source)
+                .map(|c| pct(c.hitrate))
+                // tmprof-lint: allow(panic-reachability) — hitrate_grid emits every policy × source cell for each requested ratio; a missing one is a grid bug
+                .expect("the grid holds every policy and source at every ratio")
+        };
         table.row(vec![
             format!("1/{denom}"),
-            pct(replay_hitrate(
-                &run.log,
-                ReplayPolicy::Oracle,
-                RankSource::Combined,
-                cap,
-            )),
-            pct(replay_hitrate(
-                &run.log,
-                ReplayPolicy::History,
-                RankSource::Combined,
-                cap,
-            )),
-            pct(replay_hitrate(
-                &run.log,
-                ReplayPolicy::History,
-                RankSource::ABit,
-                cap,
-            )),
-            pct(replay_hitrate(
-                &run.log,
-                ReplayPolicy::History,
-                RankSource::Trace,
-                cap,
-            )),
-            pct(replay_hitrate(
-                &run.log,
-                ReplayPolicy::FirstTouch,
-                RankSource::Combined,
-                cap,
-            )),
+            cell(ReplayPolicy::Oracle, RankSource::Combined),
+            cell(ReplayPolicy::History, RankSource::Combined),
+            cell(ReplayPolicy::History, RankSource::ABit),
+            cell(ReplayPolicy::History, RankSource::Trace),
+            cell(ReplayPolicy::FirstTouch, RankSource::Combined),
         ]);
     }
     Ok(format!(
@@ -418,6 +400,7 @@ pub fn dispatch(parsed: &Parsed) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use crate::args::parse;
+    use tmprof_policy::hitrate::replay_hitrate;
 
     fn run(args: &[&str]) -> Result<String, CliError> {
         let parsed = parse(args.iter().map(|s| s.to_string()))?;
@@ -543,7 +526,7 @@ mod tests {
     #[test]
     fn hitrate_covers_requested_ratios() {
         std::env::set_var("TMPROF_SCALE", "quick");
-        let out = run(&[
+        let args = [
             "hitrate",
             "--workload",
             "webserving",
@@ -551,11 +534,30 @@ mod tests {
             "2",
             "--ratio-denoms",
             "8,64",
-        ])
-        .unwrap();
+        ];
+        let out = run(&args).unwrap();
         assert!(out.contains("1/8"));
         assert!(out.contains("1/64"));
         assert!(!out.contains("1/16"), "unrequested ratio printed");
+        // Every printed cell is the serial reference's hitrate.
+        let (kind, opts) = options_from(&parse(args.map(String::from)).unwrap()).unwrap();
+        let log = run_workload(kind, &opts).log;
+        let footprint = log.footprint_pages().max(1);
+        for denom in [8, 64] {
+            let cap = (footprint / denom).max(1);
+            let want = [
+                (ReplayPolicy::Oracle, RankSource::Combined),
+                (ReplayPolicy::History, RankSource::Combined),
+                (ReplayPolicy::History, RankSource::ABit),
+                (ReplayPolicy::History, RankSource::Trace),
+                (ReplayPolicy::FirstTouch, RankSource::Combined),
+            ]
+            .map(|(policy, source)| pct(replay_hitrate(&log, policy, source, cap)));
+            let label = format!("1/{denom}");
+            let row = out.lines().find(|l| l.starts_with(&label)).unwrap();
+            let got: Vec<&str> = row.split_whitespace().skip(1).collect();
+            assert_eq!(got, want, "{label}");
+        }
     }
 
     /// `args` must fail with an argument error naming every one of

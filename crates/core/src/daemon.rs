@@ -3,30 +3,26 @@
 //! A-bit scanning cost grows with every page table traversed, so TMP
 //! "filters processes by resource usage (selecting processes with at least
 //! 5% CPU or 10% memory) in order to reduce the number of page tables
-//! traversed", re-evaluating once per second. A *restrictive* mode keeps at
-//! most a fixed number of PIDs tracked (the overhead-stability knob).
+//! traversed", re-evaluating once per second.
 
 use tmprof_sim::keymap::KeyMap;
 use tmprof_sim::machine::Machine;
 use tmprof_sim::tlb::Pid;
 
+/// Minimum CPU share (fraction of ops retired in the interval).
+const MIN_CPU_SHARE: f64 = 0.05;
+
 /// Filter thresholds.
 #[derive(Clone, Copy, Debug)]
 pub struct FilterConfig {
-    /// Minimum CPU share (fraction of ops retired in the interval).
-    pub min_cpu_share: f64,
     /// Minimum memory share (fraction of total physical frames mapped).
     pub min_mem_share: f64,
-    /// Restrictive mode: cap on tracked PIDs (`None` = uncapped).
-    pub max_tracked: Option<usize>,
 }
 
 impl Default for FilterConfig {
     fn default() -> Self {
         Self {
-            min_cpu_share: 0.05,
             min_mem_share: 0.10,
-            max_tracked: None,
         }
     }
 }
@@ -55,11 +51,6 @@ impl ProcessFilter {
             cfg,
             last_ops: KeyMap::default(),
         }
-    }
-
-    /// Configuration in force.
-    pub fn config(&self) -> &FilterConfig {
-        &self.cfg
     }
 
     /// Compute each process's usage over the interval since the last call.
@@ -93,29 +84,14 @@ impl ProcessFilter {
     }
 
     /// Re-evaluate the tracked-PID set (the daemon's once-per-second job).
-    /// Returns PIDs passing the CPU-or-memory test, trimmed to the
-    /// restrictive cap (keeping the heaviest consumers first).
+    /// Returns the PIDs passing the CPU-or-memory test, ascending.
     pub fn tracked_pids(&mut self, machine: &Machine) -> Vec<Pid> {
-        let mut passing: Vec<ProcessUsage> = self
+        let pids: Vec<Pid> = self
             .usage(machine)
             .into_iter()
-            .filter(|u| {
-                u.cpu_share >= self.cfg.min_cpu_share || u.mem_share >= self.cfg.min_mem_share
-            })
+            .filter(|u| u.cpu_share >= MIN_CPU_SHARE || u.mem_share >= self.cfg.min_mem_share)
+            .map(|u| u.pid)
             .collect();
-        // Heaviest first for the cap; deterministic tiebreak by PID.
-        passing.sort_by(|a, b| {
-            let wa = a.cpu_share.max(a.mem_share);
-            let wb = b.cpu_share.max(b.mem_share);
-            wb.partial_cmp(&wa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.pid.cmp(&b.pid))
-        });
-        if let Some(cap) = self.cfg.max_tracked {
-            passing.truncate(cap);
-        }
-        let mut pids: Vec<Pid> = passing.into_iter().map(|u| u.pid).collect();
-        pids.sort_unstable();
         tmprof_obs::metrics::inc(tmprof_obs::metrics::Metric::DaemonFilterRuns);
         tmprof_obs::metrics::set(
             tmprof_obs::metrics::Metric::DaemonTrackedPids,
@@ -200,20 +176,6 @@ mod tests {
         let u3 = usage.iter().find(|u| u.pid == 3).unwrap();
         assert_eq!(u1.cpu_share, 0.0);
         assert!((u3.cpu_share - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn restrictive_mode_caps_tracked_pids() {
-        let mut m = machine();
-        run_ops(&mut m, 1, 500);
-        run_ops(&mut m, 2, 300);
-        run_ops(&mut m, 3, 200);
-        let mut f = ProcessFilter::new(FilterConfig {
-            max_tracked: Some(1),
-            ..FilterConfig::default()
-        });
-        let tracked = f.tracked_pids(&m);
-        assert_eq!(tracked, vec![1], "heaviest CPU consumer kept");
     }
 
     #[test]

@@ -10,38 +10,30 @@
 
 use tmprof_obs::journal::EventKind as ObsEvent;
 use tmprof_obs::metrics::Metric as ObsMetric;
-use tmprof_profilers::hwpc::{HwpcMonitor, PmuEvent};
+use tmprof_sim::counters::EventCounts;
 use tmprof_sim::machine::Machine;
 
-/// Gating thresholds.
-#[derive(Clone, Copy, Debug)]
+/// Activity threshold as a fraction of the running maximum (paper: 0.2).
+const THRESHOLD: f64 = 0.20;
+
+/// Fraction of each running maximum retained per evaluation period. The
+/// paper tracks "the maximum value counted during a given period"; an
+/// undecayed lifetime maximum (a decay of 1.0) lets one burst permanently
+/// raise the bar and deactivate profiling forever, while 0.0 would compare
+/// against the current period only.
+const MAX_DECAY: f64 = 0.5;
+
+/// Absolute per-period event floor. Below it a mechanism is idle no matter
+/// what the relative threshold says — otherwise the first trickle on an
+/// idle machine becomes its own maximum and trivially satisfies
+/// `x >= THRESHOLD * x`.
+const MIN_ACTIVITY: f64 = 64.0;
+
+/// Gating configuration.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GatingConfig {
-    /// Activity threshold as a fraction of the running maximum (paper: 0.2).
-    pub threshold: f64,
-    /// Fraction of each running maximum retained per evaluation period.
-    /// The paper tracks "the maximum value counted during a given period";
-    /// an undecayed lifetime maximum lets one burst permanently raise the
-    /// bar and deactivate profiling forever. 1.0 reproduces that old
-    /// behavior; 0.0 compares against the current period only.
-    pub max_decay: f64,
-    /// Absolute per-period event floor. Below it a mechanism is idle no
-    /// matter what the relative threshold says — otherwise the first
-    /// trickle on an idle machine becomes its own maximum and trivially
-    /// satisfies `x >= threshold * x`.
-    pub min_activity: f64,
     /// Disable gating entirely (both profilers always on).
     pub always_on: bool,
-}
-
-impl Default for GatingConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 0.20,
-            max_decay: 0.5,
-            min_activity: 64.0,
-            always_on: false,
-        }
-    }
 }
 
 /// What the gate decided this interval.
@@ -53,10 +45,12 @@ pub struct GateDecision {
     pub abit_active: bool,
 }
 
-/// The gating engine: one HWPC session + running maxima.
+/// The gating engine: the machine's free-running counters, read once per
+/// interval, and the running maxima.
 pub struct Gating {
     cfg: GatingConfig,
-    monitor: HwpcMonitor,
+    /// Counter totals at the start of the current interval.
+    counts: EventCounts,
     max_llc: f64,
     max_tlb: f64,
     last: GateDecision,
@@ -67,7 +61,7 @@ impl Gating {
     pub fn new(cfg: GatingConfig, machine: &Machine) -> Self {
         Self {
             cfg,
-            monitor: HwpcMonitor::new(machine, vec![PmuEvent::LlcMisses, PmuEvent::PtwWalks]),
+            counts: machine.aggregate_counts(),
             max_llc: 0.0,
             max_tlb: 0.0,
             last: GateDecision {
@@ -79,19 +73,15 @@ impl Gating {
 
     /// Evaluate the interval since the last call and decide.
     pub fn evaluate(&mut self, machine: &Machine) -> GateDecision {
-        let readings = self.monitor.read(machine);
-        let llc = readings
-            .iter()
-            .find(|r| r.event == PmuEvent::LlcMisses)
-            .map_or(0.0, |r| r.value);
-        let tlb = readings
-            .iter()
-            .find(|r| r.event == PmuEvent::PtwWalks)
-            .map_or(0.0, |r| r.value);
+        let now = machine.aggregate_counts();
+        let delta = now.delta_since(&self.counts);
+        self.counts = now;
+        let llc = delta.llc_misses as f64;
+        let tlb = delta.ptw_walks as f64;
         // Decay first, then fold in the current period: the maxima are a
         // fading memory of recent peaks, not a lifetime high-water mark.
-        self.max_llc = (self.max_llc * self.cfg.max_decay).max(llc);
-        self.max_tlb = (self.max_tlb * self.cfg.max_decay).max(tlb);
+        self.max_llc = (self.max_llc * MAX_DECAY).max(llc);
+        self.max_tlb = (self.max_tlb * MAX_DECAY).max(tlb);
         let decision = if self.cfg.always_on {
             GateDecision {
                 trace_active: true,
@@ -99,10 +89,8 @@ impl Gating {
             }
         } else {
             GateDecision {
-                trace_active: llc >= self.cfg.min_activity
-                    && llc >= self.cfg.threshold * self.max_llc,
-                abit_active: tlb >= self.cfg.min_activity
-                    && tlb >= self.cfg.threshold * self.max_tlb,
+                trace_active: llc >= MIN_ACTIVITY && llc >= THRESHOLD * self.max_llc,
+                abit_active: tlb >= MIN_ACTIVITY && tlb >= THRESHOLD * self.max_tlb,
             }
         };
         tmprof_obs::metrics::inc(ObsMetric::GateEvaluations);
@@ -216,15 +204,25 @@ mod tests {
     }
 
     #[test]
+    fn readings_are_interval_deltas() {
+        let mut m = machine();
+        let mut g = Gating::new(GatingConfig::default(), &m);
+        // 50 first touches: one page walk and one LLC miss each.
+        for i in 0..50u64 {
+            m.touch(0, 1, VirtAddr(i * PAGE_SIZE));
+        }
+        g.evaluate(&m);
+        assert_eq!((g.max_llc, g.max_tlb), (50.0, 50.0));
+        // A quiet interval reads zero, so the maxima only decay; running
+        // totals would read 50 again.
+        g.evaluate(&m);
+        assert_eq!((g.max_llc, g.max_tlb), (25.0, 25.0));
+    }
+
+    #[test]
     fn always_on_ignores_activity() {
         let mut m = machine();
-        let mut g = Gating::new(
-            GatingConfig {
-                always_on: true,
-                ..Default::default()
-            },
-            &m,
-        );
+        let mut g = Gating::new(GatingConfig { always_on: true }, &m);
         idle_memory(&mut m, 1000);
         let d = g.evaluate(&m);
         assert!(d.trace_active && d.abit_active);

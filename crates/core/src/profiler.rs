@@ -24,7 +24,6 @@ use crate::rank::EpochProfile;
 pub struct TmpConfig {
     pub trace: TraceConfig,
     pub abit: ABitConfig,
-    pub filter: FilterConfig,
     pub gating: GatingConfig,
     /// Device-side hot-page sketch over the slow-tier access stream
     /// (`RankSource::DevSketch`). `None` — the paper's baseline — leaves
@@ -41,7 +40,6 @@ impl TmpConfig {
         Self {
             trace: TraceConfig::ibs(base_period).at_rate(4),
             abit: ABitConfig::default(),
-            filter: FilterConfig::default(),
             gating: GatingConfig::default(),
             devsketch: None,
         }
@@ -93,7 +91,7 @@ impl Tmp {
         Self {
             trace,
             abit,
-            filter: ProcessFilter::new(cfg.filter),
+            filter: ProcessFilter::new(FilterConfig::default()),
             gating,
             both_seen: PageSet::new(),
             sketch,

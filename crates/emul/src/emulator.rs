@@ -130,7 +130,6 @@ impl FaultPolicy for EmuHandler {
 
 /// The framework half: periodic re-protection + hot-set maintenance.
 pub struct NvmEmulator {
-    cfg: EmulConfig,
     state: Arc<Mutex<EmuState>>,
 }
 
@@ -142,16 +141,10 @@ impl NvmEmulator {
         let state = Arc::new(Mutex::new(EmuState::default()));
         (
             Self {
-                cfg,
                 state: state.clone(),
             },
             Box::new(EmuHandler { cfg, state }),
         )
-    }
-
-    /// Timing constants in force.
-    pub fn config(&self) -> EmulConfig {
-        self.cfg
     }
 
     /// The periodic pass: set PROT_NONE on every page currently resident
@@ -210,20 +203,7 @@ mod tests {
     fn machine() -> Machine {
         // Tier 2 at DRAM speed: slowness comes only from injected faults.
         let mut cfg = MachineConfig::scaled(1, 8, 64, 1 << 20);
-        cfg.memory = MemTopology::new(
-            TierSpec {
-                frames: 8,
-                load_latency: 320,
-                store_latency: 320,
-                epoch_bytes_budget: None,
-            },
-            TierSpec {
-                frames: 64,
-                load_latency: 320,
-                store_latency: 320,
-                epoch_bytes_budget: None,
-            },
-        );
+        cfg.memory = MemTopology::new(TierSpec::dram(8), TierSpec::dram(64));
         let mut m = Machine::new(cfg);
         m.add_process(1);
         m
@@ -313,14 +293,12 @@ mod tests {
 
     #[test]
     fn classic_constructor_clamps_deep_tiers_to_nvm() {
-        let dram_speed = |frames| TierSpec {
-            frames,
-            load_latency: 320,
-            store_latency: 320,
-            epoch_bytes_budget: None,
-        };
         let mut cfg = MachineConfig::scaled(1, 2, 6, 1 << 20);
-        cfg.memory = MemTopology::from_specs(vec![dram_speed(2), dram_speed(2), dram_speed(4)]);
+        cfg.memory = MemTopology::from_specs(vec![
+            TierSpec::dram(2),
+            TierSpec::dram(2),
+            TierSpec::dram(4),
+        ]);
         let mut m = Machine::new(cfg);
         m.add_process(1);
         for i in 0..6u64 {

@@ -11,11 +11,10 @@ use tmprof_core::profiler::{Tmp, TmpConfig};
 use tmprof_core::rank::RankSource;
 use tmprof_policy::mover::{MoverConfig, PageMover};
 use tmprof_policy::policies::{HistoryPolicy, PlacementPolicy};
-use tmprof_sim::machine::{CacheProfile, LatencyConfig, Machine, MachineConfig};
+use tmprof_sim::machine::{Machine, MachineConfig};
 use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tier::{MemTopology, Tier, TierSpec};
 use tmprof_sim::tlb::Pid;
-use tmprof_sim::trace_engine::TraceMode;
 
 use crate::emulator::{EmulConfig, NvmEmulator};
 
@@ -61,19 +60,11 @@ pub struct EmulRunResult {
 /// fault-injected, as on the paper's testbed), capacity split
 /// `t1_frames` : `t2_frames` (the paper's is 4 GB : 60 GB, i.e. 1 : 15).
 pub fn emulation_machine(cores: usize, t1_frames: u64, t2_frames: u64, period: u64) -> Machine {
-    let dram = |frames| TierSpec {
-        frames,
-        load_latency: 320,
-        store_latency: 320,
-        epoch_bytes_budget: None,
-    };
-    Machine::new(MachineConfig {
+    Machine::new(MachineConfig::scaled_topology(
         cores,
-        caches: CacheProfile::scaled_down(16),
-        latency: LatencyConfig::default(),
-        memory: MemTopology::new(dram(t1_frames), dram(t2_frames)),
-        trace_mode: TraceMode::IbsOp { period },
-    })
+        MemTopology::new(TierSpec::dram(t1_frames), TierSpec::dram(t2_frames)),
+        period,
+    ))
 }
 
 /// Run one regime for `epochs` epochs of `ops_per_stream` ops each.

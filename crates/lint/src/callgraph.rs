@@ -1,7 +1,7 @@
 //! The cross-crate call graph, built on the workspace symbol table, with
 //! the deterministic reachability machinery the dataflow passes share.
 //!
-//! Edges are produced by [`symbols::Workspace::resolve_call`]'s
+//! Edges are produced by [`Workspace::resolve_call`]'s
 //! conservative resolution, so the graph over-approximates real calls.
 //! Everything here is deterministic: files are sorted, fn ids are
 //! assigned in file order, and BFS frontiers are processed in id order —

@@ -1,7 +1,7 @@
 //! Static counter/gauge registry.
 //!
 //! Every metric the workspace records is declared once in the
-//! [`metrics!`](macro) table below, which expands to the [`Metric`] enum
+//! `metrics!` table below, which expands to the [`Metric`] enum
 //! plus its name/help lookup. Storage is one thread-local array of plain
 //! `Cell<u64>` indexed by the enum discriminant — an increment is a bounds-
 //! checked load/add/store with no synchronization, and with `obs-off` the
@@ -56,8 +56,6 @@ metrics! {
         "pages physically moved between tiers";
     SimEpochs => "sim.epochs",
         "machine epoch horizons crossed";
-    SimBandwidthSurcharged => "sim.bandwidth_surcharged",
-        "memory accesses surcharged by a saturated tier's per-epoch bandwidth budget";
     SimHierSubtreesSkipped => "sim.hier_subtrees_skipped",
         "page-table subtrees pruned by the A-bit scan";
     SimHierSubtreesDescended => "sim.hier_subtrees_descended",

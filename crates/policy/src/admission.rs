@@ -121,11 +121,6 @@ impl AdmissionControl {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// Epoch horizon: refill every tenant's buckets.
     pub fn refill_epoch(&mut self) {
         for b in self.promo.values_mut() {
@@ -245,7 +240,7 @@ mod tests {
         }
         assert_eq!(adm.total_rejected(), 0);
         assert!(adm.take_rejections().is_empty());
-        assert!(adm.config().promo_quota.is_none() && adm.config().demo_quota.is_none());
+        assert!(adm.cfg.promo_quota.is_none() && adm.cfg.demo_quota.is_none());
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn grid_cells(
 /// Sweep the full Fig. 6 grid over a recorded run: policies × sources ×
 /// capacity ratios (1/8 … 1/128 by default).
 ///
-/// Each epoch's profile is ranked once (see [`RankCache`]) and cells fan
+/// Each epoch's profile is ranked once (see `RankCache`) and cells fan
 /// out over [`tmprof_core::pool`], sized by `TMPROF_WORKERS` (default:
 /// available parallelism). Output order and every float are identical to
 /// [`hitrate_grid_serial`], the seed reference implementation

@@ -622,7 +622,7 @@ mod tests {
         assert_eq!(t.promoted, 2);
         assert_eq!(t.demoted, 2);
         // 4 copies + 1 batched shootdown (1 core).
-        let ipi = m.config().latency.shootdown_ipi;
+        let ipi = LATENCY.shootdown_ipi;
         assert_eq!(t.cycles, 4 * 1000 + ipi);
     }
 

@@ -21,7 +21,7 @@
 use tmprof_obs::metrics::Metric;
 use tmprof_sim::addr::Vpn;
 use tmprof_sim::keymap::{KeyMap, PageSet};
-use tmprof_sim::machine::Machine;
+use tmprof_sim::machine::{Machine, LATENCY};
 use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::tlb::Pid;
 
@@ -138,11 +138,6 @@ impl ABitScanner {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &ABitConfig {
-        &self.cfg
-    }
-
     /// Gate scanning on/off (TMP's TLB-miss-counter control).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -239,7 +234,7 @@ impl ABitScanner {
 
         // Cost model: proportional to PTEs traversed (Table I), charged to
         // the core the scanning kthread happens to run on.
-        let cost = fp.ptes_visited * machine.config().latency.pte_visit;
+        let cost = fp.ptes_visited * LATENCY.pte_visit;
         let core = self.charge_core % machine.num_cores();
         self.charge_core = self.charge_core.wrapping_add(1);
         machine.charge_profiling(core, cost);
@@ -352,7 +347,7 @@ mod tests {
         assert_eq!(sc.stats().observations, 8);
         assert_eq!(sc.stats().shootdowns, 2);
         // Shootdown cost dominates the per-PTE visit cost here.
-        let ipi_total = m.config().latency.shootdown_ipi * 2 /* cores */ * 2 /* scans */;
+        let ipi_total = LATENCY.shootdown_ipi * 2 /* cores */ * 2 /* scans */;
         assert!(sc.stats().overhead_cycles >= ipi_total);
     }
 
@@ -412,7 +407,7 @@ mod tests {
         touch_pages(&mut m, 200);
         let mut sc = ABitScanner::new(ABitConfig::unbounded());
         sc.scan_process(&mut m, 1);
-        let expected = 200 * m.config().latency.pte_visit;
+        let expected = 200 * LATENCY.pte_visit;
         assert_eq!(sc.stats().overhead_cycles, expected);
         assert_eq!(m.aggregate_counts().profiling_cycles, expected);
     }

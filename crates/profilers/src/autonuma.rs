@@ -203,7 +203,7 @@ mod tests {
         let before = m.aggregate_counts().protection_faults;
         let out = m.touch(0, 1, VirtAddr(0));
         assert!(out.protection_fault);
-        assert!(out.cycles >= m.config().latency.protection_fault);
+        assert!(out.cycles >= LATENCY.protection_fault);
         assert_eq!(m.aggregate_counts().protection_faults, before + 1);
     }
 
@@ -214,6 +214,6 @@ mod tests {
         let (mut scanner, handler) = AutoNumaScanner::new(AutoNumaConfig::default());
         m.set_fault_policy(Some(handler));
         scanner.scan_pass(&mut m, 1);
-        assert!(m.aggregate_counts().profiling_cycles >= m.config().latency.shootdown_ipi);
+        assert!(m.aggregate_counts().profiling_cycles >= LATENCY.shootdown_ipi);
     }
 }

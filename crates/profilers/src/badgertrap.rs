@@ -31,7 +31,8 @@ use tmprof_sim::tlb::Pid;
 /// fault handler.
 #[derive(Default)]
 struct BtState {
-    /// Faults (≈ TLB misses) per poisoned page.
+    /// Faults (≈ TLB misses) per poisoned page since the last
+    /// `unpoison_all`.
     faults: KeyMap<u64, u64>,
     /// Total faults intercepted.
     total_faults: u64,
@@ -106,8 +107,10 @@ impl BadgerTrap {
         count
     }
 
-    /// Remove instrumentation from everything previously poisoned.
+    /// Remove instrumentation from everything previously poisoned, and
+    /// restart every page's fault count from zero.
     pub fn unpoison_all(&mut self, machine: &mut Machine) {
+        self.state.lock().faults.clear();
         let poisoned = std::mem::take(&mut self.poisoned);
         for (pid, vpns) in poisoned {
             if let Some((pt, _)) = machine.scan_parts(pid) {
@@ -120,7 +123,8 @@ impl BadgerTrap {
         }
     }
 
-    /// Fault count (≈ TLB-miss estimate) for one page.
+    /// Fault count (≈ TLB-miss estimate) for one page since the last
+    /// [`BadgerTrap::unpoison_all`].
     pub fn faults_of(&self, pid: Pid, vpn: Vpn) -> u64 {
         let key = PageKey { pid, vpn }.pack();
         self.state.lock().faults.get(&key).copied().unwrap_or(0)
@@ -227,7 +231,7 @@ mod tests {
         let before = m.aggregate_counts().protection_faults;
         let out = m.touch(0, 1, VirtAddr(0x5000));
         assert!(out.protection_fault);
-        assert!(out.cycles >= m.config().latency.protection_fault);
+        assert!(out.cycles >= LATENCY.protection_fault);
         assert_eq!(m.aggregate_counts().protection_faults, before + 1);
     }
 }

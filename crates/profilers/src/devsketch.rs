@@ -94,11 +94,6 @@ impl DevSketch {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &DevSketchConfig {
-        &self.cfg
-    }
-
     /// Lifetime stats.
     pub fn stats(&self) -> DevSketchStats {
         self.stats

@@ -8,7 +8,6 @@
 //! * [`abit`] — PTE Accessed-bit scanner (`mm_walk` +
 //!   `TestClearPageReferenced`, shootdown-free by default, budgeted
 //!   "restrictive mode");
-//! * [`hwpc`] — performance-counter sessions with PMU-slot multiplexing;
 //! * [`pml`] — page-modification-logging driver (hardware dirty-page log);
 //! * [`autonuma`] — AutoNUMA-style PROT_NONE fault tracking (the §II-A
 //!   software baseline TMP argues against);
@@ -26,7 +25,6 @@ pub mod abit;
 pub mod autonuma;
 pub mod badgertrap;
 pub mod devsketch;
-pub mod hwpc;
 pub mod pml;
 pub mod thermostat;
 pub mod trace;
@@ -35,7 +33,6 @@ pub use abit::{ABitConfig, ABitScanner};
 pub use autonuma::AutoNumaScanner;
 pub use badgertrap::BadgerTrap;
 pub use devsketch::{DevSketch, DevSketchConfig};
-pub use hwpc::{HwpcMonitor, PmuEvent};
 pub use pml::PmlTracker;
 pub use thermostat::Thermostat;
 pub use trace::{TraceConfig, TraceProfiler};

@@ -6,7 +6,7 @@
 //! as part of the monitoring landscape (its focus stays on A-bit/trace
 //! profiling, which capture reads too); we implement the driver so
 //! write-aware placement policies — e.g. CLOCK-DWF-style "keep dirty pages
-//! in DRAM to spare NVM write endurance" variants [32] — have a realistic
+//! in DRAM to spare NVM write endurance" variants \[32\] — have a realistic
 //! dirty-page source to build on.
 
 use tmprof_sim::addr::Pfn;

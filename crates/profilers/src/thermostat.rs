@@ -19,6 +19,12 @@ use tmprof_sim::tlb::Pid;
 
 use crate::badgertrap::BadgerTrap;
 
+/// Fault count at or above which a sampled page is hot.
+const HOT_THRESHOLD: u64 = 2;
+
+/// RNG seed for page selection.
+const SEED: u64 = 0x7EA;
+
 /// Classifier configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ThermostatConfig {
@@ -26,18 +32,12 @@ pub struct ThermostatConfig {
     /// ~0.5% of huge pages; we default higher because scaled footprints
     /// are small).
     pub sample_fraction: f64,
-    /// Fault-count threshold at or above which a sampled page is hot.
-    pub hot_threshold: u64,
-    /// RNG seed for page selection.
-    pub seed: u64,
 }
 
 impl Default for ThermostatConfig {
     fn default() -> Self {
         Self {
             sample_fraction: 0.05,
-            hot_threshold: 2,
-            seed: 0x7EA,
         }
     }
 }
@@ -54,7 +54,7 @@ pub struct Thermostat {
     cfg: ThermostatConfig,
     trap: BadgerTrap,
     rng: Rng,
-    /// Pages sampled in the current epoch.
+    /// Pages sampled in the current epoch, over every pid sampled.
     current_sample: Vec<(Pid, Vpn)>,
     /// (packed key, verdict) across epochs.
     verdicts: KeyMap<u64, Verdict>,
@@ -68,7 +68,7 @@ impl Thermostat {
             Self {
                 cfg,
                 trap,
-                rng: Rng::new(cfg.seed),
+                rng: Rng::new(SEED),
                 current_sample: Vec::new(),
                 verdicts: KeyMap::default(),
             },
@@ -76,8 +76,9 @@ impl Thermostat {
         )
     }
 
-    /// Start an epoch: choose a fresh random sample of `pid`'s resident
-    /// pages and poison them. Returns the sample size.
+    /// Start an epoch for `pid`: choose a fresh random sample of its
+    /// resident pages and poison them. Call once per pid to sample several
+    /// processes in one epoch. Returns the pid's sample size.
     pub fn begin_epoch(&mut self, machine: &mut Machine, pid: Pid) -> usize {
         // Collect resident VPNs (walk is free for the experiment harness;
         // the real system samples from its page lists).
@@ -95,15 +96,16 @@ impl Thermostat {
             sample.push(pool.swap_remove(i));
         }
         self.trap.poison_pages(machine, pid, &sample);
-        self.current_sample = sample.into_iter().map(|v| (pid, v)).collect();
-        self.current_sample.len()
+        self.current_sample.extend(sample.iter().map(|&v| (pid, v)));
+        sample.len()
     }
 
-    /// End an epoch: read fault counts for the sample, classify, disarm.
+    /// End an epoch: read the faults each sampled page took this epoch,
+    /// classify, disarm.
     pub fn end_epoch(&mut self, machine: &mut Machine) {
         for &(pid, vpn) in &self.current_sample {
             let faults = self.trap.faults_of(pid, vpn);
-            let verdict = if faults >= self.cfg.hot_threshold {
+            let verdict = if faults >= HOT_THRESHOLD {
                 Verdict::Hot
             } else {
                 Verdict::Cold
@@ -149,8 +151,6 @@ mod tests {
         }
         let (mut th, handler) = Thermostat::new(ThermostatConfig {
             sample_fraction: 1.0, // sample everything for determinism
-            hot_threshold: 2,
-            seed: 1,
         });
         m.set_fault_policy(Some(handler));
         th.begin_epoch(&mut m, 1);
@@ -201,8 +201,6 @@ mod tests {
         m.touch(0, 1, VirtAddr(0x5000));
         let (mut th, handler) = Thermostat::new(ThermostatConfig {
             sample_fraction: 1.0,
-            hot_threshold: 2,
-            seed: 2,
         });
         m.set_fault_policy(Some(handler));
         th.begin_epoch(&mut m, 1);
@@ -227,6 +225,53 @@ mod tests {
     }
 
     #[test]
+    fn every_pid_sampled_in_an_epoch_gets_verdicts() {
+        let mut m = machine();
+        m.add_process(2);
+        for pid in [1, 2] {
+            for i in 0..10u64 {
+                m.touch(0, pid, VirtAddr(i * PAGE_SIZE));
+            }
+        }
+        let (mut th, handler) = Thermostat::new(ThermostatConfig {
+            sample_fraction: 1.0,
+        });
+        m.set_fault_policy(Some(handler));
+        assert_eq!(th.begin_epoch(&mut m, 1), 10);
+        assert_eq!(th.begin_epoch(&mut m, 2), 10);
+        th.end_epoch(&mut m);
+        assert_eq!(th.sampled_pages(), 20, "both pids' samples classified");
+    }
+
+    #[test]
+    fn a_resampled_page_is_judged_on_its_latest_epoch_alone() {
+        let mut m = machine();
+        m.touch(0, 1, VirtAddr(0x5000));
+        let (mut th, handler) = Thermostat::new(ThermostatConfig {
+            sample_fraction: 1.0,
+        });
+        m.set_fault_policy(Some(handler));
+        let key = PageKey {
+            pid: 1,
+            vpn: Vpn(5),
+        }
+        .pack();
+        // Epoch 1: three walks, three faults — hot.
+        th.begin_epoch(&mut m, 1);
+        for _ in 0..3 {
+            m.shootdown(1, &[Vpn(5)], false);
+            m.touch(0, 1, VirtAddr(0x5000));
+        }
+        th.end_epoch(&mut m);
+        assert_eq!(th.verdicts.get(&key).copied(), Some(Verdict::Hot));
+        // Epoch 2: sampled again but never touched — cold, whatever the
+        // page did before.
+        th.begin_epoch(&mut m, 1);
+        th.end_epoch(&mut m);
+        assert_eq!(th.verdicts.get(&key).copied(), Some(Verdict::Cold));
+    }
+
+    #[test]
     fn sample_fraction_limits_instrumented_pages() {
         let mut m = machine();
         for i in 0..100u64 {
@@ -234,7 +279,6 @@ mod tests {
         }
         let (mut th, handler) = Thermostat::new(ThermostatConfig {
             sample_fraction: 0.1,
-            ..Default::default()
         });
         m.set_fault_policy(Some(handler));
         let n = th.begin_epoch(&mut m, 1);
@@ -249,10 +293,7 @@ mod tests {
         for i in 0..200u64 {
             m.touch(0, 1, VirtAddr(i * PAGE_SIZE));
         }
-        let (mut th, handler) = Thermostat::new(ThermostatConfig {
-            sample_fraction: 0.05,
-            ..Default::default()
-        });
+        let (mut th, handler) = Thermostat::new(ThermostatConfig::default());
         m.set_fault_policy(Some(handler));
         for _ in 0..6 {
             assert_eq!(th.begin_epoch(&mut m, 1), 10, "5% of 200 pages");

@@ -12,7 +12,7 @@
 use tmprof_obs::metrics::Metric;
 use tmprof_sim::cache::CacheLevel;
 use tmprof_sim::keymap::PageSet;
-use tmprof_sim::machine::Machine;
+use tmprof_sim::machine::{Machine, LATENCY};
 use tmprof_sim::pagedesc::PageKey;
 use tmprof_sim::trace_engine::{TraceMode, TraceSample};
 
@@ -28,9 +28,6 @@ pub struct TraceConfig {
     pub rate: u64,
     /// Use PEBS-style event sampling instead of IBS op sampling.
     pub pebs: bool,
-    /// Count store samples toward page heat. TMP focuses on demand loads
-    /// (§III-A), so the default is false.
-    pub count_stores: bool,
     /// Keep the raw (epoch, pfn) stream for heatmap rendering.
     pub record_samples: bool,
 }
@@ -42,7 +39,6 @@ impl TraceConfig {
             base_period,
             rate: 1,
             pebs: false,
-            count_stores: false,
             record_samples: false,
         }
     }
@@ -145,11 +141,6 @@ impl TraceProfiler {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
-    }
-
     /// Gate sampling on/off (TMP's HWPC-driven control, §III-B-4).
     pub fn set_enabled(&mut self, machine: &mut Machine, enabled: bool) {
         self.enabled = enabled;
@@ -165,8 +156,7 @@ impl TraceProfiler {
         let memory_sourced = s.source == CacheLevel::Memory;
         // …and focuses on demand loads (prefetched data is served from
         // cache anyway).
-        let wanted_kind = self.cfg.count_stores || !s.is_store;
-        memory_sourced && wanted_kind
+        memory_sourced && !s.is_store
     }
 
     /// Drain every core's hardware buffer, aggregate samples into the page
@@ -174,7 +164,6 @@ impl TraceProfiler {
     /// per epoch (the paper's module polls periodically).
     pub fn poll(&mut self, machine: &mut Machine) {
         let before = self.stats;
-        let interrupt = machine.config().latency.sample_interrupt;
         let mut batch: Vec<u64> = Vec::new();
         let mut scratch = std::mem::take(&mut self.scratch);
         for core in 0..machine.num_cores() {
@@ -182,7 +171,7 @@ impl TraceProfiler {
             let info = machine.trace_engine_mut(core).drain_into(&mut scratch);
             let epoch = machine.epoch();
             // Every tag raised an interrupt: records and address-less tags.
-            let cost = (scratch.len() as u64 + info.nonmem_tags) * interrupt;
+            let cost = (scratch.len() as u64 + info.nonmem_tags) * LATENCY.sample_interrupt;
             machine.charge_profiling(core, cost);
             self.stats.overhead_cycles += cost;
             self.stats.wasted_tags += info.nonmem_tags;
@@ -339,32 +328,24 @@ mod tests {
 
     #[test]
     fn stores_filtered_by_default_counted_on_request() {
-        let mk_store_traffic = |m: &mut Machine| {
-            for i in 0..20_000u64 {
-                m.exec_op(
-                    0,
-                    1,
-                    WorkOp::Mem {
-                        va: VirtAddr((i % 256) * PAGE_SIZE),
-                        store: true,
-                        site: 0,
-                    },
-                );
-            }
-        };
-        let mut m1 = machine();
-        let mut p1 = TraceProfiler::new(TraceConfig::ibs(64), &mut m1);
-        mk_store_traffic(&mut m1);
-        p1.poll(&mut m1);
-        assert_eq!(p1.stats().counted_samples, 0, "stores filtered");
-
-        let mut m2 = machine();
-        let mut cfg = TraceConfig::ibs(64);
-        cfg.count_stores = true;
-        let mut p2 = TraceProfiler::new(cfg, &mut m2);
-        mk_store_traffic(&mut m2);
-        p2.poll(&mut m2);
-        assert!(p2.stats().counted_samples > 0);
+        // Only demand loads count toward page heat (§III-A): store samples
+        // are drained and filtered out.
+        let mut m = machine();
+        let mut p = TraceProfiler::new(TraceConfig::ibs(64), &mut m);
+        for i in 0..20_000u64 {
+            m.exec_op(
+                0,
+                1,
+                WorkOp::Mem {
+                    va: VirtAddr((i % 256) * PAGE_SIZE),
+                    store: true,
+                    site: 0,
+                },
+            );
+        }
+        p.poll(&mut m);
+        assert_eq!(p.stats().counted_samples, 0, "stores filtered");
+        assert!(p.stats().filtered_samples > 0, "stores were sampled");
     }
 
     #[test]

@@ -685,7 +685,7 @@ mod tests {
 
         /// The one-pass scrub leaves every tag word and recency word
         /// exactly as the per-line loop does, on the L1 (8 sets), L2 (64
-        /// sets) and LLC (2,048 sets) of the `scaled_down(16)` machine.
+        /// sets) and LLC (2,048 sets) of the simulated machine.
         #[test]
         fn page_sweep_matches_per_line_invalidate(ops in cache_ops()) {
             for (size, ways) in [(4u64 << 10, 8), (32 << 10, 8), (2 << 20, 16)] {

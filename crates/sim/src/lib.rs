@@ -57,8 +57,8 @@ pub mod prelude {
     pub use crate::counters::EventCounts;
     pub use crate::keymap::{KeyMap, KeySet, PageSet};
     pub use crate::machine::{
-        CacheProfile, ExecOutcome, FaultAction, FaultPolicy, LatencyConfig, Machine, MachineConfig,
-        MigrateError, PoisonFault, WorkOp,
+        ExecOutcome, FaultAction, FaultPolicy, Machine, MachineConfig, MigrateError, PoisonFault,
+        WorkOp, LATENCY,
     };
     pub use crate::pagedesc::{PageDesc, PageDescTable, PageKey};
     pub use crate::pagetable::PageTable;

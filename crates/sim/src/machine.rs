@@ -9,7 +9,7 @@
 //! [`Machine::exec_op`], or a quantum at a time to [`Machine::exec_batch`]
 //! (usually through `runner::Runner`, which handles scheduling), and the
 //! machine plays each op through translation and the cache hierarchy,
-//! charging a cycle cost assembled from [`LatencyConfig`].
+//! charging a cycle cost assembled from [`LATENCY`].
 //! Everything the paper's profiling mechanisms observe — A/D bit updates,
 //! TLB fills, LLC miss data sources, sample records — is produced here as a
 //! side effect of ordinary execution, never synthesized separately. That is
@@ -63,93 +63,26 @@ pub struct LatencyConfig {
     pub pte_visit: u64,
 }
 
-impl Default for LatencyConfig {
-    fn default() -> Self {
-        Self {
-            base_op: 1,
-            l1_hit: 0,
-            l2_hit: 12,
-            llc_hit: 38,
-            ptw: 100,
-            minor_fault: 2500,
-            protection_fault: 4000,
-            dirty_writeback: 30,
-            shootdown_ipi: 4000,
-            sample_interrupt: 1200,
-            pte_visit: 12,
-        }
-    }
-}
-
-/// Cache and TLB geometry for one build of the machine.
-///
-/// Each cache holds at most 16 ways: [`Cache`] orders a set's ways in one
-/// 64-bit recency word of 4-bit way indices, and [`Machine::new`] panics,
-/// naming the cache, on a wider one. Sizes must give a power-of-two set
-/// count. [`CacheProfile::zen2`] and [`CacheProfile::scaled_down`] use 8
-/// or 16 ways.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheProfile {
-    pub l1_bytes: u64,
-    /// L1D associativity, 1 to 16.
-    pub l1_ways: usize,
-    pub l2_bytes: u64,
-    /// L2 associativity, 1 to 16.
-    pub l2_ways: usize,
-    pub llc_bytes: u64,
-    /// LLC associativity, 1 to 16.
-    pub llc_ways: usize,
-    pub tlb_l1_entries: usize,
-    pub tlb_l2_sets: usize,
-    pub tlb_l2_ways: usize,
-}
-
-impl CacheProfile {
-    /// Full-size Ryzen 5 3600X-like geometry (the paper's testbed).
-    pub fn zen2() -> Self {
-        Self {
-            l1_bytes: 32 << 10,
-            l1_ways: 8,
-            l2_bytes: 512 << 10,
-            l2_ways: 8,
-            llc_bytes: 32 << 20,
-            llc_ways: 16,
-            tlb_l1_entries: 64,
-            tlb_l2_sets: 128,
-            tlb_l2_ways: 16,
-        }
-    }
-
-    /// Geometry shrunk by `factor` (power of two) for scaled-down workload
-    /// footprints, keeping set/way shape. TLBs shrink with the square root
-    /// of the factor (their reach scales with pages, not bytes).
-    pub fn scaled_down(factor: u64) -> Self {
-        assert!(factor.is_power_of_two() && factor >= 1);
-        let full = Self::zen2();
-        let tlb_factor = (1u64 << (factor.trailing_zeros() / 2)).max(1) as usize;
-        Self {
-            l1_bytes: (full.l1_bytes / factor).max(4 << 10),
-            l1_ways: full.l1_ways,
-            l2_bytes: (full.l2_bytes / factor).max(16 << 10),
-            l2_ways: full.l2_ways,
-            llc_bytes: (full.llc_bytes / factor).max(128 << 10),
-            llc_ways: full.llc_ways,
-            tlb_l1_entries: (full.tlb_l1_entries / tlb_factor).max(16),
-            tlb_l2_sets: (full.tlb_l2_sets / tlb_factor).max(8),
-            tlb_l2_ways: full.tlb_l2_ways,
-        }
-    }
-}
+/// The machine's cycle-cost table.
+pub const LATENCY: LatencyConfig = LatencyConfig {
+    base_op: 1,
+    l1_hit: 0,
+    l2_hit: 12,
+    llc_hit: 38,
+    ptw: 100,
+    minor_fault: 2500,
+    protection_fault: 4000,
+    dirty_writeback: 30,
+    shootdown_ipi: 4000,
+    sample_interrupt: 1200,
+    pte_visit: 12,
+};
 
 /// Machine construction parameters.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Number of cores (the paper's testbed has 6).
     pub cores: usize,
-    /// Cache/TLB geometry.
-    pub caches: CacheProfile,
-    /// Cycle-cost table.
-    pub latency: LatencyConfig,
     /// Physical memory layout.
     pub memory: MemTopology,
     /// Trace-engine mode installed at reset.
@@ -157,7 +90,7 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// A scaled-down machine suitable for fast experiments: smaller caches,
+    /// A scaled-down machine suitable for fast experiments:
     /// `t1_frames`/`t2_frames` of tiered memory, IBS period `period`. The
     /// `TMPROF_TOPOLOGY` knob reshapes the layout (same totals, slow
     /// frames split across the named slow tiers); unset means the default
@@ -174,8 +107,6 @@ impl MachineConfig {
     pub fn scaled_topology(cores: usize, memory: MemTopology, period: u64) -> Self {
         Self {
             cores,
-            caches: CacheProfile::scaled_down(16),
-            latency: LatencyConfig::default(),
             memory,
             trace_mode: TraceMode::IbsOp { period },
         }
@@ -319,37 +250,35 @@ pub struct Machine {
     /// drained per epoch by the devsketch profiler.
     device_stream: bool,
     device_log: Vec<Pfn>,
-    /// Bytes each tier served this epoch (line fills + writebacks), indexed
-    /// by tier. Feeds the per-tier bandwidth budget: accesses past a tier's
-    /// `epoch_bytes_budget` pay the saturation surcharge. Reset at every
-    /// epoch horizon.
-    tier_epoch_bytes: Vec<u64>,
 }
 
 impl Machine {
     /// Build a machine from `cfg`, with all memory free and no processes.
+    ///
+    /// Every machine has one cache and TLB geometry: the paper's Zen2
+    /// testbed (Ryzen 5 3600X) shrunk 16× for the scaled-down footprints.
+    /// Caches keep Zen2's ways: L1D 4 KiB 8-way, L2 32 KiB 8-way, LLC 2 MiB
+    /// 16-way. TLB reach scales with pages, not bytes, so the TLBs shrink
+    /// by the square root of 16: a 16-entry fully associative DTLB and a
+    /// 32-set × 16-way STLB.
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.cores > 0, "machine needs at least one core");
         let cores = (0..cfg.cores)
             .map(|_| Core {
                 caches: PrivateCaches {
-                    l1d: Cache::new("L1D", cfg.caches.l1_bytes, cfg.caches.l1_ways),
-                    l2: Cache::new("L2", cfg.caches.l2_bytes, cfg.caches.l2_ways),
+                    l1d: Cache::new("L1D", 4 << 10, 8),
+                    l2: Cache::new("L2", 32 << 10, 8),
                 },
-                tlb: Tlb::new(
-                    TlbLevel::new(1, cfg.caches.tlb_l1_entries),
-                    TlbLevel::new(cfg.caches.tlb_l2_sets, cfg.caches.tlb_l2_ways),
-                ),
+                tlb: Tlb::new(TlbLevel::new(1, 16), TlbLevel::new(32, 16)),
                 counts: EventCounts::default(),
                 trace: TraceEngine::new(cfg.trace_mode),
                 pml: PmlEngine::new(),
             })
             .collect();
-        let llc = Cache::new("LLC", cfg.caches.llc_bytes, cfg.caches.llc_ways);
+        let llc = Cache::new("LLC", 2 << 20, 16);
         let frames = FrameAllocator::new(&cfg.memory);
         let descs = PageDescTable::new(cfg.memory.total_frames());
         let truth = GroundTruth::new(cfg.memory.total_frames());
-        let tier_epoch_bytes = vec![0; cfg.memory.num_tiers()];
         Self {
             cfg,
             cores,
@@ -364,7 +293,6 @@ impl Machine {
             first_touch_log: Vec::new(),
             device_stream: false,
             device_log: Vec::new(),
-            tier_epoch_bytes,
         }
     }
 
@@ -383,11 +311,6 @@ impl Machine {
     /// [`Self::set_device_stream`] enabled recording.
     pub fn take_device_accesses(&mut self) -> Vec<Pfn> {
         std::mem::take(&mut self.device_log)
-    }
-
-    /// Machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// Number of cores.
@@ -529,11 +452,6 @@ impl Machine {
     /// epoch's ground truth (Oracle / evaluation only — profilers never
     /// see it), leaving every frame's count at 0.
     pub fn advance_epoch(&mut self) -> EpochTruth {
-        // The bandwidth window is per epoch: every tier's byte meter
-        // restarts at the horizon.
-        for b in &mut self.tier_epoch_bytes {
-            *b = 0;
-        }
         let clock = self.clock();
         tmprof_obs::metrics::inc(ObsMetric::SimEpochs);
         tmprof_obs::journal::record(ObsEvent::EpochEnd, clock, self.epoch, 0, 0);
@@ -557,7 +475,7 @@ impl Machine {
         if vpns.is_empty() {
             return 0;
         }
-        let ipi = self.cfg.latency.shootdown_ipi;
+        let ipi = LATENCY.shootdown_ipi;
         let mut charged = 0;
         for core in &mut self.cores {
             for &vpn in vpns {
@@ -717,7 +635,7 @@ impl Machine {
     #[inline]
     // tmprof-lint: allow(panic-reachability) — core < cores.len() by the scheduler contract, and proc_idx comes from proc_idx(pid)
     fn exec_at(&mut self, core_idx: usize, proc_idx: usize, pid: Pid, op: WorkOp) -> ExecOutcome {
-        let lat = self.cfg.latency;
+        let lat = LATENCY;
         let mut out = ExecOutcome {
             cycles: lat.base_op,
             ..Default::default()
@@ -779,24 +697,6 @@ impl Machine {
                 } else {
                     spec.load_latency
                 };
-                // Per-tier bandwidth meter: a demand fill moves one line.
-                // Past the tier's per-epoch byte budget, the access queues
-                // behind the epoch's earlier traffic and pays the base
-                // latency a second time (no budget — the default — means
-                // the meter ticks but never charges).
-                let served = self.tier_epoch_bytes[t.index()];
-                if spec
-                    .epoch_bytes_budget
-                    .is_some_and(|budget| served >= budget)
-                {
-                    out.cycles += if store {
-                        spec.store_latency
-                    } else {
-                        spec.load_latency
-                    };
-                    tmprof_obs::metrics::inc(ObsMetric::SimBandwidthSurcharged);
-                }
-                self.tier_epoch_bytes[t.index()] = served + crate::addr::LINE_SIZE;
                 core.counts.llc_misses += 1;
                 // tier2_* counters aggregate every slower-than-fastest tier;
                 // under the default two-tier layout that is exactly tier 2.
@@ -813,12 +713,7 @@ impl Machine {
                 }
                 let fill = self.llc.fill(pa.line(), store);
                 if let Some(victim_line) = fill.writeback {
-                    Self::count_memory_writeback(
-                        &self.cfg.memory,
-                        &mut core.counts,
-                        &mut self.tier_epoch_bytes,
-                        victim_line,
-                    );
+                    Self::count_memory_writeback(&self.cfg.memory, &mut core.counts, victim_line);
                 }
             }
             let victims = core.caches.fill_through(pa, store);
@@ -826,12 +721,7 @@ impl Machine {
             // holds the line; otherwise they write through to memory.
             for victim in [victims.from_l1, victims.from_l2].into_iter().flatten() {
                 if !self.llc.writeback_touch(victim) {
-                    Self::count_memory_writeback(
-                        &self.cfg.memory,
-                        &mut core.counts,
-                        &mut self.tier_epoch_bytes,
-                        victim,
-                    );
+                    Self::count_memory_writeback(&self.cfg.memory, &mut core.counts, victim);
                 }
             }
         }
@@ -865,22 +755,14 @@ impl Machine {
     }
 
     /// Account a dirty line written back to memory (slow-tier writebacks
-    /// are the NVM write-endurance/energy cost). Writebacks also consume
-    /// the destination tier's bandwidth, so the per-epoch byte meter ticks
-    /// here too — asynchronously drained lines add queueing pressure even
-    /// though no demand access waits on them.
-    fn count_memory_writeback(
-        memory: &MemTopology,
-        counts: &mut EventCounts,
-        tier_bytes: &mut [u64],
-        victim_line: u64,
-    ) {
+    /// are the NVM write-endurance/energy cost).
+    fn count_memory_writeback(memory: &MemTopology, counts: &mut EventCounts, victim_line: u64) {
         let victim_pfn = PhysAddr(victim_line << crate::addr::LINE_SHIFT).pfn();
-        if let Ok(t) = memory.try_tier_of(victim_pfn) {
-            tier_bytes[t.index()] += crate::addr::LINE_SIZE;
-            if !t.is_fastest() {
-                counts.tier2_writebacks += 1;
-            }
+        if memory
+            .try_tier_of(victim_pfn)
+            .is_ok_and(|t| !t.is_fastest())
+        {
+            counts.tier2_writebacks += 1;
         }
     }
 
@@ -896,7 +778,7 @@ impl Machine {
         store: bool,
         out: &mut ExecOutcome,
     ) -> (Pfn, TlbHit) {
-        let lat = self.cfg.latency;
+        let lat = LATENCY;
 
         // TLB hit (possibly with a D-bit write-back on a store through a
         // clean translation — §II-B).
@@ -1130,7 +1012,6 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::addr::PAGE_SIZE;
-    use crate::tier::{MemTopology, TierSpec};
 
     fn small_machine() -> Machine {
         let mut m = Machine::new(MachineConfig::scaled(2, 64, 256, 64));
@@ -1443,7 +1324,7 @@ mod tests {
         let mut m = small_machine();
         m.touch(0, 1, VirtAddr(0x1000));
         let charged = m.shootdown(1, &[Vpn(1)], true);
-        let ipi = m.config().latency.shootdown_ipi;
+        let ipi = LATENCY.shootdown_ipi;
         assert_eq!(charged, ipi * 2);
         assert_eq!(m.counts(1).profiling_cycles, ipi);
     }
@@ -1452,96 +1333,5 @@ mod tests {
     fn shootdown_of_nothing_is_free() {
         let mut m = small_machine();
         assert_eq!(m.shootdown(1, &[], true), 0);
-    }
-
-    /// Machine whose fastest tier carries the given per-epoch byte budget
-    /// (`None` = the default unlimited spec), plus a strided driver that
-    /// forces sustained memory traffic.
-    fn bandwidth_machine(budget: Option<u64>) -> Machine {
-        let mut t1 = TierSpec::dram(64);
-        if let Some(b) = budget {
-            t1.epoch_bytes_budget = Some(b);
-        }
-        let mut cfg = MachineConfig::scaled(1, 64, 256, 1 << 20);
-        cfg.memory = MemTopology::new(t1, TierSpec::nvm(256));
-        let mut m = Machine::new(cfg);
-        m.add_process(1);
-        m
-    }
-
-    fn stride(m: &mut Machine, ops: u64) {
-        // Walk distinct lines across 48 tier-1 pages: far beyond the
-        // scaled-down caches, so nearly every access is a demand fill.
-        for i in 0..ops {
-            let page = i % 48;
-            let line = (i / 48 * 64) % PAGE_SIZE;
-            m.exec_op(
-                0,
-                1,
-                WorkOp::Mem {
-                    va: VirtAddr(page * PAGE_SIZE + line),
-                    store: false,
-                    site: 0,
-                },
-            );
-        }
-    }
-
-    #[test]
-    fn bandwidth_meter_ticks_and_resets_at_the_horizon() {
-        let mut m = bandwidth_machine(None);
-        stride(&mut m, 2_000);
-        let served = m.tier_epoch_bytes[0];
-        assert!(served > 0, "line fills tick the meter");
-        assert_eq!(served % crate::addr::LINE_SIZE, 0);
-        m.advance_epoch();
-        assert_eq!(m.tier_epoch_bytes[0], 0, "horizon resets");
-    }
-
-    #[test]
-    fn saturated_tier_surcharges_and_unlimited_does_not() {
-        // Identical op sequences; only the budget differs. The budgeted
-        // run must be strictly slower once the meter passes the budget,
-        // and a budget the epoch never reaches must change nothing.
-        let mut unlimited = bandwidth_machine(None);
-        stride(&mut unlimited, 3_000);
-        let base_cycles = unlimited.aggregate_counts().cycles;
-
-        let mut tight = bandwidth_machine(Some(4 * crate::addr::LINE_SIZE));
-        stride(&mut tight, 3_000);
-        let tight_cycles = tight.aggregate_counts().cycles;
-        assert!(
-            tight_cycles > base_cycles,
-            "saturation surcharge must cost cycles ({tight_cycles} vs {base_cycles})"
-        );
-        assert_eq!(
-            tight.tier_epoch_bytes[0], unlimited.tier_epoch_bytes[0],
-            "the meter itself is budget-independent"
-        );
-
-        let mut roomy = bandwidth_machine(Some(u64::MAX));
-        stride(&mut roomy, 3_000);
-        assert_eq!(
-            roomy.aggregate_counts().cycles,
-            base_cycles,
-            "an unreached budget is byte-identical to no budget"
-        );
-    }
-
-    #[test]
-    fn bandwidth_budget_windows_are_per_epoch() {
-        // Epoch 1 saturates; after the horizon the same traffic starts
-        // from a fresh meter, so the early accesses are full price again.
-        let budget = Some(16 * crate::addr::LINE_SIZE);
-        let mut m = bandwidth_machine(budget);
-        stride(&mut m, 500);
-        let first = m.aggregate_counts().cycles;
-        m.advance_epoch();
-        stride(&mut m, 500);
-        let second = m.aggregate_counts().cycles - first;
-        // Same footprint, warmer caches: the second epoch cannot be
-        // *more* surcharged than the first (and may generate no memory
-        // traffic at all once everything is cache-resident).
-        assert!(second <= first);
     }
 }

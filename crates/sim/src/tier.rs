@@ -101,14 +101,6 @@ pub struct TierSpec {
     pub load_latency: u64,
     /// Cycles to absorb a store (write buffers hide part of it).
     pub store_latency: u64,
-    /// Per-epoch bandwidth budget in bytes. Once the tier has served this
-    /// many bytes within one epoch, every further access is surcharged
-    /// with a second helping of its base latency — the queueing-delay knee
-    /// of a saturated memory channel, collapsed to a step function.
-    /// `None` (the default everywhere, including every preset) means
-    /// infinite bandwidth: no byte accounting changes any latency, keeping
-    /// all committed default-scale experiments byte-identical.
-    pub epoch_bytes_budget: Option<u64>,
 }
 
 impl TierSpec {
@@ -118,7 +110,6 @@ impl TierSpec {
             frames,
             load_latency: 320,
             store_latency: 320,
-            epoch_bytes_budget: None,
         }
     }
 
@@ -128,7 +119,6 @@ impl TierSpec {
             frames,
             load_latency: 680,
             store_latency: 480,
-            epoch_bytes_budget: None,
         }
     }
 
@@ -138,7 +128,6 @@ impl TierSpec {
             frames,
             load_latency: 1200,
             store_latency: 400,
-            epoch_bytes_budget: None,
         }
     }
 
