@@ -9,6 +9,7 @@ use std::sync::OnceLock;
 
 use tmprof_bench::harness::{run_workload, ProfMode, RunOptions, WorkloadRun};
 use tmprof_bench::scale::Scale;
+use tmprof_bench::shootout::baseline_cycles;
 use tmprof_bench::sweep::{Sweep, SweepResults};
 use tmprof_workloads::spec::WorkloadKind;
 
@@ -55,6 +56,7 @@ pub struct Shared {
     pub scale: Scale,
     dense: OnceLock<SweepResults<WorkloadKind, u64, WorkloadRun>>,
     abit: OnceLock<SweepResults<WorkloadKind, (), WorkloadRun>>,
+    baseline: OnceLock<SweepResults<WorkloadKind, (), u64>>,
 }
 
 impl Shared {
@@ -86,6 +88,17 @@ impl Shared {
             sweep
         })
     }
+
+    /// Every kind's cycles unprofiled: the overhead baseline of the
+    /// overhead table and the profiler shoot-out.
+    pub fn baseline(&self) -> &SweepResults<WorkloadKind, (), u64> {
+        self.baseline.get_or_init(|| {
+            let sweep = Sweep::over(WorkloadKind::ALL.to_vec())
+                .run(|&kind, _| baseline_cycles(kind, &self.scale));
+            sweep.log_summary("baseline");
+            sweep
+        })
+    }
 }
 
 fn main() {
@@ -102,6 +115,7 @@ fn main() {
         scale: Scale::from_env(),
         dense: OnceLock::new(),
         abit: OnceLock::new(),
+        baseline: OnceLock::new(),
     };
     for (name, run) in EXPERIMENTS {
         if names.is_empty() || names.iter().any(|n| n == name) {

@@ -10,17 +10,17 @@ use tmprof_bench::sweep::Sweep;
 use tmprof_bench::table::{pct, Table};
 use tmprof_workloads::spec::WorkloadKind;
 
-/// The configurations run here; the A-bit-only runs are the `abit` sweep.
+/// The configurations run here; the unprofiled and A-bit-only runs are
+/// the `baseline` and `abit` sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Config {
-    None,
     IbsDefault,
     Ibs4x,
 }
 
 pub fn run(shared: &crate::Shared) {
     let scale = shared.scale;
-    let configs = [Config::None, Config::IbsDefault, Config::Ibs4x];
+    let configs = [Config::IbsDefault, Config::Ibs4x];
     let cells = Sweep::grid(WorkloadKind::ALL.to_vec(), configs.to_vec()).run(|&kind, &cfg| {
         // The overhead study runs in the paper's sparse-rate
         // regime: our 1x period stands in for the paper's
@@ -29,7 +29,6 @@ pub fn run(shared: &crate::Shared) {
         // rather than at the coverage experiments' dense rate.
         let sparse = scale.base_period * 4;
         let opts = match cfg {
-            Config::None => RunOptions::new(scale).with_mode(ProfMode::None),
             Config::IbsDefault => RunOptions::new(scale)
                 .with_mode(ProfMode::TraceOnly)
                 .with_base_period(sparse)
@@ -42,6 +41,7 @@ pub fn run(shared: &crate::Shared) {
         run_workload(kind, &opts).counts.cycles
     });
     cells.log_summary("overhead_table");
+    let baseline = shared.baseline();
     let abit = shared.abit();
 
     let cycles = |kind: WorkloadKind, cfg: Config| -> u64 { *cells.value(&kind, &cfg) };
@@ -54,7 +54,7 @@ pub fn run(shared: &crate::Shared) {
     ]);
     let mut worst = [0.0f64; 3];
     for kind in WorkloadKind::ALL {
-        let base = cycles(kind, Config::None) as f64;
+        let base = *baseline.value_for(&kind) as f64;
         let ov = |profiled: u64| profiled as f64 / base - 1.0;
         let a = ov(abit.value_for(&kind).counts.cycles);
         let (d, x4) = (

@@ -8,11 +8,13 @@ use tmprof_bench::table::{pct, Table};
 use tmprof_workloads::spec::WorkloadKind;
 
 pub fn run(shared: &crate::Shared) {
+    let baseline = shared.baseline();
     let sweep = Sweep::over(WorkloadKind::ALL.to_vec()).run(|&kind, _| {
+        let base = *baseline.value_for(&kind);
         (
-            score_tmp(kind, &shared.scale),
-            score_autonuma(kind, &shared.scale),
-            score_thermostat(kind, &shared.scale),
+            score_tmp(kind, &shared.scale, base),
+            score_autonuma(kind, &shared.scale, base),
+            score_thermostat(kind, &shared.scale, base),
         )
     });
     sweep.log_summary("profiler_shootout");

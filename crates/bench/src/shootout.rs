@@ -105,8 +105,8 @@ fn run_epoch(machine: &mut Machine, gens: &mut [Box<dyn OpStream + Send>], pids:
     Runner::new(streams).run(machine, ops);
 }
 
-/// Cycles of an unprofiled run (the overhead baseline).
-fn baseline_cycles(kind: WorkloadKind, scale: &Scale) -> u64 {
+/// Cycles of an unprofiled run (the overhead baseline every scorer takes).
+pub fn baseline_cycles(kind: WorkloadKind, scale: &Scale) -> u64 {
     run_workload(kind, &RunOptions::new(*scale).with_mode(ProfMode::None))
         .counts
         .cycles
@@ -114,8 +114,8 @@ fn baseline_cycles(kind: WorkloadKind, scale: &Scale) -> u64 {
 
 /// TMP's scorecard (standard sparse-rate configuration, rate 4x — the
 /// deployable regime, unlike the coverage experiments' dense sampling).
-pub fn score_tmp(kind: WorkloadKind, scale: &Scale) -> Scorecard {
-    let base = baseline_cycles(kind, scale);
+/// `base` is [`baseline_cycles`] of the same kind and scale.
+pub fn score_tmp(kind: WorkloadKind, scale: &Scale, base: u64) -> Scorecard {
     let run = run_workload(kind, &RunOptions::new(*scale));
     // Estimate: combined per-page counts accumulated over all epochs.
     let mut estimate: KeyMap<u64, u64> = KeyMap::default();
@@ -133,9 +133,8 @@ pub fn score_tmp(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     }
 }
 
-/// AutoNUMA's scorecard.
-pub fn score_autonuma(kind: WorkloadKind, scale: &Scale) -> Scorecard {
-    let base = baseline_cycles(kind, scale);
+/// AutoNUMA's scorecard; `base` as for [`score_tmp`].
+pub fn score_autonuma(kind: WorkloadKind, scale: &Scale, base: u64) -> Scorecard {
     let cfg = scaled_config(kind, scale);
     let mut machine = profiling_machine(&cfg, scale, scale.base_period);
     let (mut gens, pids) = spawn_into(&mut machine, kind, scale);
@@ -160,9 +159,8 @@ pub fn score_autonuma(kind: WorkloadKind, scale: &Scale) -> Scorecard {
     }
 }
 
-/// Thermostat's scorecard.
-pub fn score_thermostat(kind: WorkloadKind, scale: &Scale) -> Scorecard {
-    let base = baseline_cycles(kind, scale);
+/// Thermostat's scorecard; `base` as for [`score_tmp`].
+pub fn score_thermostat(kind: WorkloadKind, scale: &Scale, base: u64) -> Scorecard {
     let cfg = scaled_config(kind, scale);
     let mut machine = profiling_machine(&cfg, scale, scale.base_period);
     let (mut gens, pids) = spawn_into(&mut machine, kind, scale);
@@ -233,9 +231,10 @@ mod tests {
         // sampling, and buy less coverage per point of overhead. (Its
         // blind spot for TLB-resident hot pages is pinned by
         // thermostat::tests::tlb_resident_hot_page_is_misclassified_cold.)
-        let scale = Scale::quick();
-        let tmp = score_tmp(WorkloadKind::WebServing, &scale);
-        let th = score_thermostat(WorkloadKind::WebServing, &scale);
+        let (kind, scale) = (WorkloadKind::WebServing, Scale::quick());
+        let base = baseline_cycles(kind, &scale);
+        let tmp = score_tmp(kind, &scale, base);
+        let th = score_thermostat(kind, &scale, base);
         assert!(
             th.overhead > tmp.overhead,
             "overhead: Thermostat {} vs TMP {}",
@@ -254,9 +253,10 @@ mod tests {
 
     #[test]
     fn autonuma_costs_more_than_tmp() {
-        let scale = Scale::quick();
-        let tmp = score_tmp(WorkloadKind::DataCaching, &scale);
-        let numa = score_autonuma(WorkloadKind::DataCaching, &scale);
+        let (kind, scale) = (WorkloadKind::DataCaching, Scale::quick());
+        let base = baseline_cycles(kind, &scale);
+        let tmp = score_tmp(kind, &scale, base);
+        let numa = score_autonuma(kind, &scale, base);
         // The §II claim is about cost: AutoNUMA pays protection faults and
         // shootdowns for its visibility; TMP's deployable configuration
         // stays in the single-digit range.

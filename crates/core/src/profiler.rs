@@ -9,9 +9,8 @@
 //! policy sits above it.
 
 use tmprof_profilers::abit::{ABitConfig, ABitScanner, ABitStats};
-use tmprof_profilers::devsketch::{DevSketch, DevSketchConfig};
 use tmprof_profilers::trace::{TraceConfig, TraceProfiler, TraceStats};
-use tmprof_sim::keymap::{KeyMap, PageSet};
+use tmprof_sim::keymap::PageSet;
 use tmprof_sim::machine::Machine;
 use tmprof_sim::stats::EpochTruth;
 
@@ -25,11 +24,6 @@ pub struct TmpConfig {
     pub trace: TraceConfig,
     pub abit: ABitConfig,
     pub gating: GatingConfig,
-    /// Device-side hot-page sketch over the slow-tier access stream
-    /// (`RankSource::DevSketch`). `None` — the paper's baseline — leaves
-    /// the machine's device stream off, so the default profiler is
-    /// bit-identical to a build without the sketch.
-    pub devsketch: Option<DevSketchConfig>,
 }
 
 impl TmpConfig {
@@ -41,7 +35,6 @@ impl TmpConfig {
             trace: TraceConfig::ibs(base_period).at_rate(4),
             abit: ABitConfig::default(),
             gating: GatingConfig::default(),
-            devsketch: None,
         }
     }
 }
@@ -75,9 +68,6 @@ pub struct Tmp {
     /// Union over epochs of per-epoch both-detected sets (Table IV "Both";
     /// see DESIGN.md §7 on the interpretation).
     both_seen: PageSet,
-    /// Device-side hot-page tracker; present iff `cfg.devsketch` is set,
-    /// in which case the machine's device stream is armed.
-    sketch: Option<DevSketch>,
 }
 
 impl Tmp {
@@ -86,49 +76,13 @@ impl Tmp {
         let trace = TraceProfiler::new(cfg.trace, machine);
         let abit = ABitScanner::new(cfg.abit);
         let gating = Gating::new(cfg.gating, machine);
-        let sketch = cfg.devsketch.map(DevSketch::new);
-        machine.set_device_stream(sketch.is_some());
         Self {
             trace,
             abit,
             filter: ProcessFilter::new(FilterConfig::default()),
             gating,
             both_seen: PageSet::new(),
-            sketch,
         }
-    }
-
-    /// Drain the slow-tier access stream into the device sketch and return
-    /// the epoch's Top-K as a `packed page key -> estimate` map (empty when
-    /// the sketch is disabled). Runs before the descriptor epoch reset so
-    /// the frame -> owner reverse mapping is still the one the accesses
-    /// hit; the sketch's own per-epoch reset happens here too, mirroring
-    /// the device clearing its counters at the horizon.
-    fn drain_device_sketch(&mut self, machine: &mut Machine) -> KeyMap<u64, u64> {
-        let mut out = KeyMap::default();
-        let Some(sketch) = self.sketch.as_mut() else {
-            return out;
-        };
-        let stream = machine.take_device_accesses();
-        tmprof_obs::metrics::add(
-            tmprof_obs::metrics::Metric::DevsketchAccesses,
-            stream.len() as u64,
-        );
-        sketch.feed_stream(&stream);
-        for (pfn, estimate) in sketch.top_k() {
-            // A frame can lose its owner between the access and the
-            // horizon (unmap/migration); the device only knows frames, so
-            // such entries are dropped at translation time.
-            if let Some(owner) = machine.descs().get(pfn).owner {
-                out.insert(owner.pack(), estimate);
-            }
-        }
-        tmprof_obs::metrics::add(
-            tmprof_obs::metrics::Metric::DevsketchTopkPages,
-            out.len() as u64,
-        );
-        sketch.reset_epoch();
-        out
     }
 
     /// Close the current epoch: poll hardware, scan PTEs, snapshot the
@@ -186,10 +140,8 @@ impl Tmp {
     pub fn finish_epoch_close(&mut self, machine: &mut Machine) -> TmpEpochReport {
         let epoch = machine.epoch();
 
-        // 3. Snapshot per-page observations before the counters reset,
-        //    folding in the device sketch's Top-K (empty when disabled).
-        let mut profile = EpochProfile::capture(machine.descs());
-        profile.devsketch = self.drain_device_sketch(machine);
+        // 3. Snapshot per-page observations before the counters reset.
+        let profile = EpochProfile::capture(machine.descs());
 
         // 4. Per-epoch detection sets (Table IV accounting).
         let abit_set = self.abit.take_epoch_pages();
@@ -349,44 +301,6 @@ mod tests {
         let r3 = tmp.end_epoch(&mut m);
         assert_eq!(r3.trace_pages, 0);
         assert_eq!(r3.abit_pages, 0);
-    }
-
-    #[test]
-    fn devsketch_is_off_by_default() {
-        let mut m = machine();
-        let mut tmp = Tmp::new(TmpConfig::paper_defaults(64), &mut m);
-        // Footprint past the 512-frame fast tier, so slow-tier accesses
-        // exist — but with no sketch configured the stream stays off.
-        strided(&mut m, 600, 30_000);
-        let report = tmp.end_epoch(&mut m);
-        assert!(report.profile.devsketch.is_empty());
-        assert!(report.profile.ranked(RankSource::DevSketch).is_empty());
-        assert!(tmp.sketch.is_none());
-    }
-
-    #[test]
-    fn devsketch_reports_slow_tier_pages() {
-        let mut m = machine();
-        let cfg = TmpConfig {
-            devsketch: Some(DevSketchConfig { k: 16 }),
-            ..TmpConfig::paper_defaults(64)
-        };
-        let mut tmp = Tmp::new(cfg, &mut m);
-        strided(&mut m, 600, 30_000);
-        let report = tmp.end_epoch(&mut m);
-        let ranked = report.profile.ranked(RankSource::DevSketch);
-        assert!(!ranked.is_empty(), "device saw the slow-tier overflow");
-        assert!(ranked.len() <= 16, "Top-K bounds the report");
-        let stats = tmp.sketch.as_ref().expect("sketch enabled").stats();
-        assert!(stats.fed > 0);
-        assert_eq!(stats.epochs, 1);
-        // Next epoch with a fast-tier-resident working set: nothing
-        // reaches the device, the sketch reports nothing.
-        for _ in 0..5_000 {
-            m.touch(0, 1, VirtAddr(0x1000));
-        }
-        let r2 = tmp.end_epoch(&mut m);
-        assert!(r2.profile.devsketch.is_empty());
     }
 
     #[test]

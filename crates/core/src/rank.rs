@@ -18,13 +18,8 @@ pub enum RankSource {
     ABit,
     /// Trace (IBS/PEBS) samples only.
     Trace,
-    /// TMP: sum of A-bit and trace (the paper's rule — the device sketch
-    /// is deliberately not folded in, so `Combined` keeps meaning what
-    /// Fig. 6 measured).
+    /// TMP: sum of A-bit and trace (the paper's rule).
     Combined,
-    /// Device-side hot-page sketch (NeoMem-style Top-K over the slow-tier
-    /// access stream a CXL controller observes).
-    DevSketch,
 }
 
 impl RankSource {
@@ -33,21 +28,12 @@ impl RankSource {
     /// 7-cells-per-ratio layout depends on it.
     pub const ALL: [RankSource; 3] = [RankSource::ABit, RankSource::Trace, RankSource::Combined];
 
-    /// Fig. 6's sources plus the device-side sketch, for topology sweeps.
-    pub const ALL_WITH_DEVSKETCH: [RankSource; 4] = [
-        RankSource::ABit,
-        RankSource::Trace,
-        RankSource::Combined,
-        RankSource::DevSketch,
-    ];
-
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
             RankSource::ABit => "A-bit",
             RankSource::Trace => "IBS",
             RankSource::Combined => "TMP",
-            RankSource::DevSketch => "DevSketch",
         }
     }
 }
@@ -67,11 +53,6 @@ pub struct EpochProfile {
     pub abit: KeyMap<u64, u64>,
     /// Trace samples per page.
     pub trace: KeyMap<u64, u64>,
-    /// Device-sketch estimated accesses per page (the per-epoch Top-K of
-    /// the slow-tier stream). Empty unless the devsketch profiler is
-    /// enabled; [`Self::capture`] never fills it — the sketch lives in the
-    /// device, not the page descriptors.
-    pub devsketch: KeyMap<u64, u64>,
 }
 
 impl EpochProfile {
@@ -96,7 +77,6 @@ impl EpochProfile {
         let mut out = Self {
             abit: KeyMap::with_capacity_and_hasher(abit, Default::default()),
             trace: KeyMap::with_capacity_and_hasher(trace, Default::default()),
-            devsketch: KeyMap::default(),
         };
         for pfn in touched {
             let d = descs.get(pfn);
@@ -140,7 +120,6 @@ impl EpochProfile {
                 self.abit.get(&key).copied().unwrap_or(0)
                     + self.trace.get(&key).copied().unwrap_or(0)
             }
-            RankSource::DevSketch => self.devsketch.get(&key).copied().unwrap_or(0),
         }
     }
 
@@ -158,7 +137,6 @@ impl EpochProfile {
         let keys: Vec<u64> = match source {
             RankSource::ABit => self.abit.keys().copied().collect(),
             RankSource::Trace => self.trace.keys().copied().collect(),
-            RankSource::DevSketch => self.devsketch.keys().copied().collect(),
             RankSource::Combined => {
                 // The pre-sort exists only to dedup the two-source union;
                 // the single-source branches need no sort at all (the
@@ -364,33 +342,6 @@ mod tests {
         assert_eq!(RankSource::Combined.label(), "TMP");
         assert_eq!(RankSource::ABit.label(), "A-bit");
         assert_eq!(RankSource::Trace.label(), "IBS");
-        assert_eq!(RankSource::DevSketch.label(), "DevSketch");
-    }
-
-    #[test]
-    fn devsketch_source_ranks_only_sketch_entries() {
-        // The sketch is its own source: it neither feeds nor reads the
-        // paper's Combined rule.
-        let mut p = EpochProfile::default();
-        let k1 = PageKey {
-            pid: 1,
-            vpn: Vpn(1),
-        }
-        .pack();
-        let k2 = PageKey {
-            pid: 1,
-            vpn: Vpn(2),
-        }
-        .pack();
-        p.abit.insert(k1, 4);
-        p.devsketch.insert(k2, 9);
-        assert_eq!(p.rank_of(k2, RankSource::DevSketch), 9);
-        assert_eq!(p.rank_of(k1, RankSource::DevSketch), 0);
-        assert_eq!(p.rank_of(k2, RankSource::Combined), 0);
-        let r = p.ranked(RankSource::DevSketch);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].key.vpn, Vpn(2));
-        assert_eq!(RankSource::ALL_WITH_DEVSKETCH.len(), 4);
         assert_eq!(RankSource::ALL.len(), 3, "Fig. 6 schedule is pinned");
     }
 }

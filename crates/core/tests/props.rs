@@ -10,11 +10,7 @@ fn arbitrary_profile() -> impl Strategy<Value = EpochProfile> {
         prop::collection::hash_map(0u64..500, 1u64..100, 0..60),
         prop::collection::hash_map(0u64..500, 1u64..100, 0..60),
     )
-        .prop_map(|(abit, trace)| EpochProfile {
-            abit,
-            trace,
-            ..Default::default()
-        })
+        .prop_map(|(abit, trace)| EpochProfile { abit, trace })
 }
 
 proptest! {

@@ -73,10 +73,6 @@ metrics! {
         "PTEs visited by A-bit scans";
     AbitObservations => "abit.observations",
         "A bits found set during scans";
-    DevsketchAccesses => "devsketch.accesses",
-        "slow-tier accesses fed into the device-side hot-page sketch";
-    DevsketchTopkPages => "devsketch.topk_pages",
-        "pages reported by the device sketch's per-epoch Top-K";
     // -- core: gating + daemon + epoch engine ---------------------------
     GateEvaluations => "gate.evaluations",
         "HWPC gate evaluation periods";

@@ -154,9 +154,9 @@ pub struct HitrateCell {
 /// u32`, so position 2³² wrapped to 0 and a page far outside every capacity
 /// scored as resident (see `positions_beyond_u32_do_not_wrap`).
 struct RankCache {
-    /// `positions[epoch][si]` for source index `si` in the sweep's source
-    /// list: packed key → 0-based position in the (rank desc, key asc)
-    /// order, present for the top `max_capacity` pages only.
+    /// `positions[epoch][si]` for source index `si` in
+    /// [`RankSource::ALL`]: packed key → 0-based position in the (rank
+    /// desc, key asc) order, present for the top `max_capacity` pages only.
     positions: Vec<Vec<KeyMap<u64, u64>>>,
     /// Packed key → first-occurrence index in first-touch order; membership
     /// of `first_touch_order.take(c)` is `position < c`.
@@ -164,12 +164,12 @@ struct RankCache {
 }
 
 impl RankCache {
-    fn build(log: &ReplayLog, sources: &[RankSource], max_capacity: usize) -> Self {
+    fn build(log: &ReplayLog, max_capacity: usize) -> Self {
         let positions = log
             .epochs
             .iter()
             .map(|e| {
-                sources
+                RankSource::ALL
                     .iter()
                     .map(|&s| {
                         e.profile
@@ -192,8 +192,8 @@ impl RankCache {
         }
     }
 
-    /// One cell against the cache (`si` indexes the source list the cache
-    /// was built over; ignored by FirstTouch). Float-identical to
+    /// One cell against the cache (`si` indexes [`RankSource::ALL`];
+    /// ignored by FirstTouch). Float-identical to
     /// [`replay_hitrate`]: hits/total accumulate as `u64`
     /// (order-independent) and the hitrate is the same single `f64`
     /// division.
@@ -232,13 +232,12 @@ impl RankCache {
 fn grid_cells(
     footprint: usize,
     ratio_denominators: &[u32],
-    sources: &[RankSource],
 ) -> Vec<(ReplayPolicy, RankSource, usize, u32, usize)> {
     let mut cells = Vec::new();
     for &denom in ratio_denominators {
         let capacity = (footprint / denom as usize).max(1);
         for policy in [ReplayPolicy::Oracle, ReplayPolicy::History] {
-            for (si, &source) in sources.iter().enumerate() {
+            for (si, &source) in RankSource::ALL.iter().enumerate() {
                 cells.push((policy, source, si, denom, capacity));
             }
         }
@@ -262,25 +261,20 @@ fn grid_cells(
 /// [`hitrate_grid_serial`], the seed reference implementation
 /// (property-tested in `tests/props.rs`).
 pub fn hitrate_grid(log: &ReplayLog, ratio_denominators: &[u32]) -> Vec<HitrateCell> {
-    hitrate_grid_full(log, ratio_denominators, &RankSource::ALL, None)
+    hitrate_grid_full(log, ratio_denominators, None)
 }
 
-/// [`hitrate_grid`] over an explicit profiling-source list and worker
-/// count (`None` defers to [`tmprof_core::pool::workers`]). The
-/// `topology_grid` bench passes [`RankSource::ALL_WITH_DEVSKETCH`] to rank
-/// the device-side sketch alongside the paper's three sources; the
-/// parallel-identity tests pin the worker count. With
-/// [`RankSource::ALL`] this is exactly the Fig. 6 schedule.
+/// [`hitrate_grid`] with an explicit worker count (`None` defers to
+/// [`tmprof_core::pool::workers`]); the parallel-identity tests pin it.
 pub fn hitrate_grid_full(
     log: &ReplayLog,
     ratio_denominators: &[u32],
-    sources: &[RankSource],
     workers: Option<usize>,
 ) -> Vec<HitrateCell> {
     let footprint = log.footprint_pages().max(1);
-    let mut cells = grid_cells(footprint, ratio_denominators, sources);
+    let mut cells = grid_cells(footprint, ratio_denominators);
     let max_capacity = cells.iter().map(|c| c.4).max().unwrap_or(1);
-    let cache = RankCache::build(log, sources, max_capacity);
+    let cache = RankCache::build(log, max_capacity);
 
     let workers = workers.unwrap_or_else(pool::workers);
     let rates = pool::run(
@@ -307,7 +301,7 @@ pub fn hitrate_grid_full(
 // tmprof-lint: allow(dead-surface) — identity oracle of policy/tests/props.rs, tests/integration_replay_identity.rs and hitrate::tests::cached_parallel_grid_matches_serial_reference
 pub fn hitrate_grid_serial(log: &ReplayLog, ratio_denominators: &[u32]) -> Vec<HitrateCell> {
     let footprint = log.footprint_pages().max(1);
-    grid_cells(footprint, ratio_denominators, &RankSource::ALL)
+    grid_cells(footprint, ratio_denominators)
         .into_iter()
         .map(|(policy, source, _, denom, capacity)| HitrateCell {
             policy,
@@ -438,7 +432,7 @@ mod tests {
         let log = rotating_log(6);
         let serial = hitrate_grid_serial(&log, &PAPER_RATIOS);
         for workers in [1, 4] {
-            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(workers));
+            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, Some(workers));
             assert_eq!(serial.len(), fast.len());
             for (a, b) in serial.iter().zip(&fast) {
                 assert_eq!(a.policy, b.policy);
@@ -469,7 +463,7 @@ mod tests {
                 RankSource::Combined,
                 capacity,
             );
-            let cache = RankCache::build(&log, &RankSource::ALL, capacity);
+            let cache = RankCache::build(&log, capacity);
             let cached = cache.hitrate(&log, ReplayPolicy::FirstTouch, 0, capacity);
             assert_eq!(serial.to_bits(), cached.to_bits(), "capacity {capacity}");
         }
@@ -503,7 +497,7 @@ mod tests {
     fn sources_grid_with_all_matches_default_grid() {
         let log = rotating_log(5);
         let a = hitrate_grid(&log, &PAPER_RATIOS);
-        let b = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, None);
+        let b = hitrate_grid_full(&log, &PAPER_RATIOS, None);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.policy, y.policy);

@@ -19,11 +19,7 @@ fn arbitrary_log() -> impl Strategy<Value = ReplayLog> {
     )
         .prop_map(
             |(abit, trace, truth): (_, _, KeyMap<u64, u64>)| ReplayEpoch {
-                profile: EpochProfile {
-                    abit,
-                    trace,
-                    ..Default::default()
-                },
+                profile: EpochProfile { abit, trace },
                 truth_mem: truth.into_iter().collect(),
             },
         );
@@ -94,7 +90,7 @@ proptest! {
         profile in (
             prop::collection::hash_map(0u64..300, 1u64..50, 0..50),
             prop::collection::hash_map(0u64..300, 1u64..50, 0..50),
-        ).prop_map(|(abit, trace)| EpochProfile { abit, trace, ..Default::default() }),
+        ).prop_map(|(abit, trace)| EpochProfile { abit, trace }),
         capacity in 0usize..100,
     ) {
         let mut policy = HistoryPolicy::new(RankSource::Combined);
@@ -140,7 +136,7 @@ proptest! {
         // at any worker count.
         let serial = hitrate_grid_serial(&log, &PAPER_RATIOS);
         for workers in [1usize, 4] {
-            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(workers));
+            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, Some(workers));
             prop_assert_eq!(serial.len(), fast.len());
             for (a, b) in serial.iter().zip(&fast) {
                 prop_assert_eq!(a.policy, b.policy);

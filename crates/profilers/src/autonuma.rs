@@ -46,7 +46,6 @@ impl Default for AutoNumaConfig {
 struct NumaState {
     /// Observed accesses (faults) per packed page key.
     hits: KeyMap<u64, u64>,
-    total_faults: u64,
 }
 
 /// The fault-handler half.
@@ -62,7 +61,6 @@ impl FaultPolicy for AutoNumaHandler {
         };
         let mut st = self.state.lock();
         *st.hits.entry(key.pack()).or_insert(0) += 1;
-        st.total_faults += 1;
         // Record and grant access until the next scan pass.
         FaultAction {
             unprotect: true,
@@ -152,11 +150,11 @@ mod tests {
         m.set_fault_policy(Some(handler));
         assert_eq!(scanner.scan_pass(&mut m, 1), 50);
         touch(&mut m, 50);
-        assert_eq!(scanner.state.lock().total_faults, 50);
+        assert_eq!(m.aggregate_counts().protection_faults, 50);
         assert_eq!(scanner.pages_seen(), 50);
         // Unprotected after the fault: further touches are free.
         touch(&mut m, 50);
-        assert_eq!(scanner.state.lock().total_faults, 50);
+        assert_eq!(m.aggregate_counts().protection_faults, 50);
     }
 
     #[test]

@@ -34,8 +34,6 @@ struct BtState {
     /// Faults (≈ TLB misses) per poisoned page since the last
     /// `unpoison_all`.
     faults: KeyMap<u64, u64>,
-    /// Total faults intercepted.
-    total_faults: u64,
 }
 
 /// The in-kernel fault handler half.
@@ -51,7 +49,6 @@ impl FaultPolicy for BadgerTrapHandler {
         };
         let mut st = self.state.lock();
         *st.faults.entry(key.pack()).or_insert(0) += 1;
-        st.total_faults += 1;
         // Unpoison for this walk, fill the TLB, repoison: the canonical
         // BadgerTrap sequence.
         FaultAction {
@@ -136,13 +133,6 @@ mod tests {
     use super::*;
     use tmprof_sim::prelude::*;
 
-    impl BadgerTrap {
-        /// Total faults intercepted so far.
-        pub(crate) fn total_faults(&self) -> u64 {
-            self.state.lock().total_faults
-        }
-    }
-
     fn machine() -> Machine {
         let mut m = Machine::new(MachineConfig::scaled(1, 128, 512, 1 << 20));
         m.add_process(1);
@@ -172,7 +162,7 @@ mod tests {
             m.touch(0, 1, VirtAddr(0x5000));
         }
         assert_eq!(bt.faults_of(1, Vpn(5)), 6);
-        assert_eq!(bt.total_faults(), 6);
+        assert_eq!(m.aggregate_counts().protection_faults, 6);
     }
 
     #[test]

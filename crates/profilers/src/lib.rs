@@ -14,9 +14,7 @@
 //! * [`thermostat`] — Thermostat-style sampled hot/cold classification
 //!   over BadgerTrap (§II-B / §VII related work);
 //! * [`badgertrap`] — fault-based TLB-miss interception (poisoned PTEs),
-//!   also the substrate for the NVM latency emulation in `tmprof-emul`;
-//! * [`devsketch`] — NeoMem-style device-side hot-page tracker (count-min
-//!   sketch + Top-K over the slow-tier access stream).
+//!   also the substrate for the NVM latency emulation in `tmprof-emul`.
 //!
 //! The TMP profiler (`tmprof-core`) composes these; policies consume the
 //! per-page statistics they accumulate.
@@ -24,7 +22,6 @@
 pub mod abit;
 pub mod autonuma;
 pub mod badgertrap;
-pub mod devsketch;
 pub mod pml;
 pub mod thermostat;
 pub mod trace;
@@ -32,7 +29,6 @@ pub mod trace;
 pub use abit::{ABitConfig, ABitScanner};
 pub use autonuma::AutoNumaScanner;
 pub use badgertrap::BadgerTrap;
-pub use devsketch::{DevSketch, DevSketchConfig};
 pub use pml::PmlTracker;
 pub use thermostat::Thermostat;
 pub use trace::{TraceConfig, TraceProfiler};

@@ -221,7 +221,7 @@ mod tests {
             Some(Verdict::Cold),
             "TLB-miss proxy must undercount the hottest page"
         );
-        assert_eq!(th.trap.total_faults(), 1);
+        assert_eq!(m.aggregate_counts().protection_faults, 1);
     }
 
     #[test]

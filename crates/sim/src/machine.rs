@@ -173,7 +173,8 @@ pub struct FaultAction {
 }
 
 /// Software fault handler for poisoned / prot-none pages. Implemented by
-/// BadgerTrap (profilers crate) and the NVM latency emulator (emul crate).
+/// BadgerTrap and AutoNUMA's hinting-fault handler (profilers crate) and
+/// the NVM latency emulator (emul crate).
 pub trait FaultPolicy: Send {
     /// Decide how to resolve `fault`.
     fn handle(&mut self, fault: &PoisonFault) -> FaultAction;
@@ -244,12 +245,6 @@ pub struct Machine {
     /// Packed [`PageKey`]s in the order they were first touched (minor
     /// faults). Feeds the first-come-first-allocate baseline evaluation.
     first_touch_log: Vec<u64>,
-    /// When enabled, every LLC miss served from a non-fastest tier appends
-    /// its frame here — the access stream a device-side hot-page tracker
-    /// (NeoMem-style CXL controller counter) would observe. Off by default;
-    /// drained per epoch by the devsketch profiler.
-    device_stream: bool,
-    device_log: Vec<Pfn>,
 }
 
 impl Machine {
@@ -291,26 +286,7 @@ impl Machine {
             epoch: 0,
             fault_policy: None,
             first_touch_log: Vec::new(),
-            device_stream: false,
-            device_log: Vec::new(),
         }
-    }
-
-    /// Enable or disable recording of the device-side slow-tier access
-    /// stream (see [`Self::take_device_accesses`]). Disabled by default —
-    /// the default paths pay nothing for it.
-    pub fn set_device_stream(&mut self, enabled: bool) {
-        self.device_stream = enabled;
-        if !enabled {
-            self.device_log = Vec::new();
-        }
-    }
-
-    /// Drain the frames of slow-tier memory accesses observed since the
-    /// last drain, in access order. Empty unless
-    /// [`Self::set_device_stream`] enabled recording.
-    pub fn take_device_accesses(&mut self) -> Vec<Pfn> {
-        std::mem::take(&mut self.device_log)
     }
 
     /// Number of cores.
@@ -707,9 +683,6 @@ impl Machine {
                     if store {
                         core.counts.tier2_stores += 1;
                     }
-                }
-                if self.device_stream && !t.is_fastest() {
-                    self.device_log.push(pfn);
                 }
                 let fill = self.llc.fill(pa.line(), store);
                 if let Some(victim_line) = fill.writeback {

@@ -2,20 +2,17 @@
 //! float-identical (`f64::to_bits`) to the seed's serial per-cell replay on
 //! real recorded logs, not just on synthetic proptest inputs. This is the
 //! CI gate behind the Fig. 6 replay-engine rework: any caching or
-//! fan-out bug that changes a single ULP fails here.
-//!
-//! The device-side sketch is held to the same standard: arming its stream
-//! must leave a two-tier run, and so its Fig. 6 replay, bit-identical.
+//! fan-out bug that changes a single ULP fails here. Besides the
+//! harness's two-tier runs, the logs include TMP runs recorded on 2-, 3-
+//! and 4-tier machines.
 
 use tmprof_bench::harness::{run_workload, RunOptions};
 use tmprof_bench::scale::Scale;
 use tmprof_core::profiler::{Tmp, TmpConfig};
-use tmprof_core::rank::RankSource;
 use tmprof_policy::hitrate::{
     hitrate_grid, hitrate_grid_full, hitrate_grid_serial, HitrateCell, ReplayEpoch, ReplayLog,
     PAPER_RATIOS,
 };
-use tmprof_profilers::devsketch::DevSketchConfig;
 use tmprof_sim::prelude::*;
 use tmprof_sim::tier::MemTopology;
 use tmprof_workloads::spec::WorkloadKind;
@@ -46,45 +43,13 @@ fn assert_bit_identical(reference: &[HitrateCell], candidate: &[HitrateCell], la
     }
 }
 
-#[test]
-fn parallel_grid_matches_serial_on_recorded_logs() {
-    for kind in [
-        WorkloadKind::Gups,
-        WorkloadKind::DataCaching,
-        WorkloadKind::XsBench,
-    ] {
-        let log = log_for(kind);
-        let serial = hitrate_grid_serial(&log, &PAPER_RATIOS);
-        for workers in [1usize, 2, 8] {
-            let fast = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(workers));
-            assert_bit_identical(&serial, &fast, &format!("{kind:?} at {workers} workers"));
-        }
-        // The knob-driven default entry point agrees too.
-        let default = hitrate_grid(&log, &PAPER_RATIOS);
-        assert_bit_identical(&serial, &default, &format!("{kind:?} default workers"));
-    }
-}
-
-#[test]
-fn grid_is_reproducible_across_calls() {
-    // Worker scheduling must not leak into results: two runs of the
-    // parallel grid on the same log are byte-for-byte the same.
-    let log = log_for(WorkloadKind::WebServing);
-    let a = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(4));
-    let b = hitrate_grid_full(&log, &PAPER_RATIOS, &RankSource::ALL, Some(4));
-    assert_bit_identical(&a, &b, "repeat call");
-}
-
 /// Record 6 epochs of 30,000 Zipf-skewed touches over 512 pages under
-/// TMP, with the device stream armed or not; returns the replay log and
-/// the machine's cycles. The fast tier holds 64 frames, so most pages
-/// live behind the device and the sketch has a stream to watch.
-fn record_sketch_run(memory: MemTopology, devsketch: bool) -> (ReplayLog, u64) {
+/// TMP. The fast tier holds 64 frames, so most pages live in the slower
+/// tiers.
+fn record_zipf_run(memory: MemTopology) -> ReplayLog {
     let mut m = Machine::new(MachineConfig::scaled_topology(2, memory, 256));
     m.add_process(1);
-    let mut cfg = TmpConfig::paper_defaults(256);
-    cfg.devsketch = devsketch.then(DevSketchConfig::default);
-    let mut tmp = Tmp::new(cfg, &mut m);
+    let mut tmp = Tmp::new(TmpConfig::paper_defaults(256), &mut m);
     let mut rng = Rng::new(17);
     let zipf = Zipf::new(512, 0.9);
     let mut log = ReplayLog::default();
@@ -100,48 +65,55 @@ fn record_sketch_run(memory: MemTopology, devsketch: bool) -> (ReplayLog, u64) {
         });
     }
     log.first_touch_order = m.first_touch_order().to_vec();
-    (log, m.aggregate_counts().cycles)
-}
-
-fn sketch_reported(log: &ReplayLog) -> bool {
-    log.epochs.iter().any(|e| !e.profile.devsketch.is_empty())
+    log
 }
 
 #[test]
-fn arming_the_devsketch_leaves_a_two_tier_run_bit_identical() {
-    let (plain, plain_cycles) = record_sketch_run(MemTopology::with_frames(64, 960), false);
-    let (armed, armed_cycles) = record_sketch_run(MemTopology::with_frames(64, 960), true);
-    assert!(sketch_reported(&armed), "the armed sketch never reported");
-    assert_eq!(plain.epochs.len(), armed.epochs.len());
-    for (e, (a, b)) in plain.epochs.iter().zip(&armed.epochs).enumerate() {
-        assert_eq!(a.profile.abit, b.profile.abit, "epoch {e}: A-bit profile");
-        assert_eq!(a.profile.trace, b.profile.trace, "epoch {e}: trace profile");
-        assert_eq!(a.truth_mem, b.truth_mem, "epoch {e}: truth");
-    }
-    assert_eq!(plain.first_touch_order, armed.first_touch_order);
-    assert_eq!(plain_cycles, armed_cycles, "machine cycles");
-    assert_bit_identical(
-        &hitrate_grid(&plain, &PAPER_RATIOS),
-        &hitrate_grid(&armed, &PAPER_RATIOS),
-        "devsketch armed",
-    );
-}
-
-#[test]
-fn the_devsketch_reports_on_three_and_four_tier_layouts() {
-    let three = vec![TierSpec::dram(64), TierSpec::cxl(480), TierSpec::nvm(480)];
-    let four = vec![
-        TierSpec::dram(64),
-        TierSpec::cxl(320),
-        TierSpec::nvm(320),
-        TierSpec::nvm(320),
+fn parallel_grid_matches_serial_on_recorded_logs() {
+    let mut logs: Vec<(String, ReplayLog)> = [
+        WorkloadKind::Gups,
+        WorkloadKind::DataCaching,
+        WorkloadKind::XsBench,
+    ]
+    .into_iter()
+    .map(|kind| (format!("{kind:?}"), log_for(kind)))
+    .collect();
+    let topologies = [
+        MemTopology::with_frames(64, 960),
+        MemTopology::from_specs(vec![
+            TierSpec::dram(64),
+            TierSpec::cxl(480),
+            TierSpec::nvm(480),
+        ]),
+        MemTopology::from_specs(vec![
+            TierSpec::dram(64),
+            TierSpec::cxl(320),
+            TierSpec::nvm(320),
+            TierSpec::nvm(320),
+        ]),
     ];
-    for specs in [three, four] {
-        let tiers = specs.len();
-        let (log, _) = record_sketch_run(MemTopology::from_specs(specs), true);
-        assert!(
-            sketch_reported(&log),
-            "{tiers} tiers: the sketch never reported"
-        );
+    for memory in topologies {
+        let label = format!("Zipf on {} tiers", memory.num_tiers());
+        logs.push((label, record_zipf_run(memory)));
     }
+    for (label, log) in &logs {
+        let serial = hitrate_grid_serial(log, &PAPER_RATIOS);
+        for workers in [1usize, 2, 8] {
+            let fast = hitrate_grid_full(log, &PAPER_RATIOS, Some(workers));
+            assert_bit_identical(&serial, &fast, &format!("{label} at {workers} workers"));
+        }
+        // The knob-driven default entry point agrees too.
+        let default = hitrate_grid(log, &PAPER_RATIOS);
+        assert_bit_identical(&serial, &default, &format!("{label} default workers"));
+    }
+}
+
+#[test]
+fn grid_is_reproducible_across_calls() {
+    // Worker scheduling must not leak into results: two runs of the
+    // parallel grid on the same log are byte-for-byte the same.
+    let log = log_for(WorkloadKind::WebServing);
+    let a = hitrate_grid_full(&log, &PAPER_RATIOS, Some(4));
+    let b = hitrate_grid_full(&log, &PAPER_RATIOS, Some(4));
+    assert_bit_identical(&a, &b, "repeat call");
 }
