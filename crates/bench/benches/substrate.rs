@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tmprof_sim::prelude::*;
+use tmprof_sim::tlb::TlbLevel;
 
 fn bench_pagetable(c: &mut Criterion) {
     let mut group = c.benchmark_group("pagetable");
@@ -47,10 +48,15 @@ fn bench_pagetable(c: &mut Criterion) {
     group.finish();
 }
 
+/// The machine's TLB: a 16-entry DTLB over a 32-set x 16-way STLB.
+fn machine_tlb() -> Tlb {
+    Tlb::new(TlbLevel::new(1, 16), TlbLevel::new(32, 16))
+}
+
 fn bench_tlb(c: &mut Criterion) {
     let mut group = c.benchmark_group("tlb");
     group.bench_function("hit", |b| {
-        let mut tlb = Tlb::zen2();
+        let mut tlb = machine_tlb();
         tlb.fill(tmprof_sim::tlb::TlbEntry {
             pid: 1,
             vpn: Vpn(5),
@@ -62,7 +68,7 @@ fn bench_tlb(c: &mut Criterion) {
         b.iter(|| black_box(tlb.access(1, Vpn(5), false).is_some()));
     });
     group.bench_function("miss_fill_cycle", |b| {
-        let mut tlb = Tlb::zen2();
+        let mut tlb = machine_tlb();
         let mut v = 0u64;
         b.iter(|| {
             v += 1;

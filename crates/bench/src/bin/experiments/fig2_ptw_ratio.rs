@@ -6,17 +6,10 @@
 //! source. This experiment runs every Table III workload and prints the
 //! ratio, plus the raw event counts it is computed from.
 
-use tmprof_bench::harness::{run_workload, RunOptions};
-use tmprof_bench::sweep::Sweep;
 use tmprof_bench::table::{f, Table};
-use tmprof_workloads::spec::WorkloadKind;
 
 pub fn run(shared: &crate::Shared) {
-    let opts = RunOptions::new(shared.scale);
-
-    let sweep = Sweep::over(WorkloadKind::ALL.to_vec()).run(|&kind, _| run_workload(kind, &opts));
-    sweep.log_summary("fig2_ptw_ratio");
-    let runs: Vec<_> = sweep.successes().map(|(_, _, run)| run).collect();
+    let runs: Vec<_> = shared.tmp().successes().map(|(_, _, run)| run).collect();
 
     let mut table = Table::new(vec![
         "Workload",

@@ -56,6 +56,7 @@ pub struct Shared {
     pub scale: Scale,
     dense: OnceLock<SweepResults<WorkloadKind, u64, WorkloadRun>>,
     abit: OnceLock<SweepResults<WorkloadKind, (), WorkloadRun>>,
+    tmp: OnceLock<SweepResults<WorkloadKind, (), WorkloadRun>>,
     baseline: OnceLock<SweepResults<WorkloadKind, (), u64>>,
 }
 
@@ -89,6 +90,18 @@ impl Shared {
         })
     }
 
+    /// Every kind under TMP's standard configuration (sparse rate 4x):
+    /// Fig. 2's event counts and the shoot-out's TMP scorecard.
+    pub fn tmp(&self) -> &SweepResults<WorkloadKind, (), WorkloadRun> {
+        self.tmp.get_or_init(|| {
+            let opts = RunOptions::new(self.scale);
+            let sweep =
+                Sweep::over(WorkloadKind::ALL.to_vec()).run(|&kind, _| run_workload(kind, &opts));
+            sweep.log_summary("tmp");
+            sweep
+        })
+    }
+
     /// Every kind's cycles unprofiled: the overhead baseline of the
     /// overhead table and the profiler shoot-out.
     pub fn baseline(&self) -> &SweepResults<WorkloadKind, (), u64> {
@@ -115,6 +128,7 @@ fn main() {
         scale: Scale::from_env(),
         dense: OnceLock::new(),
         abit: OnceLock::new(),
+        tmp: OnceLock::new(),
         baseline: OnceLock::new(),
     };
     for (name, run) in EXPERIMENTS {

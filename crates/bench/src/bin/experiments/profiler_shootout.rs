@@ -9,10 +9,11 @@ use tmprof_workloads::spec::WorkloadKind;
 
 pub fn run(shared: &crate::Shared) {
     let baseline = shared.baseline();
+    let tmp = shared.tmp();
     let sweep = Sweep::over(WorkloadKind::ALL.to_vec()).run(|&kind, _| {
         let base = *baseline.value_for(&kind);
         (
-            score_tmp(kind, &shared.scale, base),
+            score_tmp(tmp.value_for(&kind), base),
             score_autonuma(kind, &shared.scale, base),
             score_thermostat(kind, &shared.scale, base),
         )

@@ -26,7 +26,9 @@ use tmprof_sim::runner::{OpStream, Runner};
 use tmprof_sim::tlb::Pid;
 use tmprof_workloads::spec::WorkloadKind;
 
-use crate::harness::{profiling_machine, run_workload, scaled_config, ProfMode, RunOptions};
+use crate::harness::{
+    profiling_machine, run_workload, scaled_config, ProfMode, RunOptions, WorkloadRun,
+};
 use crate::scale::Scale;
 
 /// One contender's scorecard.
@@ -112,11 +114,11 @@ pub fn baseline_cycles(kind: WorkloadKind, scale: &Scale) -> u64 {
         .cycles
 }
 
-/// TMP's scorecard (standard sparse-rate configuration, rate 4x — the
-/// deployable regime, unlike the coverage experiments' dense sampling).
-/// `base` is [`baseline_cycles`] of the same kind and scale.
-pub fn score_tmp(kind: WorkloadKind, scale: &Scale, base: u64) -> Scorecard {
-    let run = run_workload(kind, &RunOptions::new(*scale));
+/// TMP's scorecard from `run`, a run under the standard sparse-rate
+/// configuration (`run_workload(kind, &RunOptions::new(scale))`, rate 4x —
+/// the deployable regime, unlike the coverage experiments' dense
+/// sampling). `base` is [`baseline_cycles`] of the same kind and scale.
+pub fn score_tmp(run: &WorkloadRun, base: u64) -> Scorecard {
     // Estimate: combined per-page counts accumulated over all epochs.
     let mut estimate: KeyMap<u64, u64> = KeyMap::default();
     let mut truth: KeyMap<u64, u64> = KeyMap::default();
@@ -233,7 +235,7 @@ mod tests {
         // thermostat::tests::tlb_resident_hot_page_is_misclassified_cold.)
         let (kind, scale) = (WorkloadKind::WebServing, Scale::quick());
         let base = baseline_cycles(kind, &scale);
-        let tmp = score_tmp(kind, &scale, base);
+        let tmp = score_tmp(&run_workload(kind, &RunOptions::new(scale)), base);
         let th = score_thermostat(kind, &scale, base);
         assert!(
             th.overhead > tmp.overhead,
@@ -255,7 +257,7 @@ mod tests {
     fn autonuma_costs_more_than_tmp() {
         let (kind, scale) = (WorkloadKind::DataCaching, Scale::quick());
         let base = baseline_cycles(kind, &scale);
-        let tmp = score_tmp(kind, &scale, base);
+        let tmp = score_tmp(&run_workload(kind, &RunOptions::new(scale)), base);
         let numa = score_autonuma(kind, &scale, base);
         // The §II claim is about cost: AutoNUMA pays protection faults and
         // shootdowns for its visibility; TMP's deployable configuration

@@ -494,19 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn sources_grid_with_all_matches_default_grid() {
-        let log = rotating_log(5);
-        let a = hitrate_grid(&log, &PAPER_RATIOS);
-        let b = hitrate_grid_full(&log, &PAPER_RATIOS, None);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.policy, y.policy);
-            assert_eq!(x.source, y.source);
-            assert_eq!(x.hitrate.to_bits(), y.hitrate.to_bits());
-        }
-    }
-
-    #[test]
     fn empty_log_scores_zero() {
         let log = ReplayLog::default();
         assert_eq!(

@@ -4,11 +4,14 @@
 //! the hierarchy served the data. TMP only treats samples whose data source
 //! is *beyond* the LLC as evidence of memory heat (§III-A: pages that hit in
 //! cache gain little from migration), so the cache model is what gives the
-//! trace profiler its selectivity. Geometry defaults approximate the paper's
-//! Ryzen 5 3600X: 32 KiB 8-way L1D, 512 KiB 8-way private L2, and a 32 MiB
-//! 16-way shared LLC, all with 64 B lines.
+//! trace profiler its selectivity. Every machine has one geometry
+//! (`Machine::new`): the paper's Ryzen 5 3600X (32 KiB 8-way L1D, 512 KiB
+//! 8-way L2, 32 MiB 16-way LLC) shrunk 16× with its ways kept, so a core has
+//! a 4 KiB 8-way L1D (8 sets) and a 32 KiB 8-way L2 (64 sets) and the
+//! machine shares a 2 MiB 16-way LLC (2,048 sets), all with 64 B lines.
 
-use crate::addr::{PhysAddr, LINE_SHIFT};
+use crate::addr::{PhysAddr, LINE_SHIFT, PAGE_SHIFT};
+use crate::lru::{check_ways, initial_order, lru_way, to_front};
 
 /// Which level of the cache hierarchy served an access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,18 +27,11 @@ pub enum CacheLevel {
 }
 
 /// Tag-word bit: the way holds a line.
-const VALID: u64 = 1 << 63;
+const VALID: u32 = 1 << 31;
 /// Tag-word bit: the line was written since it was filled.
-const DIRTY: u64 = 1 << 62;
-/// The physical line number in a tag word.
-const LINE_MASK: u64 = !(VALID | DIRTY);
-
-/// Most ways a [`Cache`] can have: a set's recency word holds one 4-bit
-/// way index per way.
-const MAX_WAYS: usize = 16;
-
-/// A one in every nibble of a word.
-const NIBBLES: u64 = 0x1111_1111_1111_1111;
+const DIRTY: u32 = 1 << 30;
+/// The tag bits of a tag word: the line number above the set index.
+const TAG_MASK: u32 = DIRTY - 1;
 
 /// Cache lines per 4 KiB page.
 const PAGE_LINES: u64 = crate::addr::PAGE_SIZE >> LINE_SHIFT;
@@ -53,47 +49,27 @@ pub struct FillOutcome {
 /// changes a page's physical address) naturally invalidates nothing but maps
 /// the page to cold lines — the same effect real migration has.
 ///
-/// State is one 8-byte tag word per way and one 8-byte recency word per
+/// State is one 4-byte tag word per way and one 8-byte recency word per
 /// set:
 ///
-/// * a tag word is the line number plus a valid bit (bit 63) and a dirty
-///   bit (bit 62); 0 is an empty way. The array is allocated zeroed, so the
-///   host backs only the sets a run touches;
-/// * a recency word lists the set's way indices as 4-bit nibbles, most
-///   recently used first (unused high nibbles hold `0xF`). A hit or a fill
-///   moves its way to the front, so the word orders the ways by their last
-///   hit or fill — exact true LRU — and the victim of a full set is the
-///   nibble at position `ways - 1`. Hence at most 16 ways.
+/// * a tag word is the line number shifted right by the set-index bits
+///   (the set is implied by the word's position), plus a valid bit (bit 31)
+///   and a dirty bit (bit 30); 0 is an empty way. So a cache tags lines
+///   below `2^(30 + log2(sets))` (`Cache::frame_limit`). A line number is
+///   rebuilt from (tag, set) only for a dirty victim and for diagnostics.
+///   The array is allocated zeroed, so the host backs only the sets a run
+///   touches;
+/// * a recency word (`crate::lru`) orders the set's ways by their last hit
+///   or fill — exact true LRU — so a cache has at most 16 ways.
 #[derive(Clone)]
 pub struct Cache {
     name: &'static str,
     sets: usize,
     ways: usize,
-    tags: Vec<u64>,
+    /// log2 of `sets`: the line-number bits the set index takes.
+    set_bits: u32,
+    tags: Vec<u32>,
     order: Vec<u64>,
-}
-
-/// The recency word of a set no access has touched: way `i` at position
-/// `i`, `0xF` in the nibbles past the last way.
-fn initial_order(ways: usize) -> u64 {
-    (0..MAX_WAYS).fold(0, |word, pos| {
-        let nibble = if pos < ways { pos as u64 } else { 0xF };
-        word | (nibble << (4 * pos))
-    })
-}
-
-/// Move `way` to the front of the recency word `order`.
-///
-/// The zero-nibble test on `order ^ way-in-every-nibble` flags the top bit
-/// of the nibble that holds `way` (borrows only flag nibbles above a true
-/// zero, and `way` appears once). The nibbles before it shift up by one.
-#[inline]
-fn to_front(order: u64, way: usize) -> u64 {
-    let x = order ^ (way as u64 * NIBBLES);
-    let flags = x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3);
-    debug_assert_ne!(flags, 0, "way {way} missing from recency word {order:#x}");
-    let through = u64::MAX >> (63 - flags.trailing_zeros());
-    (order & !through) | ((order & (through >> 4)) << 4) | way as u64
 }
 
 impl Cache {
@@ -104,11 +80,7 @@ impl Cache {
     /// set, or the set count is not a power of two; the message names the
     /// cache.
     pub fn new(name: &'static str, size_bytes: u64, ways: usize) -> Self {
-        assert!(ways > 0, "{name}: zero ways");
-        assert!(
-            ways <= MAX_WAYS,
-            "{name}: {ways} ways, but a recency word holds at most {MAX_WAYS}"
-        );
+        check_ways(name, ways);
         let lines_total = (size_bytes >> LINE_SHIFT) as usize;
         assert!(lines_total >= ways, "{name}: size below one set");
         let sets = lines_total / ways;
@@ -120,6 +92,7 @@ impl Cache {
             name,
             sets,
             ways,
+            set_bits: sets.trailing_zeros(),
             tags: vec![0; sets * ways],
             order: vec![initial_order(ways); sets],
         }
@@ -130,10 +103,33 @@ impl Cache {
         self.name
     }
 
+    /// The most frames whose lines this cache can tag: a tag word holds 30
+    /// tag bits, so lines below `2^(30 + log2(sets))`.
+    pub(crate) fn frame_limit(&self) -> u64 {
+        1 << (TAG_MASK.count_ones() + self.set_bits - (PAGE_SHIFT - LINE_SHIFT))
+    }
+
     /// The set `line` maps to.
     #[inline]
     fn set_of(&self, line: u64) -> usize {
         (line as usize) & (self.sets - 1)
+    }
+
+    /// The tag of `line`: its line number without the set-index bits.
+    #[inline]
+    fn tag(&self, line: u64) -> u32 {
+        debug_assert!(
+            line >> self.set_bits <= u64::from(TAG_MASK),
+            "{}: line {line:#x} overflows a tag word",
+            self.name
+        );
+        (line >> self.set_bits) as u32
+    }
+
+    /// The line number of tag word `word` in set `set`.
+    #[inline]
+    fn line_of(&self, word: u32, set: usize) -> u64 {
+        (u64::from(word & TAG_MASK) << self.set_bits) | set as u64
     }
 
     /// The tag words of set `set`.
@@ -147,10 +143,11 @@ impl Cache {
     // tmprof-lint: allow(panic-reachability) — set_of masks the set index to sets - 1, so the set's `ways` tag words and its recency word are in bounds, and `way` is a position within that slice
     pub fn probe(&mut self, line: u64, is_store: bool) -> bool {
         let set = self.set_of(line);
+        let want = self.tag(line) | VALID;
         let range = self.slots(set);
         let tags = &mut self.tags[range];
-        if let Some(way) = tags.iter().position(|&t| t & !DIRTY == line | VALID) {
-            tags[way] |= DIRTY * u64::from(is_store);
+        if let Some(way) = tags.iter().position(|&t| t & !DIRTY == want) {
+            tags[way] |= DIRTY * u32::from(is_store);
             self.order[set] = to_front(self.order[set], way);
             true
         } else {
@@ -162,29 +159,30 @@ impl Cache {
     /// of the LRU way.
     // tmprof-lint: allow(panic-reachability) — set_of masks the set index to sets - 1, so the set's `ways` tag words and its recency word are in bounds; `way` is a position within the set or a recency nibble, and the word holds only way indices below `ways` in its first `ways` nibbles
     pub fn fill(&mut self, line: u64, is_store: bool) -> FillOutcome {
-        debug_assert_eq!(line & !LINE_MASK, 0, "line {line:#x} overflows a tag word");
         let set = self.set_of(line);
+        let tag = self.tag(line);
         let range = self.slots(set);
         let order = self.order[set];
-        let tags = &mut self.tags[range];
-        let way = match tags.iter().position(|&t| t & VALID == 0) {
+        let way = match self.tags[range.clone()]
+            .iter()
+            .position(|&t| t & VALID == 0)
+        {
             Some(free) => free,
-            None => ((order >> (4 * (self.ways - 1))) & 0xF) as usize,
+            None => lru_way(order, self.ways),
         };
-        let old = tags[way];
-        let writeback = (old & (VALID | DIRTY) == VALID | DIRTY).then_some(old & LINE_MASK);
-        tags[way] = line | VALID | (DIRTY * u64::from(is_store));
+        let old = self.tags[range.start + way];
+        let writeback = (old & (VALID | DIRTY) == VALID | DIRTY).then(|| self.line_of(old, set));
+        self.tags[range.start + way] = tag | VALID | (DIRTY * u32::from(is_store));
         self.order[set] = to_front(order, way);
         FillOutcome { writeback }
     }
 
     /// The tag word holding `line`, if it is cached.
     // tmprof-lint: allow(panic-reachability) — set_of masks the set index to sets - 1, so the slice is the set's `ways` tag words
-    fn tag_of(&mut self, line: u64) -> Option<&mut u64> {
+    fn word_of(&mut self, line: u64) -> Option<&mut u32> {
+        let want = self.tag(line) | VALID;
         let range = self.slots(self.set_of(line));
-        self.tags[range]
-            .iter_mut()
-            .find(|t| **t & !DIRTY == line | VALID)
+        self.tags[range].iter_mut().find(|t| **t & !DIRTY == want)
     }
 
     /// Absorb a writeback from an inner cache level: if `line` is present,
@@ -192,21 +190,29 @@ impl Cache {
     /// demand traffic). Returns false when the line is absent and the
     /// writeback must continue outward.
     pub fn writeback_touch(&mut self, line: u64) -> bool {
-        self.tag_of(line).map(|t| *t |= DIRTY).is_some()
+        self.word_of(line).map(|t| *t |= DIRTY).is_some()
     }
 
     /// The slots that can hold a line of the page starting at
-    /// `page_first_line`. A page's lines are consecutive line numbers, so
-    /// with at least `PAGE_LINES` sets they fill `PAGE_LINES` contiguous
-    /// sets; with fewer sets they cover every set.
+    /// `page_first_line`, and the page's tags: `span` tags from `first`.
+    ///
+    /// A page's lines are consecutive line numbers. With at least
+    /// `PAGE_LINES` sets they fill `PAGE_LINES` contiguous sets under one
+    /// tag; with fewer sets they cover every set, `PAGE_LINES / sets` per
+    /// set, under consecutive tags.
     #[inline]
-    fn page_slots(&self, page_first_line: u64) -> std::ops::Range<usize> {
+    fn page_slots(&self, page_first_line: u64) -> (std::ops::Range<usize>, u32, u32) {
         debug_assert_eq!(page_first_line % PAGE_LINES, 0, "not a page's first line");
+        let first = self.tag(page_first_line);
         if self.sets >= PAGE_LINES as usize {
             let start = self.slots(self.set_of(page_first_line)).start;
-            start..start + PAGE_LINES as usize * self.ways
+            (start..start + PAGE_LINES as usize * self.ways, first, 1)
         } else {
-            0..self.tags.len()
+            (
+                0..self.tags.len(),
+                first,
+                (PAGE_LINES >> self.set_bits) as u32,
+            )
         }
     }
 
@@ -217,15 +223,15 @@ impl Cache {
     /// One pass over the page's sets, with the same effect as invalidating
     /// each of its lines one at a time: a line is filled only
     /// after it missed, so it sits in at most one way, and clearing the
-    /// valid bit of every tag word whose line falls in the page drops
+    /// valid bit of every tag word whose tag is one of the page's drops
     /// exactly those lines. Recency words and dirty bits are untouched; no
     /// writeback is reported.
     // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` tag words, or the whole array
     pub fn invalidate_page_lines(&mut self, page_first_line: u64) {
-        let range = self.page_slots(page_first_line);
+        let (range, first, span) = self.page_slots(page_first_line);
         for t in &mut self.tags[range] {
-            let in_page = (*t & LINE_MASK).wrapping_sub(page_first_line) < PAGE_LINES;
-            *t &= !(VALID * u64::from(in_page));
+            let in_page = (*t & TAG_MASK).wrapping_sub(first) < span;
+            *t &= !(VALID * u32::from(in_page));
         }
     }
 
@@ -233,26 +239,35 @@ impl Cache {
     /// (diagnostics).
     // tmprof-lint: allow(panic-reachability) — page_slots masks the first set to a multiple of PAGE_LINES below `sets` and slices PAGE_LINES sets of `ways` tag words, or the whole array
     pub(crate) fn page_lines_cached(&self, page_first_line: u64) -> usize {
-        self.tags[self.page_slots(page_first_line)]
+        let (range, first, span) = self.page_slots(page_first_line);
+        self.tags[range]
             .iter()
-            .filter(|&&t| {
-                t & VALID != 0 && (t & LINE_MASK).wrapping_sub(page_first_line) < PAGE_LINES
-            })
+            .filter(|&&t| t & VALID != 0 && (t & TAG_MASK).wrapping_sub(first) < span)
             .count()
+    }
+
+    /// Valid ways as (line number, tag word), set by set (diagnostics).
+    fn valid_words(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.tags
+            .chunks(self.ways)
+            .enumerate()
+            .flat_map(move |(set, words)| {
+                words
+                    .iter()
+                    .filter(|&&t| t & VALID != 0)
+                    .map(move |&t| (self.line_of(t, set), t))
+            })
     }
 
     /// Physical line numbers of the valid lines (diagnostics).
     pub(crate) fn valid_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags
-            .iter()
-            .filter(|&&t| t & VALID != 0)
-            .map(|&t| t & LINE_MASK)
+        self.valid_words().map(|(line, _)| line)
     }
 
     /// Number of valid lines (diagnostics).
     // tmprof-lint: allow(dead-surface) — capacity bound checked by sim/tests/props.rs and cache::tests
     pub fn occupancy(&self) -> usize {
-        self.valid_lines().count()
+        self.tags.iter().filter(|&&t| t & VALID != 0).count()
     }
 }
 
@@ -335,7 +350,7 @@ mod tests {
 
         /// Drop `line` if cached. Returns whether it was present and dirty.
         pub(crate) fn invalidate(&mut self, line: u64) -> Option<bool> {
-            let t = self.tag_of(line)?;
+            let t = self.word_of(line)?;
             *t &= !VALID;
             Some(*t & DIRTY != 0)
         }
@@ -418,15 +433,49 @@ mod tests {
         Cache::new("LLC", 17 * 64 * 64, 17);
     }
 
+    /// The machine's three geometries: L1D (8 sets), L2 (64) and LLC
+    /// (2,048).
+    fn machine_caches() -> [Cache; 3] {
+        [
+            Cache::new("L1D", 4 << 10, 8),
+            Cache::new("L2", 32 << 10, 8),
+            Cache::new("LLC", 2 << 20, 16),
+        ]
+    }
+
     #[test]
-    fn recency_word_moves_a_way_to_the_front() {
-        assert_eq!(initial_order(16), 0xFEDC_BA98_7654_3210);
-        assert_eq!(initial_order(2), 0xFFFF_FFFF_FFFF_FF10);
-        let word = initial_order(16);
-        assert_eq!(to_front(word, 0), word);
-        assert_eq!(to_front(word, 5), 0xFEDC_BA98_7643_2105);
-        assert_eq!(to_front(word, 15), 0xEDCB_A987_6543_210F);
-        assert_eq!(to_front(initial_order(8), 7), 0xFFFF_FFFF_6543_2107);
+    fn the_l1d_tags_at_most_2_27_frames() {
+        let limits = machine_caches().map(|c| c.frame_limit());
+        assert_eq!(limits, [1 << 27, 1 << 30, 1 << 35]);
+    }
+
+    /// The last line of a 2^27-frame machine, whose L1D tag is all ones,
+    /// comes back whole from `valid_lines`, as a dirty victim and from a
+    /// scrub, in each of the machine's caches.
+    #[test]
+    fn the_top_line_round_trips_through_every_geometry() {
+        let top = (1u64 << 27) * PAGE_LINES - 1;
+        for mut c in machine_caches() {
+            let name = c.name();
+            assert_eq!(c.fill(top, true).writeback, None, "{name}");
+            assert_eq!(c.valid_lines().collect::<Vec<_>>(), vec![top], "{name}");
+            assert_eq!(c.page_lines_cached(top + 1 - PAGE_LINES), 1, "{name}");
+            // Fill the rest of its set, then one more line: the top line
+            // is the LRU way and leaves as a dirty victim.
+            let sets = c.sets as u64;
+            for k in 1..c.ways as u64 {
+                assert_eq!(c.fill(top - k * sets, false).writeback, None, "{name}");
+            }
+            let out = c.fill(top - c.ways as u64 * sets, false);
+            assert_eq!(out.writeback, Some(top), "{name}");
+            assert!(!c.probe(top, false), "{name}");
+            // Back in, then scrubbed with its page.
+            c.fill(top, false);
+            assert!(c.probe(top, true), "{name}");
+            c.invalidate_page_lines(top + 1 - PAGE_LINES);
+            assert!(!c.probe(top, false), "{name}");
+            assert_eq!(c.page_lines_cached(top + 1 - PAGE_LINES), 0, "{name}");
+        }
     }
 
     /// The per-line scrub [`Cache::invalidate_page_lines`] replaced, kept
@@ -438,7 +487,7 @@ mod tests {
     }
 
     /// Every tag word and every recency word.
-    fn state(c: &Cache) -> (Vec<u64>, Vec<u64>) {
+    fn state(c: &Cache) -> (Vec<u32>, Vec<u64>) {
         (c.tags.clone(), c.order.clone())
     }
 
@@ -465,14 +514,22 @@ mod tests {
     }
 
     /// 48 pages in two groups of 24 that share their sets even in the
-    /// 2,048-set LLC (page numbers 32 apart). Most accesses go to a page's
+    /// 2,048-set LLC (frame numbers 32 apart). Most accesses go to a page's
     /// first 4 lines, so up to 24 lines contend for each of those sets and
     /// every geometry sees conflict evictions, dirty victims and stale
     /// tags in invalid ways.
     const TEST_PAGES: u64 = 48;
 
-    fn page_first_line(page: u64) -> u64 {
-        ((page % 2) + 32 * (page / 2)) * PAGE_LINES
+    /// The first line of test page `page` in cache `c`. Half of each group
+    /// sits just below the cache's frame limit (2^27 frames for the 8-set
+    /// L1D), so tags with their high bits set share sets with tags near 0.
+    fn page_first_line(c: &Cache, page: u64) -> u64 {
+        let base = if page % 4 >= 2 {
+            c.frame_limit() - 1024
+        } else {
+            0
+        };
+        (base + (page % 2) + 32 * (page / 2)) * PAGE_LINES
     }
 
     fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
@@ -498,7 +555,7 @@ mod tests {
     /// per-line oracle leaves every tag word and every recency word the
     /// same, and that `page_lines_cached` counted what the oracle dropped.
     fn scrub_and_check(c: &mut Cache, page: u64) {
-        let first = page_first_line(page);
+        let first = page_first_line(c, page);
         let mut oracle = c.clone();
         invalidate_page_lines_per_line(&mut oracle, first);
         assert_eq!(
@@ -509,8 +566,8 @@ mod tests {
         assert!(state(c) == state(&oracle), "scrub of page {page} diverged");
     }
 
-    /// One way of the stamped oracle: a 24-byte line with a 64-bit LRU
-    /// stamp.
+    /// One way of the stamped oracle: its full line number, a 64-bit LRU
+    /// stamp and the two flags.
     #[derive(Clone, Copy)]
     struct Line {
         tag: u64,
@@ -605,10 +662,8 @@ mod tests {
     /// The valid `(line, dirty)` pairs of a cache, ascending.
     fn contents(c: &Cache) -> Vec<(u64, bool)> {
         let mut v: Vec<_> = c
-            .tags
-            .iter()
-            .filter(|&&t| t & VALID != 0)
-            .map(|&t| (t & LINE_MASK, t & DIRTY != 0))
+            .valid_words()
+            .map(|(line, t)| (line, t & DIRTY != 0))
             .collect();
         v.sort_unstable();
         v
@@ -642,7 +697,7 @@ mod tests {
                     store,
                     fill,
                 } => {
-                    let l = page_first_line(page) + line;
+                    let l = page_first_line(&c, page) + line;
                     let hit = c.probe(l, store);
                     assert_eq!(hit, r.probe(l, store), "probe, {}", at(i));
                     if !hit && fill {
@@ -650,7 +705,7 @@ mod tests {
                     }
                 }
                 CacheOp::WritebackTouch { page, line } => {
-                    let l = page_first_line(page) + line;
+                    let l = page_first_line(&c, page) + line;
                     assert_eq!(
                         c.writeback_touch(l),
                         r.writeback_touch(l),
@@ -659,12 +714,13 @@ mod tests {
                     );
                 }
                 CacheOp::Invalidate { page, line } => {
-                    let l = page_first_line(page) + line;
+                    let l = page_first_line(&c, page) + line;
                     assert_eq!(c.invalidate(l), r.invalidate(l), "invalidate, {}", at(i));
                 }
                 CacheOp::Scrub { page } => {
-                    c.invalidate_page_lines(page_first_line(page));
-                    r.invalidate_page_lines(page_first_line(page));
+                    let first = page_first_line(&c, page);
+                    c.invalidate_page_lines(first);
+                    r.invalidate_page_lines(first);
                     assert_eq!(contents(&c), stamped_contents(&r), "scrub, {}", at(i));
                 }
             }
@@ -693,16 +749,16 @@ mod tests {
                 for op in &ops {
                     match *op {
                         CacheOp::Access { page, line, store, fill } => {
-                            let l = page_first_line(page) + line;
+                            let l = page_first_line(&c, page) + line;
                             if !c.probe(l, store) && fill {
                                 c.fill(l, store);
                             }
                         }
                         CacheOp::WritebackTouch { page, line } => {
-                            c.writeback_touch(page_first_line(page) + line);
+                            c.writeback_touch(page_first_line(&c, page) + line);
                         }
                         CacheOp::Invalidate { page, line } => {
-                            c.invalidate(page_first_line(page) + line);
+                            c.invalidate(page_first_line(&c, page) + line);
                         }
                         CacheOp::Scrub { page } => scrub_and_check(&mut c, page),
                     }
@@ -715,9 +771,10 @@ mod tests {
         }
 
         /// Tag and recency words are exact true LRU: every probe, fill,
-        /// writeback, invalidation and scrub gives what the stamped cache
-        /// gives, on 1-, 8-, 64- and 2,048-set caches of 2, 4, 8 and 16
-        /// ways.
+        /// writeback, invalidation and scrub gives what the stamped cache,
+        /// which keeps full line numbers, gives on 1-, 8-, 64- and
+        /// 2,048-set caches of 2, 4, 8 and 16 ways, with lines up to the
+        /// top of the 2^27-frame range.
         #[test]
         fn recency_words_match_stamped_lru(ops in cache_ops()) {
             for sets in [1, 8, 64, 2048] {

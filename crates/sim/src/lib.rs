@@ -36,6 +36,7 @@ pub mod cache;
 pub mod counters;
 pub mod frame;
 pub mod keymap;
+mod lru;
 pub mod machine;
 pub mod pagedesc;
 pub mod pagetable;

@@ -256,9 +256,14 @@ impl Machine {
     /// 16-way. TLB reach scales with pages, not bytes, so the TLBs shrink
     /// by the square root of 16: a 16-entry fully associative DTLB and a
     /// 32-set × 16-way STLB.
+    ///
+    /// # Panics
+    /// If `cfg` has no core, or more frames than the narrowest cache tag
+    /// word can name: 2^27 frames (512 GiB), set by the 8-set L1D's 30
+    /// tag bits (`Cache::frame_limit`). The message names the limit.
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.cores > 0, "machine needs at least one core");
-        let cores = (0..cfg.cores)
+        let cores: Vec<Core> = (0..cfg.cores)
             .map(|_| Core {
                 caches: PrivateCaches {
                     l1d: Cache::new("L1D", 4 << 10, 8),
@@ -271,9 +276,19 @@ impl Machine {
             })
             .collect();
         let llc = Cache::new("LLC", 2 << 20, 16);
+        let total = cfg.memory.total_frames();
+        for cache in [&cores[0].caches.l1d, &cores[0].caches.l2, &llc] {
+            let limit = cache.frame_limit();
+            assert!(
+                total <= limit,
+                "a memory layout of {total} frames is past the frame limit 2^{} ({limit}): the {}'s tag words name no line beyond it",
+                limit.trailing_zeros(),
+                cache.name()
+            );
+        }
         let frames = FrameAllocator::new(&cfg.memory);
-        let descs = PageDescTable::new(cfg.memory.total_frames());
-        let truth = GroundTruth::new(cfg.memory.total_frames());
+        let descs = PageDescTable::new(total);
+        let truth = GroundTruth::new(total);
         Self {
             cfg,
             cores,
@@ -1172,6 +1187,40 @@ mod tests {
             0,
             "a closed epoch's counts do not carry over"
         );
+    }
+
+    /// A machine of `frames` frames, all but 64 of them in tier 2.
+    fn machine_of(frames: u64) -> Machine {
+        Machine::new(MachineConfig::scaled_topology(
+            1,
+            MemTopology::with_frames(64, frames - 64),
+            64,
+        ))
+    }
+
+    #[test]
+    fn builds_the_sparse_scan_machine_and_one_at_the_frame_limit() {
+        // sparse_scan's 10^8-page machine: 64 fast frames, the pages and
+        // one huge run of slack.
+        let m = machine_of(64 + 100_000_000 + 512);
+        assert_eq!(m.memory().total_frames(), 100_000_576);
+        let mut m = machine_of(1 << 27);
+        // The last frame's lines go through the caches whole.
+        let last = Pfn((1 << 27) - 1);
+        assert_eq!(m.cached_lines_of(last), 0);
+        let line = last.base().line() + 63;
+        m.llc.fill(line, true);
+        m.cores[0].caches.l1d.fill(line, false);
+        assert_eq!(m.cached_frames(), vec![last]);
+        assert_eq!(m.cached_lines_of(last), 2);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "134217729 frames is past the frame limit 2^27 (134217728): the L1D's tag words"
+    )]
+    fn refuses_one_frame_past_the_limit() {
+        machine_of((1 << 27) + 1);
     }
 
     #[test]

@@ -166,7 +166,7 @@ proptest! {
         for (pid, vpn) in accesses {
             if let Some(e) = level.lookup(pid, Vpn(vpn)) {
                 // Any hit must agree with what we inserted.
-                prop_assert_eq!(Some(&e.pfn.0), inserted.get(&(pid, vpn)));
+                prop_assert_eq!(Some(&e.pfn().0), inserted.get(&(pid, vpn)));
             } else {
                 level.insert(TlbEntry {
                     pid,
